@@ -10,6 +10,7 @@ over the cell's edges sorted by their lower-labelled endpoints.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 
 from .complexes import Chain, ChainComplex, ResourceLimitExceeded
 from .graph import GraphError, OrderedGraph, check_subdivided
@@ -33,6 +34,9 @@ class AbramsEncoding:
             t, j = og.edge_tau_iota[eidx]
             self.vsets.append((1 << (t - 1)) | (1 << (j - 1)))
         self.n_items = self.nv + len(self.edge_items)
+        # per edge item: the bits of its iota and tau endpoints
+        self.edge_ends = [(1 << (j - 1), 1 << (t - 1)) for t, j in
+                          (og.edge_tau_iota[e] for e in self.edge_items)]
         self.edge_item_of = {eidx: self.nv + j
                              for j, eidx in enumerate(self.edge_items)}
 
@@ -74,7 +78,12 @@ class AbramsEncoding:
         return key
 
     def items(self, key):
-        return [k for k in range(self.n_items) if key >> k & 1]
+        out = []
+        while key:
+            low = key & -key
+            out.append(low.bit_length() - 1)
+            key ^= low
+        return out
 
     def dim_of(self, key):
         return sum(1 for k in self.items(key) if k >= self.nv)
@@ -91,16 +100,13 @@ class AbramsEncoding:
     def cell_faces(self, key):
         """Alternating faces replacing each edge by its endpoints."""
         out = []
-        i = 0
-        for k in self.items(key):
-            if k < self.nv:
-                continue
-            i += 1
-            sign = -1 if i % 2 else 1  # (-1)^i
-            t, j = self.og.edge_tau_iota[self.edge_items[k - self.nv]]
-            base = key & ~(1 << k)
-            out.append((base | 1 << (j - 1), sign))   # iota face
-            out.append((base | 1 << (t - 1), -sign))  # tau face
+        sign = -1  # (-1)^i for the i-th edge of the cell, i from 1
+        for k in self.items(key >> self.nv):
+            iota_bit, tau_bit = self.edge_ends[k]
+            base = key & ~(1 << (self.nv + k))
+            out.append((base | iota_bit, sign))
+            out.append((base | tau_bit, -sign))
+            sign = -sign
         return out
 
 
@@ -162,18 +168,18 @@ def build_abrams(og: OrderedGraph, n: int, max_dim=None,
     cells = [by_dim.get(d, []) for d in range(top + 1)]
     index = [{key: i for i, key in enumerate(cells[d])} for d in range(top + 1)]
 
+    # every d-cell has 2d faces whose signs alternate over its edges in
+    # order, so all columns of one dimension share the first one's signs
     boundaries = {}
     for d in range(1, top + 1):
-        rows = array("l")
-        cols = array("l")
-        vals = array("b")
         low = index[d - 1]
-        for c, key in enumerate(cells[d]):
-            for fk, coeff in enc.cell_faces(key):
-                rows.append(low[fk])
-                cols.append(c)
-                vals.append(coeff)
-        boundaries[d] = (rows, cols, vals)
+        lst = cells[d]
+        rows = array("l", (low[fk] for key in lst
+                           for fk, _ in enc.cell_faces(key)))
+        signs = array("b", [w for _, w in enc.cell_faces(lst[0])])
+        cols = array("l", chain.from_iterable(
+            zip(*[range(len(lst))] * len(signs))))
+        boundaries[d] = (rows, cols, signs * len(lst))
 
     meta = {"model": "abrams", "graph": g, "ordered": og, "n": n,
             "encoding": enc}

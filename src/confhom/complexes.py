@@ -7,6 +7,8 @@ arrays mapping d-cells to (d-1)-chains.
 
 from __future__ import annotations
 
+import functools
+import gc
 from array import array
 
 
@@ -18,14 +20,36 @@ class ResourceLimitExceeded(RuntimeError):
     pass
 
 
+def pause_gc(fn):
+    """Run fn with the cyclic garbage collector off, restoring it after.
+
+    The d^2 check and the reduction allocate up to millions of acyclic
+    dicts, sets and tuples, which the collector would otherwise rescan
+    again and again while they are alive; none of them can form a cycle.
+    A collector the caller had already turned off stays off.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return wrapper
+
+
 class ChainComplex:
     """Indexed cell lists per dimension plus sparse integer boundaries.
 
     boundaries[d] is (rows, cols, vals) with rows indexing (d-1)-cells,
-    cols indexing d-cells.  `cells[d]` lists packed cell keys in canonical
-    order; `describe` and `cell_faces` are builder-supplied callbacks used
-    for pretty-printing and for evaluating boundaries of sparse chains
-    without materializing column slices.
+    cols indexing d-cells.  The triplets may come in any order; entries
+    repeated at one (row, col) are summed and zero entries are ignored.
+    `cells[d]` lists packed cell keys in canonical order; `describe` and
+    `cell_faces` are builder-supplied callbacks used for pretty-printing
+    and for evaluating boundaries of sparse chains without materializing
+    column slices.
     """
 
     def __init__(self, dims, boundaries, cells=None, meta=None,
@@ -66,8 +90,6 @@ class ChainComplex:
         """Boundary of one cell as [(face_key, coeff), ...]."""
         if self._cell_faces is not None:
             return self._cell_faces(d, key)
-        # fall back to a column scan of the triplet arrays
-        idx = self.index(d)[d] if False else None  # pragma: no cover
         raise NotImplementedError("complex has no cell_faces callback")
 
     def boundary_triplets(self, d):
@@ -75,35 +97,32 @@ class ChainComplex:
             return array("l"), array("l"), array("l")
         return self.boundaries.get(d, (array("l"), array("l"), array("l")))
 
+    @pause_gc
     def check_boundary_squared(self):
-        """Assert d(d(cell)) == 0 for every cell of every dimension >= 2."""
+        """Raise BoundaryError unless d(d(cell)) == 0 for every cell of
+        every dimension >= 2, summing each column's entries wherever they
+        sit in the triplets."""
+        lower = None
         for d in range(2, self.top_dim + 1):
-            rows, cols, vals = self.boundary_triplets(d)
-            if not len(cols):
-                continue
-            lower = self._columns(d - 1)
-            acc = {}
-            cur = -1
-            for k in range(len(cols)):
-                c = cols[k]
-                if c != cur:
-                    if any(acc.values()):
-                        raise BoundaryError(
-                            f"dd != 0 at dimension {d}, cell {cur}")
-                    acc = {}
-                    cur = c
-                v = vals[k]
-                for (g, w) in lower[rows[k]]:
-                    acc[g] = acc.get(g, 0) + v * w
-            if any(acc.values()):
-                raise BoundaryError(f"dd != 0 at dimension {d}, cell {cur}")
+            if lower is None:
+                lower = self._columns(d - 1)
+            upper = self._columns(d)
+            for c, col in enumerate(upper):
+                acc = {}
+                for r, v in col:
+                    for g, w in lower[r]:
+                        acc[g] = acc.get(g, 0) + v * w
+                if any(acc.values()):
+                    raise BoundaryError(f"dd != 0 at dimension {d}, cell {c}")
+            lower = upper
 
     def _columns(self, d):
-        """List over d-cells of [(row, val), ...]."""
+        """List over d-cells of [(row, val), ...], zero entries dropped."""
         out = [[] for _ in range(self.dims[d])]
         rows, cols, vals = self.boundary_triplets(d)
-        for k in range(len(cols)):
-            out[cols[k]].append((rows[k], vals[k]))
+        for r, c, v in zip(rows, cols, vals):
+            if v:
+                out[c].append((r, v))
         return out
 
     # -- shared dump format -------------------------------------------------

@@ -8,11 +8,11 @@ overflow handling is needed anywhere.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
-from .complexes import BoundaryError, Chain, ChainComplex
+from .complexes import Chain, ChainComplex, pause_gc
 
 
 class EngineError(RuntimeError):
@@ -175,9 +175,9 @@ def _sparse_unit_eliminate(colmap, rowmap, track_cols=None):
     """
     rank = 0
     heap = [(len(col), c) for c, col in colmap.items()]
-    heapq.heapify(heap)
+    heapify(heap)
     while heap:
-        size, c = heapq.heappop(heap)
+        size, c = heappop(heap)
         col = colmap.get(c)
         if col is None or len(col) != size:
             continue
@@ -211,7 +211,7 @@ def _sparse_unit_eliminate(colmap, rowmap, track_cols=None):
                         del col2[r]
                         rowmap[r].discard(c2)
             if col2:
-                heapq.heappush(heap, (len(col2), c2))
+                heappush(heap, (len(col2), c2))
             else:
                 del colmap[c2]
         if track_cols:
@@ -317,6 +317,7 @@ class ReductionStats:
     protected: int
 
 
+@pause_gc
 def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
     """Shrink a complex by repeated elementary reductions on unit entries.
 
@@ -333,31 +334,35 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
         offsets.append(offsets[-1] + dims[d])
     N = offsets[-1]
 
-    dim_of = bytearray(N)
-    for d in range(top + 1):
-        for g in range(offsets[d], offsets[d + 1]):
-            dim_of[g] = d
+    dim_of = b"".join(bytes([d]) * dims[d] for d in range(top + 1))
 
     bdry = [None] * N
     cobdry = [None] * N
     for d in range(1, top + 1):
         rows, cols, vals = cx.boundary_triplets(d)
         ob, oc = offsets[d - 1], offsets[d]
-        for k in range(len(cols)):
-            g = oc + cols[k]
-            f = ob + rows[k]
-            v = vals[k]
+        for r, c, v in zip(rows, cols, vals):
+            if not v:
+                continue
+            g = oc + c
+            f = ob + r
             bd = bdry[g]
             if bd is None:
-                bd = bdry[g] = {}
-            bd[f] = bd.get(f, 0) + v
-            if bd[f] == 0:
-                del bd[f]
-                cobdry[f].discard(g)
+                bdry[g] = {f: v}
+            elif f in bd:
+                v += bd[f]
+                if v:
+                    bd[f] = v
+                else:
+                    del bd[f]
+                    cobdry[f].discard(g)
+                continue
             else:
-                cb = cobdry[f]
-                if cb is None:
-                    cb = cobdry[f] = set()
+                bd[f] = v
+            cb = cobdry[f]
+            if cb is None:
+                cobdry[f] = {g}
+            else:
                 cb.add(g)
 
     alive = bytearray([1]) * N
@@ -374,8 +379,9 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
             cycle_index.setdefault(g, set()).add(ti)
     trail = [] if record_trail else None
 
-    # one protected critical 0-cell per connected piece of the complex
-    parent = list(range(N))
+    # one protected critical 0-cell per connected piece of the 1-skeleton,
+    # which is all that H_0 depends on (0-cells have g == local index)
+    parent = list(range(dims[0]))
 
     def find(x):
         while parent[x] != x:
@@ -383,45 +389,50 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
             x = parent[x]
         return x
 
-    for g in range(N):
-        bd = bdry[g]
+    augmented = True  # every 1-cell's boundary coefficients sum to 0
+    for bd in bdry[offsets[1]:offsets[2]] if top >= 1 else ():
         if bd:
-            for f in bd:
-                ra, rb = find(g), find(f)
+            if sum(bd.values()):
+                augmented = False
+            faces = iter(bd)
+            ra = find(next(faces))
+            for f in faces:
+                rb = find(f)
                 if ra != rb:
-                    parent[ra] = rb
+                    parent[rb] = ra
     protected = []
     seen_comp = set()
-    for g in range(offsets[0], offsets[1]):
+    for g in range(dims[0]):
         r = find(g)
         if r not in seen_comp:
             seen_comp.add(r)
             protected.append(g)
-    # quotient out each protected vertex: drop it from all coboundaries
-    hq = []  # coreduction candidates (|boundary| size keyed)
-    fq = []  # free-face candidates (|coboundary| size keyed)
-    for v0 in protected:
-        cb = cobdry[v0]
-        if cb:
-            for g in cb:
-                bd = bdry[g]
-                del bd[v0]
-                if len(bd) == 1:
-                    heapq.heappush(hq, (1, g))
-            cobdry[v0] = None
+    protected_set = set(protected)
 
-    for g in range(N):
-        bd = bdry[g]
-        if bd is not None and len(bd) == 1:
-            heapq.heappush(hq, (1, g))  # duplicates are skipped at pop
-        cb = cobdry[g]
-        if cb is not None and len(cb) == 1:
-            heapq.heappush(fq, (1, g))
+    # hq holds coreduction candidates (boundary of size 1) and fq free-face
+    # candidates (coboundary of size 1), both popped in cell-id order; fq
+    # is built in ascending order, so it is already a heap.
+    # Quotienting out each protected vertex (dropping it from all
+    # coboundaries) keeps the rank of d_1 only on an augmented complex;
+    # otherwise the protected vertices just never get paired.
+    hq = []
+    if augmented:
+        for v0 in protected:
+            cb = cobdry[v0]
+            if cb:
+                for g in cb:
+                    bd = bdry[g]
+                    del bd[v0]
+                    if len(bd) == 1:
+                        hq.append(g)
+                cobdry[v0] = None
+    hq += [g for g, bd in enumerate(bdry) if bd is not None and len(bd) == 1]
+    heapify(hq)  # duplicates are skipped at pop
+    fq = [g for g, cb in enumerate(cobdry) if cb is not None and len(cb) == 1]
 
     gq = []
     gq_ready = False
     pairs = 0
-    protected_set = set(protected)
 
     def transport(a, b, eps, row_items):
         # chains of dim(b): z -= eps * (sum lam_c z_c) * b, i.e. drop via pi;
@@ -458,6 +469,7 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
         pairs += 1
         bb = bdry[b]
         eps = bb[a]
+        rest = [(f, w) for f, w in bb.items() if f != a]
         others = [c for c in cobdry[a] if c != b] if cobdry[a] else []
         row_items = None
         if record_trail:
@@ -469,32 +481,29 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
             bc = bdry[c]
             lam = bc.pop(a)
             q = -lam * eps
-            for f, w in bb.items():
-                if f is a or f == a:
-                    continue
-                nv = bc.get(f, 0) + q * w
-                if nv:
-                    if f not in bc:
-                        cobdry[f].add(c)
+            for f, w in rest:
+                old = bc.get(f)
+                if old is None:
+                    bc[f] = q * w
+                    cobdry[f].add(c)
+                elif (nv := old + q * w):
                     bc[f] = nv
                 else:
                     del bc[f]
                     cb = cobdry[f]
                     cb.discard(c)
                     if len(cb) == 1:
-                        heapq.heappush(fq, (1, f))
+                        heappush(fq, f)
             if len(bc) == 1:
-                heapq.heappush(hq, (1, c))
+                heappush(hq, c)
             if gq_ready and bc:
-                heapq.heappush(gq, (len(bc), c))
+                heappush(gq, (len(bc), c))
         # drop b from coboundaries of its faces
-        for f in bb:
-            if f == a:
-                continue
+        for f, _ in rest:
             cb = cobdry[f]
             cb.discard(b)
             if len(cb) == 1:
-                heapq.heappush(fq, (1, f))
+                heappush(fq, f)
         # drop the b-term from boundaries of b's cofaces
         cbb = cobdry[b]
         if cbb:
@@ -502,9 +511,9 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
                 bx = bdry[x]
                 del bx[b]
                 if len(bx) == 1:
-                    heapq.heappush(hq, (1, x))
+                    heappush(hq, x)
                 if gq_ready and bx:
-                    heapq.heappush(gq, (len(bx), x))
+                    heappush(gq, (len(bx), x))
         # drop a from coboundaries of a's own faces
         ba = bdry[a]
         if ba:
@@ -512,7 +521,7 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
                 cb = cobdry[f]
                 cb.discard(a)
                 if len(cb) == 1:
-                    heapq.heappush(fq, (1, f))
+                    heappush(fq, f)
         alive[a] = alive[b] = 0
         bdry[a] = bdry[b] = None
         cobdry[a] = cobdry[b] = None
@@ -520,9 +529,9 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
     while True:
         progressed = False
         while hq:
-            size, g = heapq.heappop(hq)
+            g = heappop(hq)
             bd = bdry[g]
-            if not alive[g] or bd is None or len(bd) != 1 or len(bd) != size:
+            if not alive[g] or bd is None or len(bd) != 1:
                 continue
             a, eps = next(iter(bd.items()))
             if eps in (1, -1) and alive[a] and a not in protected_set:
@@ -531,7 +540,7 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
         if progressed:
             continue
         while fq:
-            size, a = heapq.heappop(fq)
+            a = heappop(fq)
             cb = cobdry[a]
             if (not alive[a] or cb is None or len(cb) != 1
                     or a in protected_set):
@@ -547,11 +556,11 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
         if not gq_ready:
             gq = [(len(bdry[g]), g) for g in range(N)
                   if alive[g] and bdry[g]]
-            heapq.heapify(gq)
+            heapify(gq)
             gq_ready = True
         made = False
         while gq:
-            size, b = heapq.heappop(gq)
+            size, b = heappop(gq)
             bd = bdry[b]
             if not alive[b] or bd is None or len(bd) != size or not bd:
                 continue

@@ -16,6 +16,7 @@ the same homology.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 
 from .complexes import Chain, ChainComplex, ResourceLimitExceeded
 from .graph import Graph, GraphError
@@ -240,8 +241,10 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
         comp_cache[r] = out
         return out
 
-    # enumerate state combinations, then splice in edge distributions
-    combos = []  # (state_pack, used, h_count, faces), faces = [(da, db, sign)]
+    # enumerate state combinations, then splice in edge distributions.
+    # faces lists (dstate, edge, sign): a face changes one site's state by
+    # dstate and, when edge is not None, moves its particle onto that edge.
+    combos = []  # (state_pack, used, h_count, faces)
 
     def rec_state(i, pack, used, hcount, faces):
         if i == nsites:
@@ -257,16 +260,14 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
                 if hcount + 1 > dim_cap:
                     continue
                 sign = 1 if hcount % 2 == 0 else -1
+                faces.append(((EMPTY - code) * place, info[1], sign))
                 if info[0] == "h":
-                    da = (EMPTY - code) * place + enc.eplace[info[1]]
-                    db = (OCCUPIED - code) * place
+                    faces.append(((OCCUPIED - code) * place, None, -sign))
                 else:
-                    da = (EMPTY - code) * place + enc.eplace[info[1]]
-                    db = (EMPTY - code) * place + enc.eplace[info[2]]
-                faces.append((da, db, sign))
+                    faces.append(((EMPTY - code) * place, info[2], -sign))
                 rec_state(i + 1, pack + code * place, used + w,
                           hcount + 1, faces)
-                faces.pop()
+                del faces[-2:]
             else:
                 rec_state(i + 1, pack + code * place, used + w, hcount, faces)
 
@@ -274,44 +275,60 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
 
     top = min(dim_cap, max((h for _, _, h, _ in combos), default=0))
     cells = [[] for _ in range(top + 1)]
-    runs = [[] for _ in range(top + 1)]  # (faces, start, stop) per dim
+    runs = [[] for _ in range(top + 1)]  # (pack, used, faces, start, stop)
+    run_start = {}  # state pack -> first index of its run in its dimension
     total = 0
     for pack, used, hcount, faces in combos:
         if hcount > top:
             continue
         dist = compositions(n - used)
-        lst = cells[hcount]
-        start = len(lst)
-        for ep in dist:
-            lst.append(pack + ep)
-        if len(lst) > start:
-            runs[hcount].append((faces, start, len(lst)))
-            total += len(lst) - start
+        if dist:
+            lst = cells[hcount]
+            start = len(lst)
+            lst += map(pack.__add__, dist)
+            run_start[pack] = start
+            runs[hcount].append((pack, used, faces, start, len(lst)))
+            total += len(dist)
             if max_cells is not None and total > max_cells:
                 raise ResourceLimitExceeded(
                     f"cell count exceeded max_cells={max_cells}")
 
-    index = {}
-    for d in range(top + 1):
-        for i, key in enumerate(cells[d]):
-            index[key] = i
+    positions = {}  # r -> {distribution: index in compositions(r)}
+    shift_cache = {}
 
+    def shifted(r, j):
+        """Position in compositions(r + 1) of each distribution of
+        compositions(r) with one more particle on edge j."""
+        if (r, j) not in shift_cache:
+            if r + 1 not in positions:
+                positions[r + 1] = {
+                    ep: i for i, ep in enumerate(compositions(r + 1))}
+            pos = positions[r + 1]
+            step = enc.eplace[j]
+            shift_cache[r, j] = [pos[ep + step] for ep in compositions(r)]
+        return shift_cache[r, j]
+
+    # All cells of a run share one state pack, and the i-th cell's face
+    # sits in the run of the face's state pack: at position i, or at the
+    # shifted position when a particle moves onto an edge.  The faces are
+    # listed face by face and interleaved into each column's face order.
     boundaries = {}
     for d in range(1, top + 1):
         rows = array("l")
         cols = array("l")
         vals = array("b")
-        lst = cells[d]
-        for faces, start, stop in runs[d]:
-            for c in range(start, stop):
-                key = lst[c]
-                for da, db, sign in faces:
-                    rows.append(index[key + da])
-                    cols.append(c)
-                    vals.append(sign)
-                    rows.append(index[key + db])
-                    cols.append(c)
-                    vals.append(-sign)
+        for pack, used, faces, start, stop in runs[d]:
+            face_rows = []
+            for dstate, edge, _ in faces:
+                s0 = run_start[pack + dstate]
+                face_rows.append(
+                    range(s0, s0 + stop - start) if edge is None
+                    else map(s0.__add__, shifted(n - used, edge)))
+            rows.extend(chain.from_iterable(zip(*face_rows)))
+            cols.extend(chain.from_iterable(
+                zip(*[range(start, stop)] * len(faces))))
+            vals.extend(array("b", [sign for _, _, sign in faces])
+                        * (stop - start))
         boundaries[d] = (rows, cols, vals)
 
     meta = {"model": "swiatkowski", "graph": g, "n": n,

@@ -1,6 +1,8 @@
 """Engine checks: Smith normal form against independent oracles, unit-pivot
 reduction soundness, boundary solving, and generator extraction."""
 
+import gc
+import hashlib
 import itertools
 import random
 from array import array
@@ -11,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confhom.complexes import BoundaryError, Chain, ChainComplex
-from confhom.graph import build_family, order_vertices
-from confhom.homology import (EngineError, homology, homology_generators,
-                              lift_cycle, morse_reduce, smith_normal_form,
-                              snf_dense, solve_boundary)
+from confhom.graph import build_family, order_vertices, subdivide_for
+from confhom.homology import (EngineError, ReductionStats, homology,
+                              homology_generators, lift_cycle, morse_reduce,
+                              smith_normal_form, snf_dense, solve_boundary)
 from confhom.swiatkowski import build_swiatkowski
 from confhom.abrams import build_abrams
 
@@ -206,6 +208,62 @@ class TestMorseReduce:
             assert not z.boundary()
 
 
+    @pytest.mark.parametrize("build,stats,digest", [
+        (lambda: build_swiatkowski(build_family("k33"), 5,
+                                   reduce_vertices="all"),
+         ReductionStats(original=[1287, 5940, 9900, 7200, 2160, 192],
+                        reduced=[1, 5, 29, 10], pairs=13317, protected=1),
+         "a896ef3d61f5f27e"),
+        (lambda: build_swiatkowski(build_family("k4"), 4),
+         ReductionStats(original=[501, 1656, 1836, 756, 81],
+                        reduced=[1, 4, 9], pairs=2408, protected=1),
+         "931b8a667dca4cc5"),
+        (lambda: build_abrams(order_vertices(
+            subdivide_for(build_family("k4"), 3)), 3),
+         ReductionStats(original=[120, 336, 288, 72], reduced=[1, 4, 3],
+                        pairs=404, protected=1),
+         "c8991fc81fb8eaab"),
+    ], ids=["k33-n5-all", "k4-n4-canonical", "cube-k4-n3"])
+    def test_matching_is_pinned(self, build, stats, digest):
+        # the statistics and the ordered sequence of eliminated pairs must
+        # not drift when the reduction is made cheaper
+        rcx, _, (trail, _, _) = morse_reduce(build(), record_trail=True)
+        assert rcx.meta["reduction"] == stats
+        pairs = repr([(a, b) for a, b, _, _ in trail]).encode()
+        assert hashlib.sha256(pairs).hexdigest()[:16] == digest
+
+    def test_non_augmented_complex_keeps_torsion(self):
+        # d_1 = (2): its column does not sum to 0, so quotienting the
+        # protected vertex would change the rank of d_1
+        cx = ChainComplex.from_json_dict(
+            {"dims": [1, 1], "boundary": {"1": [[0, 0, 2]]}})
+        reduced = homology(cx)
+        assert reduced.dims == homology(cx, reduce=False).dims
+        assert reduced.torsion(0) == (2,) and reduced.betti_vector() == (0, 0)
+
+    def test_zero_entries_are_ignored(self):
+        cx = ChainComplex.from_json_dict(
+            {"dims": [2, 2], "boundary": {"1": [[0, 0, 0], [1, 0, 1],
+                                                [0, 0, -1], [1, 1, 0]]}})
+        rcx, _, _ = morse_reduce(cx)
+        assert homology(cx).dims == homology(cx, reduce=False).dims
+        assert homology(rcx).betti_vector() == (1, 1)
+
+    def test_collector_state_is_restored(self):
+        cx = build_swiatkowski(build_family("theta:3"), 2)
+        assert gc.isenabled()
+        morse_reduce(cx)
+        cx.check_boundary_squared()
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            morse_reduce(cx)
+            cx.check_boundary_squared()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+
 class TestSolveBoundary:
     def test_boundary_of_a_cell_is_solvable(self):
         cx = build_swiatkowski(build_family("theta:3"), 2)
@@ -238,6 +296,36 @@ class TestErrors:
         bad = ChainComplex([1, 1, 1], boundaries, cells=[[0], [0], [0]])
         with pytest.raises(BoundaryError):
             homology(bad)
+
+
+    def test_interleaved_columns_are_summed_whole(self):
+        # two discs, each bounded by a + b - c on a triangle, with the
+        # entries of their columns listed alternately: a 2-sphere
+        cx = ChainComplex.from_json_dict({"dims": [3, 3, 2], "boundary": {
+            "1": [[0, 0, -1], [1, 0, 1], [1, 1, -1], [2, 1, 1],
+                  [0, 2, -1], [2, 2, 1]],
+            "2": [[0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1],
+                  [2, 0, -1], [2, 1, -1]]}})
+        cx.check_boundary_squared()
+        assert homology(cx).betti_vector() == (1, 0, 1)
+
+    @pytest.mark.parametrize("model", ["swiatkowski", "abrams"])
+    @pytest.mark.parametrize("where", ["dim2", "top"])
+    def test_one_flipped_sign_is_detected(self, model, where):
+        if model == "swiatkowski":
+            cx = build_swiatkowski(build_family("k4"), 4)
+        else:
+            cx = build_abrams(order_vertices(
+                subdivide_for(build_family("k4"), 3)), 3)
+        cx.check_boundary_squared()
+        d = 2 if where == "dim2" else cx.top_dim
+        vals = cx.boundary_triplets(d)[2]
+        for k in (0, len(vals) // 2, len(vals) - 1):
+            vals[k] = -vals[k]
+            with pytest.raises(BoundaryError, match=f"dimension {d}"):
+                cx.check_boundary_squared()
+            vals[k] = -vals[k]
+        cx.check_boundary_squared()
 
 
 class TestGenerators:
