@@ -14,7 +14,7 @@ import sys
 import time
 
 from .complexes import ResourceLimitExceeded
-from .cycles import CycleSpec, make_cycle, verify_chain_identity
+from .cycles import RELATIONS, CycleSpec, make_cycle, verify_chain_identity
 from .formulas import predict
 from .graph import Graph, GraphError, build_family, order_vertices, subdivide_for
 from .homology import homology
@@ -135,8 +135,7 @@ def cmd_verify(args):
 
 def cmd_cycles(args):
     if args.relation:
-        names = ([args.relation] if args.relation != "all"
-                 else ["y-ab", "theta5", "theta3", "theta-dist", "prod-rel"])
+        names = RELATIONS if args.relation == "all" else [args.relation]
         rows = []
         ok_all = True
         for name in names:
@@ -216,7 +215,7 @@ def build_parser():
 
     p = sub.add_parser("cycles", help="relation checks / cycle construction")
     p.add_argument("--relation", default=None,
-                   help="y-ab, theta5, theta3, theta-dist, prod-rel, or all")
+                   help=", ".join(RELATIONS) + ", or all")
     p.add_argument("--graph", default=None)
     p.add_argument("--model", choices=("abrams", "swiatkowski"),
                    default="swiatkowski")

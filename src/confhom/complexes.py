@@ -50,6 +50,11 @@ class ChainComplex:
     `cell_faces` are builder-supplied callbacks used for pretty-printing
     and for evaluating boundaries of sparse chains without materializing
     column slices.
+
+    A complex is not mutated after it is built: `homology.morse_reduce`
+    caches its one reduction (reduced complex and trail) in `_reduction`,
+    and homology, class ranks, generators and lifting all reuse it.
+    `homology(cx, reduce=False)` bypasses the cache.
     """
 
     def __init__(self, dims, boundaries, cells=None, meta=None,
@@ -61,6 +66,7 @@ class ChainComplex:
         self._describe = describe
         self._cell_faces = cell_faces
         self._index = {}
+        self._reduction = None
 
     @property
     def top_dim(self):

@@ -10,12 +10,15 @@ verifies that the result has zero boundary.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
+from .abrams import build_abrams, cell as acell
 from .complexes import Chain, ChainComplex
-from .graph import GraphError, build_family, order_vertices
+from .graph import build_family, order_vertices
 from .homology import class_span_rank, solve_boundary
+from .swiatkowski import build_swiatkowski
 
 
 class CycleError(ValueError):
@@ -288,55 +291,6 @@ def _sym_spec(cx, spec: CycleSpec):
     return sym
 
 
-# -- cube-model cycles --------------------------------------------------------
-
-def _abrams_o_cycle(cx, spec: CycleSpec):
-    from .abrams import cell as acell
-    g = cx.meta["graph"]
-    og = cx.meta["ordered"]
-    route = _cycle_route(g, list(spec.cycle))
-    if spec.dressing_edges:
-        raise CycleError("cube-model dressings place particles on vertices")
-    park = list(spec.dressing_vertices)
-    chain = None
-    for i, eid in enumerate(spec.cycle):
-        u, w = route[i], route[i + 1]
-        sign = 1 if og.labels[u] < og.labels[w] else -1
-        term = acell(cx, [eid] + park) * sign
-        chain = term if chain is None else chain + term
-    return chain
-
-
-def _abrams_y_cycle(cx, spec: CycleSpec):
-    from .abrams import cell as acell
-    g = cx.meta["graph"]
-    og = cx.meta["ordered"]
-    hub = spec.hub
-    lab = og.labels
-    ends = {}
-    for e in spec.branches:
-        u, v = g.endpoints(e)
-        ends[e] = v if u == hub else u
-    below = [e for e in spec.branches if lab[ends[e]] < lab[hub]]
-    if len(below) != 1:
-        raise CycleError("junction needs exactly one branch towards the root")
-    e0 = below[0]
-    others = sorted((e for e in spec.branches if e != e0),
-                    key=lambda e: lab[ends[e]])
-    e1, e2 = others
-    u0, u1, u2 = ends[e0], ends[e1], ends[e2]
-    park = list(spec.dressing_vertices)
-    if spec.dressing_edges:
-        raise CycleError("cube-model dressings place particles on vertices")
-    terms = [([e1, u0], 1), ([e0, u1], 1), ([e2, u1], 1),
-             ([e1, u2], -1), ([e0, u2], -1), ([e2, u0], -1)]
-    chain = None
-    for items, sign in terms:
-        term = acell(cx, items + park) * sign
-        chain = term if chain is None else chain + term
-    return chain
-
-
 # -- public operations ---------------------------------------------------------
 
 def make_cycle(cx: ChainComplex, spec) -> Chain:
@@ -355,34 +309,20 @@ def make_cycle(cx: ChainComplex, spec) -> Chain:
         g = cx.meta["graph"]
         edges, verts = _spec_support(g, spec)
         _check_dressing(g, spec, edges, verts, strict_edges=True)
-        if spec.kind == "O":
-            chain = _abrams_o_cycle(cx, spec)
-        elif spec.kind == "Y":
-            chain = _abrams_y_cycle(cx, spec)
-        else:
+        if spec.kind == "Theta":
             raise CycleError("theta cycles live in the half-edge model")
+        if spec.dressing_edges:
+            raise CycleError("cube-model dressings place particles on vertices")
+        park = list(spec.dressing_vertices)
+        chain = None
+        for es, vs, sign in make_cycle_part_abrams(cx, spec):
+            term = acell(cx, es + vs + park) * sign
+            chain = term if chain is None else chain + term
     else:
         raise CycleError(f"unknown model {model!r}")
     if chain.boundary():
         raise CycleError("constructed chain has nonzero boundary")
     return chain
-
-
-def _abrams_support(cx, chain):
-    g = cx.meta["graph"]
-    enc = cx.meta["encoding"]
-    og = cx.meta["ordered"]
-    edges, verts = set(), set()
-    for key in chain.data:
-        for it in enc.items(key):
-            if it < enc.nv:
-                verts.add(og.by_label[it])
-            else:
-                eidx = enc.edge_items[it - enc.nv]
-                eid, u, v = g.edges[eidx]
-                edges.add(eid)
-                verts |= {u, v}
-    return edges, verts
 
 
 def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
@@ -425,7 +365,6 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
             if e in all_e:
                 raise CycleError(f"dressing edge {e!r} overlaps a carrier")
 
-    model = cx.meta.get("model")
     if model == "swiatkowski":
         sym = None
         for p in parts:
@@ -437,15 +376,9 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
             sym = _sym_scale_edges(sym, dress_e)
         chain = _encode_sym(cx, sym)
     elif model == "abrams":
-        from .abrams import cell as acell
-        enc = cx.meta["encoding"]
-        og = cx.meta["ordered"]
         if dress_e:
             raise CycleError("cube-model dressings place particles on vertices")
-        factors = []
-        for p in parts:
-            sub = make_cycle_part_abrams(cx, p)
-            factors.append(sub)
+        factors = [make_cycle_part_abrams(cx, p) for p in parts]
         chain = None
         for combo, coeff in _abrams_product_terms(cx, factors):
             term = acell(cx, combo + list(dress_v)) * coeff
@@ -528,7 +461,6 @@ class IdentityReport:
 
 
 def _theta_complex(p, n):
-    from .swiatkowski import build_swiatkowski
     g = build_family(f"theta:{p}")
     return g, build_swiatkowski(g, n)
 
@@ -536,21 +468,12 @@ def _theta_complex(p, n):
 def verify_chain_identity(name, **kwargs) -> IdentityReport:
     """Evaluate one named relation in its standard context and report
     whether it holds exactly or only up to boundaries."""
-    if name == "y-ab":
-        return _verify_y_ab()
-    if name == "theta5":
-        return _verify_theta5()
-    if name == "theta-dist":
-        return _verify_theta_dist()
-    if name == "prod-rel":
-        return _verify_prod_rel()
-    if name == "theta3":
-        return _verify_theta3()
-    raise CycleError(f"unknown relation {name!r}")
+    if name not in _RELATION_CHECKS:
+        raise CycleError(f"unknown relation {name!r}")
+    return _RELATION_CHECKS[name]()
 
 
 def _verify_y_ab():
-    from .abrams import build_abrams, cell as acell
     g = build_family("lasso")
     og = order_vertices(g, "v1")
     cx = build_abrams(og, 2)
@@ -576,7 +499,6 @@ def _verify_theta5():
     edges = [e[0] for e in g.edges]
     total = None
     sign = 1
-    import itertools
     for quad in itertools.combinations(edges, 4):
         term = make_cycle(cx, CycleSpec(kind="Theta", edges=quad)) * sign
         total = term if total is None else total + term
@@ -587,7 +509,6 @@ def _verify_theta5():
 
 
 def _verify_theta_dist():
-    from .swiatkowski import build_swiatkowski
     g = build_family("theta:4")
     cx = build_swiatkowski(g, 4)
     e = [ed[0] for ed in g.edges]
@@ -605,9 +526,9 @@ def _verify_theta_dist():
         lhs = _sym_add(_sym_scale_edges(theta, {ea: 1}),
                        _sym_scale_edges(theta, {eb: 1}), coeff=-1)
         prod1 = _sym_mul(g, _sym_y_cycle(g, "u", tri_a, cx),
-                         _sym_y_cycle_primed(g, tri_b, cx))
+                         _sym_y_cycle(g, "v", tri_b, cx))
         prod2 = _sym_mul(g, _sym_y_cycle(g, "u", tri_b, cx),
-                         _sym_y_cycle_primed(g, tri_a, cx))
+                         _sym_y_cycle(g, "v", tri_a, cx))
         rhs = _sym_add(prod1, prod2, coeff=-1)
         lhs_c = _encode_sym(cx, lhs)
         rhs_c = _encode_sym(cx, rhs)
@@ -629,12 +550,7 @@ def _verify_theta_dist():
     return IdentityReport("theta-dist", holds_all, level, details)
 
 
-def _sym_y_cycle_primed(g, triple, cx):
-    return _sym_y_cycle(g, "v", triple, cx)
-
-
 def _verify_prod_rel():
-    from .swiatkowski import build_swiatkowski
     g = build_family("theta:5")
     cx = build_swiatkowski(g, 4)
     e = [ed[0] for ed in g.edges]
@@ -647,7 +563,7 @@ def _verify_prod_rel():
     total = None
     for tri_a, tri_b, sgn in terms:
         prod = _sym_mul(g, _sym_y_cycle(g, "u", tri_a, cx),
-                        _sym_y_cycle_primed(g, tri_b, cx))
+                        _sym_y_cycle(g, "v", tri_b, cx))
         total = prod if total is None else _sym_add(total, prod, coeff=sgn)
     chain = _encode_sym(cx, total) if total else Chain(cx, 2, {})
     if not chain:
@@ -663,7 +579,6 @@ def _verify_prod_rel():
 
 
 def _verify_theta3():
-    from .swiatkowski import build_swiatkowski
     g = build_family("theta:3")
     cx = build_swiatkowski(g, 2)
     e = [ed[0] for ed in g.edges]
@@ -677,3 +592,10 @@ def _verify_theta3():
                                   ["junction classes differ"])
     return IdentityReport("theta3", True, "homology",
                           [f"bounding chain support {len(filled.data)}"])
+
+
+_RELATION_CHECKS = {"y-ab": _verify_y_ab, "theta5": _verify_theta5,
+                    "theta3": _verify_theta3, "theta-dist": _verify_theta_dist,
+                    "prod-rel": _verify_prod_rel}
+# the named chain-level relations, in reporting order
+RELATIONS = tuple(_RELATION_CHECKS)

@@ -196,6 +196,8 @@ def _wheel_general(m, n, d):
     if 1 <= d <= r:
         for grp in enumerate_groupings(m, d):
             l = len(grp.composition)
+            if n - d - l < 0:
+                continue  # no placement of n-d-l free particles: adds 0
             total += grp.count * _binom(n - d - l, d - l)
     return total
 

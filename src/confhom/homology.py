@@ -166,13 +166,8 @@ def _sparse_from_triplets(nrows, ncols, rows, cols, vals):
     return colmap, rowmap
 
 
-def _sparse_unit_eliminate(colmap, rowmap, track_cols=None):
-    """Eliminate unit pivots by column operations; returns the unit rank.
-
-    track_cols, when given, is a dict of extra columns (dicts row->coeff)
-    that receive the same column-clearing updates against pivot rows; this
-    reduces external columns modulo the span of the matrix columns.
-    """
+def _sparse_unit_eliminate(colmap, rowmap):
+    """Eliminate unit pivots by column operations; returns the unit rank."""
     rank = 0
     heap = [(len(col), c) for c, col in colmap.items()]
     heapify(heap)
@@ -214,18 +209,6 @@ def _sparse_unit_eliminate(colmap, rowmap, track_cols=None):
                 heappush(heap, (len(col2), c2))
             else:
                 del colmap[c2]
-        if track_cols:
-            for ec in track_cols.values():
-                lam = ec.get(pivot_row)
-                if not lam:
-                    continue
-                q = -lam * eps
-                for r, v in col.items():
-                    nv = ec.get(r, 0) + q * v
-                    if nv:
-                        ec[r] = nv
-                    else:
-                        del ec[r]
         # retire the pivot column and row
         for r in col:
             s = rowmap.get(r)
@@ -288,23 +271,6 @@ def smith_normal_form(matrix, shape=None) -> SnfResult:
                      divisors=tuple([1] * unit_rank + divisors))
 
 
-def _rank_of_triplets(nrows, ncols, trips, extra_cols=None):
-    """Rank of a sparse matrix, optionally of [matrix | extra columns]."""
-    rows, cols, vals = trips
-    colmap, rowmap = _sparse_from_triplets(nrows, ncols, rows, cols, vals)
-    if extra_cols:
-        for k, col in enumerate(extra_cols):
-            c = ncols + k
-            colmap[c] = dict(col)
-            for r in col:
-                rowmap.setdefault(r, set()).add(c)
-    for c in [c for c, col in colmap.items() if not col]:
-        del colmap[c]
-    unit_rank = _sparse_unit_eliminate(colmap, rowmap)
-    divisors, _, _, _ = snf_dense(_leftover_dense(colmap))
-    return unit_rank + len(divisors)
-
-
 # ---------------------------------------------------------------------------
 # complex reduction (acyclic matching via elementary reductions)
 # ---------------------------------------------------------------------------
@@ -325,8 +291,30 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
     complex has at most as many cells in every dimension and identical
     homology; its boundary is the induced one.  Chains in `track` (cycles
     of positive dimension) are transported to the reduced complex.  The
-    trail, when recorded, supports lifting reduced-complex cycles back.
+    trail, returned when asked for, supports lifting reduced-complex
+    cycles back.
+
+    The elimination runs once per complex: the reduced complex and the
+    trail are cached on `cx`, and every call, with or without `track`,
+    reuses them; transport replays the cached trail.  This relies on a
+    complex not being mutated after it is built.  `homology` and
+    `class_span_rank` with reduce=False never call this, so they bypass
+    the cache.
     """
+    if cx._reduction is None:
+        cx._reduction = _reduce(cx)
+    rcx, trail_info = cx._reduction
+    moved = _transport(cx, rcx, trail_info, track) if track else []
+    return rcx, moved, trail_info if record_trail else None
+
+
+def _reduce(cx: ChainComplex):
+    """The one elimination behind `morse_reduce`: returns the reduced
+    complex and (trail, offsets, dim_of).  Cells carry global ids, offset
+    by dimension.  Trail entry (a, b, bd_b, cofaces_a) records the pair
+    with b's boundary at elimination time (so the pivot is bd_b[a]) and
+    the coefficients (c_1, lam_1, c_2, lam_2, ...) of a in its other
+    cofaces c_i at that time."""
     dims = cx.dims
     top = cx.top_dim
     offsets = [0]
@@ -366,18 +354,7 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
                 cb.add(g)
 
     alive = bytearray([1]) * N
-    tracked = [dict() for _ in track]
-    cycle_index = {}
-    for ti, ch in enumerate(track):
-        if ch.dim == 0:
-            raise EngineError("cannot transport 0-dimensional classes")
-        idx = cx.index(ch.dim)
-        off = offsets[ch.dim]
-        for key, coeff in ch.data.items():
-            g = off + idx[key]
-            tracked[ti][g] = coeff
-            cycle_index.setdefault(g, set()).add(ti)
-    trail = [] if record_trail else None
+    trail = []
 
     # one protected critical 0-cell per connected piece of the 1-skeleton,
     # which is all that H_0 depends on (0-cells have g == local index)
@@ -432,54 +409,19 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
 
     gq = []
     gq_ready = False
-    pairs = 0
-
-    def transport(a, b, eps, row_items):
-        # chains of dim(b): z -= eps * (sum lam_c z_c) * b, i.e. drop via pi;
-        # chains of dim(a): z -= z_a * eps * boundary(b)
-        touched = cycle_index.get(a)
-        if touched:
-            bb = bdry[b]
-            for ti in list(touched):
-                z = tracked[ti]
-                za = z.pop(a, 0)
-                if not za:
-                    continue
-                q = -za * eps
-                for f, w in bb.items():
-                    if f == a:
-                        continue
-                    nv = z.get(f, 0) + q * w
-                    if nv:
-                        if f not in z:
-                            cycle_index.setdefault(f, set()).add(ti)
-                        z[f] = nv
-                    else:
-                        del z[f]
-                        cycle_index[f].discard(ti)
-            del cycle_index[a]
-        touched = cycle_index.get(b)
-        if touched:
-            for ti in list(touched):
-                tracked[ti].pop(b, None)
-            del cycle_index[b]
 
     def eliminate(a, b):
-        nonlocal pairs
-        pairs += 1
-        bb = bdry[b]
+        bb = bdry[b]  # kept by the trail; nothing changes it once b dies
         eps = bb[a]
         rest = [(f, w) for f, w in bb.items() if f != a]
-        others = [c for c in cobdry[a] if c != b] if cobdry[a] else []
-        row_items = None
-        if record_trail:
-            row_items = [(c, bdry[c][a]) for c in others]
-            trail.append((a, b, eps, row_items))
-        if track:
-            transport(a, b, eps, row_items)
-        for c in others:
+        cof = []
+        # a is never one of the faces in `rest`, so cobdry[a] stays fixed
+        for c in cobdry[a]:
+            if c == b:
+                continue
             bc = bdry[c]
             lam = bc.pop(a)
+            cof += (c, lam)
             q = -lam * eps
             for f, w in rest:
                 old = bc.get(f)
@@ -498,6 +440,9 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
                 heappush(hq, c)
             if gq_ready and bc:
                 heappush(gq, (len(bc), c))
+        # one flat tuple per pair, () when a has no other coface: the trail
+        # lives as long as the complex, so it holds as few objects as it can
+        trail.append((a, b, bb, tuple(cof)))
         # drop b from coboundaries of its faces
         for f, _ in rest:
             cb = cobdry[f]
@@ -612,7 +557,7 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
     meta = dict(cx.meta)
     meta["reduction"] = ReductionStats(
         original=list(dims), reduced=[len(c) for c in out_cells],
-        pairs=pairs, protected=len(protected))
+        pairs=len(trail), protected=len(protected))
     rcx = ChainComplex([len(c) for c in out_cells], boundaries,
                        cells=out_cells, meta=meta,
                        describe=cx._describe)
@@ -624,17 +569,60 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
         return columns[d][rcx.index(d)[key]]
 
     rcx._cell_faces = faces
+    return rcx, (trail, offsets, dim_of)
 
-    out_chains = []
-    for ti, z in enumerate(tracked):
-        data = {}
-        for g, coeff in z.items():
-            d = dim_of[g]
-            key = (cx.cells[d][g - offsets[d]] if cx.cells is not None
-                   else g - offsets[d])
-            data[key] = coeff
-        out_chains.append(Chain(rcx, track[ti].dim, data))
-    return rcx, out_chains, (trail, offsets, dim_of) if record_trail else None
+
+def _to_chain(cx: ChainComplex, target: ChainComplex, d, z, offsets):
+    """Chain of `target` from {global id of a d-cell of cx: coeff}."""
+    off = offsets[d]
+    if cx.cells is None:
+        return Chain(target, d, {g - off: v for g, v in z.items()})
+    keys = cx.cells[d]
+    return Chain(target, d, {keys[g - off]: v for g, v in z.items()})
+
+
+def _transport(cx: ChainComplex, rcx: ChainComplex, trail_info, chains):
+    """Carry cycles of cx to its reduced complex rcx by replaying the trail
+    in order: pair (a, b) clears a chain's a-term with a multiple of d(b)
+    and drops its b-term."""
+    trail, offsets, _ = trail_info
+    tracked = []
+    where = {}  # cell -> ids of the tracked chains whose support holds it
+    for ti, ch in enumerate(chains):
+        if ch.dim == 0:
+            raise EngineError("cannot transport 0-dimensional classes")
+        idx = cx.index(ch.dim)
+        off = offsets[ch.dim]
+        z = {}
+        for key, coeff in ch.data.items():
+            g = off + idx[key]
+            z[g] = coeff
+            where.setdefault(g, set()).add(ti)
+        tracked.append(z)
+    for a, b, bb, _ in trail:
+        touched = where.pop(a, None)
+        if touched:
+            eps = bb[a]
+            for ti in touched:
+                z = tracked[ti]
+                q = -z.pop(a) * eps
+                for f, w in bb.items():
+                    if f == a:
+                        continue
+                    nv = z.get(f, 0) + q * w
+                    if nv:
+                        if f not in z:
+                            where.setdefault(f, set()).add(ti)
+                        z[f] = nv
+                    else:
+                        del z[f]
+                        where[f].discard(ti)
+        touched = where.pop(b, None)
+        if touched:
+            for ti in touched:
+                del tracked[ti][b]
+    return [_to_chain(cx, rcx, ch.dim, z, offsets)
+            for ch, z in zip(chains, tracked)]
 
 
 def lift_cycle(cx: ChainComplex, reduced_chain: Chain, trail_info):
@@ -647,24 +635,19 @@ def lift_cycle(cx: ChainComplex, reduced_chain: Chain, trail_info):
     z = {}
     for key, coeff in reduced_chain.data.items():
         z[off + idx[key]] = coeff
-    for a, b, eps, row_items in reversed(trail):
+    for a, b, bb, cof in reversed(trail):
         if dim_of[b] != d:
             continue
         s = 0
-        for c, lam in row_items:
+        for c, lam in zip(cof[::2], cof[1::2]):
             zc = z.get(c)
             if zc:
                 s += lam * zc
         if s:
-            z[b] = z.get(b, 0) - eps * s
+            z[b] = z.get(b, 0) - bb[a] * s
             if not z[b]:
                 del z[b]
-    data = {}
-    for g, coeff in z.items():
-        dd = dim_of[g]
-        key = cx.cells[dd][g - offsets[dd]] if cx.cells is not None else g - offsets[dd]
-        data[key] = coeff
-    out = Chain(cx, d, data)
+    out = _to_chain(cx, cx, d, z, offsets)
     if out.boundary():
         raise EngineError("lifted chain is not a cycle")
     return out
@@ -804,20 +787,25 @@ def class_span_rank(cx: ChainComplex, cycles, d, reduce=True):
     if not cycles:
         return 0
     if reduce:
-        rcx, moved, _ = morse_reduce(cx, track=list(cycles))
+        rcx, moved, _ = morse_reduce(cx, track=cycles)
     else:
-        rcx, moved = cx, list(cycles)
-    dd = d + 1
-    if dd > rcx.top_dim:
-        trips = ([], [], [])
-        shape = (rcx.dims[d] if d <= rcx.top_dim else 0, 0)
-    else:
-        trips = rcx.boundary_triplets(dd)
-        shape = (rcx.dims[d], rcx.dims[dd])
+        rcx, moved = cx, cycles
+    if d > rcx.top_dim:
+        return 0
+    # rank of [d_{d+1} | cycles] minus rank of d_{d+1}
+    nrows = rcx.dims[d]
+    ncols = rcx.dims[d + 1] if d < rcx.top_dim else 0
+    trips = rcx.boundary_triplets(d + 1)
+    base = smith_normal_form(trips, shape=(nrows, ncols)).rank
+    rows, cols, vals = (list(t) for t in trips)
     idx = rcx.index(d)
-    extra = [{idx[k]: v for k, v in z.data.items()} for z in moved]
-    base = _rank_of_triplets(shape[0], shape[1], trips)
-    full = _rank_of_triplets(shape[0], shape[1], trips, extra_cols=extra)
+    for k, z in enumerate(moved, start=ncols):
+        for key, v in z.data.items():
+            rows.append(idx[key])
+            cols.append(k)
+            vals.append(v)
+    full = smith_normal_form((rows, cols, vals),
+                             shape=(nrows, ncols + len(moved))).rank
     return full - base
 
 

@@ -8,21 +8,18 @@ them.  Heavy rows carry tier "extended" and only run when asked.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import formulas, tables
-from .complexes import Chain
-from .cycles import CycleSpec, product_cycle, span_rank, verify_chain_identity
-from .graph import Graph, build_family, order_vertices, parse_family, subdivide_for
-from .homology import homology
-from .swiatkowski import build_swiatkowski
 from .abrams import build_abrams
-
-SUITES = ("paper-tables-core", "paper-tables-extended", "relations",
-          "cross-model", "formula-engine", "generation")
+from .cycles import (RELATIONS, CycleSpec, _spec_support, make_cycle,
+                     product_cycle, span_rank, verify_chain_identity)
+from .graph import Graph, build_family, order_vertices, subdivide_for
+from .homology import homology, solve_boundary
+from .swiatkowski import build_swiatkowski
 
 
 @dataclass
@@ -56,17 +53,11 @@ def _structural_note(h, n, graph):
     return (not bad), note
 
 
-_hom_cache = {}
-
-
-def _engine(family, n, dims=None, reduce_vertices="all"):
-    key = (family, n, None if dims is None else tuple(dims)
-           if isinstance(dims, tuple) else dims, reduce_vertices)
-    if key not in _hom_cache:
-        g = build_family(family)
-        cx = build_swiatkowski(g, n, reduce_vertices=reduce_vertices)
-        _hom_cache[key] = (homology(cx, dims=dims), g)
-    return _hom_cache[key]
+@functools.lru_cache(maxsize=128)  # the core tier uses about 80 (family, n)
+def _engine(family, n):
+    """Homology of the fully reduced half-edge complex, and the graph."""
+    g = build_family(family)
+    return homology(build_swiatkowski(g, n, reduce_vertices="all")), g
 
 
 def _table_row(suite, family, n, expected_betti, expected_torsion=None):
@@ -156,7 +147,7 @@ def _k2p_rows(suite):
 
 def suite_relations():
     rows = []
-    for name in ("y-ab", "theta5", "theta3", "theta-dist", "prod-rel"):
+    for name in RELATIONS:
         t0 = time.perf_counter()
         rep = verify_chain_identity(name)
         rows.append(Row("relations", name, "holds",
@@ -173,7 +164,6 @@ def suite_relations():
 
 
 def _cycle_constructions_close():
-    from .cycles import make_cycle
     checks = 0
     g = build_family("theta:4")
     cx = build_swiatkowski(g, 3)
@@ -198,8 +188,6 @@ def _cycle_constructions_close():
 def _o_dressing_row():
     """Two dressings of a circle class joined by a carrier-disjoint path
     bound an explicit product chain."""
-    from .cycles import make_cycle
-    from .homology import solve_boundary
     t0 = time.perf_counter()
     g = Graph(["v0", "v1", "v2", "v3", "v4"],
               [("t0", "v0", "v1"), ("t1", "v1", "v2"), ("a", "v2", "v3"),
@@ -380,11 +368,6 @@ def _distributions(total, bins):
             yield out
 
 
-def _carrier(g, spec: CycleSpec):
-    from .cycles import _spec_support
-    return _spec_support(g, spec)
-
-
 def _dressed_span(cx, part_lists, d, expected):
     g = cx.meta["graph"]
     n = cx.meta["n"]
@@ -392,7 +375,7 @@ def _dressed_span(cx, part_lists, d, expected):
     for parts in part_lists:
         used_e, used_v = set(), set()
         for p in parts:
-            es, vs = _carrier(g, p)
+            es, vs = _spec_support(g, p)
             used_e |= es
             used_v |= vs
         free = n - sum({"O": 1, "Y": 2, "Theta": 3}[p.kind] for p in parts)
@@ -434,7 +417,7 @@ def _wheel_product_parts(subdivided: Graph, m, count):
              + [rim_cycle])
     out = []
     for combo in itertools.combinations(parts, count):
-        supp = [_carrier(subdivided, p) for p in combo]
+        supp = [_spec_support(subdivided, p) for p in combo]
         ok = True
         for i in range(count):
             for j in range(i + 1, count):
@@ -500,8 +483,8 @@ def _k33_span2_row(suite):
     part_lists = [[ys[u], ys[v]] for u, v in itertools.combinations(ys, 2)]
     for (i, j, k, l), o in os_.items():
         for v in ys:
-            es, vs = _carrier(sub, o)
-            es2, vs2 = _carrier(sub, ys[v])
+            es, vs = _spec_support(sub, o)
+            es2, vs2 = _spec_support(sub, ys[v])
             if not (es & es2) and not (vs & vs2):
                 part_lists.append([o, ys[v]])
     got, ncyc = _dressed_span(cx, part_lists, 2, 19)
@@ -534,17 +517,18 @@ def suite_generation():
     return _generation_rows("generation", extended=False)
 
 
+_SUITE_RUNNERS = {
+    "paper-tables-core": suite_paper_tables_core,
+    "paper-tables-extended": suite_paper_tables_extended,
+    "relations": suite_relations,
+    "cross-model": suite_cross_model,
+    "formula-engine": suite_formula_engine,
+    "generation": suite_generation,
+}
+SUITES = tuple(_SUITE_RUNNERS)
+
+
 def run_suite(name):
-    if name == "paper-tables-core":
-        return suite_paper_tables_core()
-    if name == "paper-tables-extended":
-        return suite_paper_tables_extended()
-    if name == "relations":
-        return suite_relations()
-    if name == "cross-model":
-        return suite_cross_model()
-    if name == "formula-engine":
-        return suite_formula_engine()
-    if name == "generation":
-        return suite_generation()
-    raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    if name not in _SUITE_RUNNERS:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
+    return _SUITE_RUNNERS[name]()

@@ -181,3 +181,14 @@ class TestPredict:
         p = predict("k4", 5, 1)
         assert isinstance(p, FormulaPrediction)
         assert not p.in_range
+
+    def test_wheel_table_raises_no_warning(self):
+        # groupings that leave a negative number of free particles add 0
+        # without reaching the flagged C(-1, 0)
+        import warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = {(m, n): {d: predict(f"wheel:{m}", n, d).value for d in ds}
+                   for (m, n), ds in WHEEL_BETTI.items()}
+        assert got == WHEEL_BETTI
+        assert got[(7, 5)][3] == 36

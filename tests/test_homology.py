@@ -335,3 +335,102 @@ class TestGenerators:
         assert len(gens) == 3
         from confhom.cycles import span_rank
         assert span_rank(cx, gens, 1) == 3
+
+
+def _digest(chains):
+    data = repr([sorted(z.data.items()) for z in chains]).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestSharedReduction:
+    """One elimination per complex, cached on it; transport and lifting
+    replay its trail.  Digests were taken before the cache existed, when
+    transport ran inside a second elimination."""
+
+    def test_consumers_share_one_elimination(self, monkeypatch):
+        import importlib
+        from confhom.cycles import CycleSpec, make_cycle, span_rank
+        # the package re-exports the function homology under the module's name
+        hom = importlib.import_module("confhom.homology")
+        calls = []
+        real = hom._reduce
+        monkeypatch.setattr(hom, "_reduce",
+                            lambda cx: calls.append(cx) or real(cx))
+        cx = build_swiatkowski(build_family("theta:4"), 2)
+        h = homology(cx)
+        ys = [make_cycle(cx, CycleSpec(kind="Y", hub="u", branches=tri))
+              for tri in itertools.combinations(("e1", "e2", "e3", "e4"), 3)]
+        assert span_rank(cx, ys, 1) == 3
+        gens = homology_generators(cx, 1)
+        assert len(gens) == h.betti(1)
+        assert calls == [cx]
+        homology(cx, reduce=False)
+        homology(cx, dims=1)
+        assert calls == [cx]
+
+    def test_no_reduction_leaves_the_cache_empty(self):
+        cx = build_swiatkowski(build_family("theta:3"), 2)
+        homology(cx, reduce=False)
+        assert cx._reduction is None
+        rcx, _, _ = morse_reduce(cx)
+        assert morse_reduce(cx)[0] is rcx
+
+    def test_transport_replays_the_cached_trail(self):
+        from confhom import verify as V
+        from confhom.cycles import _spec_support, product_cycle, span_rank
+        g = build_family("k33")
+        sub = V._subdivide_edges(g, {e[0] for e in g.edges})
+        cx = build_swiatkowski(sub, 4, reduce_vertices="all")
+        ys, os_ = V._k33_parts(g, sub)
+        part_lists = [[ys[u], ys[v]] for u, v in itertools.combinations(ys, 2)]
+        for o in os_.values():
+            for v in ys:
+                es, vs = _spec_support(sub, o)
+                es2, vs2 = _spec_support(sub, ys[v])
+                if not (es & es2) and not (vs & vs2):
+                    part_lists.append([o, ys[v]])
+        cycles = []
+        for parts in part_lists:
+            used_e, used_v = set(), set()
+            for p in parts:
+                es, vs = _spec_support(sub, p)
+                used_e |= es
+                used_v |= vs
+            free = 4 - sum({"O": 1, "Y": 2}[p.kind] for p in parts)
+            for dist in V._distributions(free, V._regions(sub, used_e, used_v)):
+                cycles.append(product_cycle(cx, parts, dressing={"edges": dist}))
+        assert len(cycles) == 69
+        assert homology(cx, dims=2).betti(2) == 19
+        rcx, moved, _ = morse_reduce(cx, track=cycles)
+        assert rcx is cx._reduction[0]
+        assert _digest(moved) == "d2d250245f2ed513"
+        assert all(z.complex is rcx and not z.boundary() for z in moved)
+        assert span_rank(cx, cycles, 2) == 19
+
+    @pytest.mark.parametrize("fam,n,d,count,digest", [
+        ("theta:4", 3, 1, 6, "90fc0ea9e72782ca"),
+        ("theta:4", 3, 2, 1, "19042a8f4a70b844"),
+        ("k4", 3, 2, 3, "5958c11f2cb88aeb"),
+    ])
+    def test_lifted_generators_are_unchanged(self, fam, n, d, count, digest):
+        from confhom.cycles import span_rank
+        cx = build_swiatkowski(build_family(fam), n)
+        assert homology(cx).betti(d) == count
+        gens = homology_generators(cx, d)
+        assert len(gens) == count
+        assert all(z.complex is cx and not z.boundary() for z in gens)
+        assert span_rank(cx, gens, d) == count
+        assert _digest(gens) == digest
+
+    def test_span_of_cycles_above_the_reduced_top_dimension(self):
+        # a filled triangle reduces to one point, so the boundary of its
+        # 2-cell spans nothing in H_1
+        from confhom.cycles import span_rank
+        cx = ChainComplex.from_json_dict({"dims": [3, 3, 1], "boundary": {
+            "1": [[0, 0, -1], [1, 0, 1], [1, 1, -1], [2, 1, 1],
+                  [0, 2, 1], [2, 2, -1]],
+            "2": [[0, 0, 1], [1, 0, 1], [2, 0, 1]]}})
+        z = Chain(cx, 2, {0: 1}).boundary()
+        assert z and morse_reduce(cx)[0].dims == [1]
+        assert span_rank(cx, [z], 1) == 0
+        assert span_rank(cx, [z], 1, reduce=False) == 0
