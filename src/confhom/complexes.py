@@ -9,7 +9,20 @@ from __future__ import annotations
 
 import functools
 import gc
+import os
 from array import array
+
+# Boundary entries in dimensions >= 2 from which `ChainComplex.start_check`
+# runs the d^2 check in a worker process beside the reduction.  Measured on
+# a 2-core host (Python 3.11): spawning a worker that imports confhom and
+# returns takes 0.15-0.25 s, the check runs at 1.2-1.7 us per entry and the
+# reduction takes about twice as long as the check.  With the worker,
+# homology() of wheel:5 n=5 all-reduced (53k entries) went from 0.17 to
+# 0.33 s, of k33 n=5 all-reduced (102k) from 0.51 to 0.42 s and of
+# wheel:6 n=5 all-reduced (185k) from 0.82 to 0.61 s.  From 150k entries
+# the check alone takes as long as a worker start, which keeps a margin
+# over the crossover.
+PARALLEL_CHECK_ENTRIES = 150_000
 
 
 class BoundaryError(ValueError):
@@ -54,7 +67,8 @@ class ChainComplex:
     A complex is not mutated after it is built: `homology.morse_reduce`
     caches its one reduction (reduced complex and trail) in `_reduction`,
     and homology, class ranks, generators and lifting all reuse it.
-    `homology(cx, reduce=False)` bypasses the cache.
+    `homology(cx, reduce=False)` bypasses the cache.  `_checked` records
+    that the d^2 check passed, so `start_check` runs it once per complex.
     """
 
     def __init__(self, dims, boundaries, cells=None, meta=None,
@@ -67,6 +81,7 @@ class ChainComplex:
         self._cell_faces = cell_faces
         self._index = {}
         self._reduction = None
+        self._checked = False
 
     @property
     def top_dim(self):
@@ -107,7 +122,14 @@ class ChainComplex:
     def check_boundary_squared(self):
         """Raise BoundaryError unless d(d(cell)) == 0 for every cell of
         every dimension >= 2, summing each column's entries wherever they
-        sit in the triplets."""
+        sit in the triplets.
+
+        This runs the check in this process, every time it is called, and
+        the check is complete when it returns.  A pass is recorded on the
+        complex; a failure drops any cached reduction, so that no consumer
+        reuses a reduction of an invalid complex.  `homology` goes through
+        `start_check`, which may run this same check in a worker process.
+        """
         lower = None
         for d in range(2, self.top_dim + 1):
             if lower is None:
@@ -119,8 +141,75 @@ class ChainComplex:
                     for g, w in lower[r]:
                         acc[g] = acc.get(g, 0) + v * w
                 if any(acc.values()):
+                    self._reduction = None
                     raise BoundaryError(f"dd != 0 at dimension {d}, cell {c}")
             lower = upper
+        self._checked = True
+
+    def start_check(self):
+        """Start the d^2 check of `check_boundary_squared`.  Return None
+        once it has passed, or a function that waits for it: the function
+        returns once the check has passed and raises BoundaryError if it
+        failed.  A complex whose check passed is not checked again.
+
+        The check runs in one spawned worker process, while the caller goes
+        on working, when the complex has at least PARALLEL_CHECK_ENTRIES
+        boundary entries in dimensions >= 2, this process may run on two
+        or more CPUs, and it is not daemonic (daemonic processes cannot
+        have children).  Otherwise, or if the worker cannot start, it runs
+        here before `start_check` returns; if the worker dies, the waiting
+        function runs it here.  Like any spawned process, the worker imports
+        the caller's main script, so a script that reaches this at import
+        time needs an `if __name__ == "__main__":` guard: without one the
+        worker fails with a multiprocessing error and the check runs here.
+        """
+        if self._checked:
+            return None
+        started = self._submit_check()
+        if started is None:
+            self.check_boundary_squared()
+            return None
+        pool, future = started
+
+        def wait():
+            from concurrent.futures.process import BrokenProcessPool
+            try:
+                future.result()
+            except BrokenProcessPool:
+                self.check_boundary_squared()
+            except BoundaryError:
+                self._reduction = None
+                raise
+            else:
+                self._checked = True
+            finally:
+                pool.shutdown()
+
+        return wait
+
+    def _submit_check(self):
+        """(pool, future) of the check running in a spawned worker, or None
+        when it is to run in this process (see `start_check`)."""
+        entries = sum(len(self.boundary_triplets(d)[0])
+                      for d in range(2, self.top_dim + 1))
+        if (entries < PARALLEL_CHECK_ENTRIES
+                or not hasattr(os, "sched_getaffinity")
+                or len(os.sched_getaffinity(0)) < 2):
+            return None
+        import multiprocessing
+        if multiprocessing.current_process().daemon:
+            return None
+        from concurrent.futures import ProcessPoolExecutor
+        pool = None
+        try:
+            pool = ProcessPoolExecutor(
+                1, mp_context=multiprocessing.get_context("spawn"))
+            return pool, pool.submit(_check_triplets, self.dims,
+                                     self.boundaries)
+        except (OSError, NotImplementedError):  # no processes or semaphores
+            if pool is not None:
+                pool.shutdown()
+            return None
 
     def _columns(self, d):
         """List over d-cells of [(row, val), ...], zero entries dropped."""
@@ -166,6 +255,12 @@ class ChainComplex:
 
     def __repr__(self):
         return f"<ChainComplex dims={self.dims} model={self.meta.get('model')}>"
+
+
+def _check_triplets(dims, boundaries):
+    """Worker-process entry point of `ChainComplex.start_check`: the d^2
+    check of the complex with these cell counts and boundary triplets."""
+    ChainComplex(dims, boundaries).check_boundary_squared()
 
 
 class Chain:

@@ -685,10 +685,29 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
     """Betti numbers and torsion coefficients of a chain complex.
 
     dims: None for all dimensions, an int, or an inclusive (lo, hi) range.
+
+    check: run the exact d^2 = 0 check of `cx.check_boundary_squared`,
+    once per complex (a complex whose check passed is not checked again).
+    On a large complex, with two or more CPUs, the check runs in a worker
+    process while this process reduces the complex and takes Smith normal
+    forms; otherwise it runs here first (see `ChainComplex.start_check`).
+    Either way the check completes before any result is returned: if it
+    fails, BoundaryError is raised, also in place of an error the
+    reduction raised meanwhile, and the complex's cached reduction is
+    dropped.
     """
     t0 = time.perf_counter()
-    if check:
-        cx.check_boundary_squared()
+    wait_for_check = cx.start_check() if check else None
+    try:
+        result = _homology(cx, dims, reduce)
+    finally:
+        if wait_for_check:
+            wait_for_check()
+    result.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    return result
+
+
+def _homology(cx: ChainComplex, dims, reduce):
     if dims is None:
         wanted = range(0, cx.top_dim + 1)
     elif isinstance(dims, int):
@@ -721,8 +740,7 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
         out[d] = (betti, upper.torsion)
     result = HomologyResult(
         dims=out, cells=list(cx.dims), reduced_cells=list(rcx.dims),
-        euler=cx.euler_characteristic(),
-        elapsed_ms=(time.perf_counter() - t0) * 1000.0)
+        euler=cx.euler_characteristic())
     if dims is None:
         alt = sum((-1) ** d * b for d, (b, _) in out.items())
         if alt != result.euler:

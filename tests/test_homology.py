@@ -1,9 +1,15 @@
 """Engine checks: Smith normal form against independent oracles, unit-pivot
 reduction soundness, boundary solving, and generator extraction."""
 
+import concurrent.futures
+import errno
+import faulthandler
 import gc
 import hashlib
+import importlib
 import itertools
+import multiprocessing
+import os
 import random
 from array import array
 from math import gcd
@@ -12,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confhom import complexes
 from confhom.complexes import BoundaryError, Chain, ChainComplex
 from confhom.graph import build_family, order_vertices, subdivide_for
 from confhom.homology import (EngineError, ReductionStats, homology,
@@ -283,8 +290,12 @@ class TestSolveBoundary:
 
     def test_dimension_guard(self):
         cx = build_swiatkowski(build_family("theta:3"), 2)
+        # no cells lie above the top dimension: a nonzero top-dimensional
+        # chain bounds nothing, and the zero chain bounds the empty chain
         top = Chain(cx, cx.top_dim, {cx.cells[-1][0]: 1})
-        assert solve_boundary(cx, top) is None or True
+        assert solve_boundary(cx, top) is None
+        x = solve_boundary(cx, Chain(cx, cx.top_dim, {}))
+        assert x == Chain(cx, cx.top_dim + 1, {})
 
 
 class TestErrors:
@@ -326,6 +337,166 @@ class TestErrors:
                 cx.check_boundary_squared()
             vals[k] = -vals[k]
         cx.check_boundary_squared()
+
+
+def _k33_all(n):
+    return build_swiatkowski(build_family("k33"), n, reduce_vertices="all")
+
+
+def _k33_n6_flipped():
+    """k33 n=6 all-reduced with one sign flipped in dimension 3."""
+    cx = _k33_all(6)
+    vals = cx.boundary_triplets(3)[2]
+    vals[len(vals) // 2] *= -1
+    return cx
+
+
+def _comparable(h):
+    h.elapsed_ms = 0.0
+    return h
+
+
+def _no_processes(*args, **kwargs):
+    raise OSError(errno.EAGAIN, "cannot start a process")
+
+
+class _DyingPool(concurrent.futures.ProcessPoolExecutor):
+    """A real pool whose worker exits at once, breaking the pool."""
+
+    def submit(self, fn, *args, **kwargs):
+        return super().submit(os._exit, 1)
+
+
+def _homology_in_daemon(queue):
+    """Target of a daemonic process: homology of k33 n=5 with the worker
+    path otherwise forced, and the number of d^2 checks run in process;
+    an error is sent instead, so that the test need not wait it out."""
+    complexes.PARALLEL_CHECK_ENTRIES = 0
+    os.sched_getaffinity = lambda pid: {0, 1}
+    calls = []
+    real = ChainComplex.check_boundary_squared
+    ChainComplex.check_boundary_squared = lambda cx: calls.append(cx) or real(cx)
+    try:
+        queue.put((homology(_k33_all(5)).betti_vector(), len(calls)))
+    except Exception as exc:
+        queue.put(repr(exc))
+        raise
+
+
+class TestCheckOnce:
+    def test_a_passed_check_is_not_repeated(self, monkeypatch):
+        calls = []
+        real = ChainComplex.check_boundary_squared
+        monkeypatch.setattr(ChainComplex, "check_boundary_squared",
+                            lambda cx: calls.append(cx) or real(cx))
+        cx = build_swiatkowski(build_family("theta:4"), 2)
+        homology(cx)
+        homology(cx, dims=1)
+        assert calls == [cx] and cx._checked
+        homology(cx, check=False)
+        assert calls == [cx]
+        bad = toy_complex(2)
+        bad.boundaries[1] = (array("l", [0]), array("l", [0]),
+                             array("l", [1]))
+        for _ in range(2):
+            with pytest.raises(BoundaryError):
+                homology(bad)
+        assert calls == [cx, bad, bad] and not bad._checked
+
+    def test_failed_check_drops_the_cached_reduction(self, monkeypatch):
+        monkeypatch.setattr(complexes, "PARALLEL_CHECK_ENTRIES", 10 ** 18)
+        cx = _k33_n6_flipped()
+        morse_reduce(cx)
+        with pytest.raises(BoundaryError, match="dimension 3"):
+            homology(cx)
+        assert cx._reduction is None
+
+
+class TestCheckWorker:
+    """`homology` with the d^2 check in a worker process beside the
+    reduction, forced by a threshold of 0 entries."""
+
+    @pytest.fixture
+    def in_process(self, monkeypatch):
+        """Force the worker path and list the checks run in this process;
+        a wait that hangs ends the run with a traceback after 300 s."""
+        monkeypatch.setattr(complexes, "PARALLEL_CHECK_ENTRIES", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        calls = []
+        real = ChainComplex.check_boundary_squared
+        monkeypatch.setattr(ChainComplex, "check_boundary_squared",
+                            lambda cx: calls.append(cx) or real(cx))
+        faulthandler.dump_traceback_later(300, exit=True)
+        yield calls
+        faulthandler.cancel_dump_traceback_later()
+
+    def test_worker_and_in_process_results_agree(self, monkeypatch,
+                                                 in_process):
+        worker_cx = _k33_all(5)
+        by_worker = _comparable(homology(worker_cx))
+        assert in_process == [] and worker_cx._checked
+        monkeypatch.setattr(complexes, "PARALLEL_CHECK_ENTRIES", 10 ** 18)
+        here_cx = _k33_all(5)
+        here = _comparable(homology(here_cx))
+        assert in_process == [here_cx]
+        assert by_worker == here
+        assert (morse_reduce(worker_cx)[0].meta["reduction"]
+                == morse_reduce(here_cx)[0].meta["reduction"]
+                == ReductionStats(original=[1287, 5940, 9900, 7200, 2160, 192],
+                                  reduced=[1, 5, 29, 10], pairs=13317,
+                                  protected=1))
+        # checked once: no second worker, no check in process
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            _no_processes)
+        assert _comparable(homology(worker_cx)) == here
+        assert in_process == [here_cx]
+
+    def test_flipped_sign_fails_through_the_worker(self, in_process):
+        cx = _k33_n6_flipped()
+        with pytest.raises(BoundaryError, match="dimension 3"):
+            homology(cx)
+        assert in_process == []
+        assert cx._reduction is None and not cx._checked
+
+    def test_check_failure_takes_precedence(self, monkeypatch, in_process):
+        hom = importlib.import_module("confhom.homology")
+
+        def failing(cx, *args, **kwargs):
+            raise EngineError("reduction failed")
+
+        monkeypatch.setattr(hom, "morse_reduce", failing)
+        cx = _k33_n6_flipped()
+        with pytest.raises(BoundaryError) as raised:
+            homology(cx)
+        assert isinstance(raised.value.__context__, EngineError)
+        valid = _k33_all(5)
+        with pytest.raises(EngineError):
+            homology(valid)
+        assert valid._checked and in_process == []
+
+    @pytest.mark.parametrize("pool", [_no_processes, _DyingPool],
+                             ids=["cannot-start", "dies"])
+    def test_worker_failure_falls_back_to_this_process(
+            self, monkeypatch, in_process, pool):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        cx = _k33_n6_flipped()
+        with pytest.raises(BoundaryError, match="dimension 3"):
+            homology(cx)
+        assert in_process == [cx] and cx._reduction is None
+
+    def test_daemonic_caller_checks_in_process(self):
+        ctx = multiprocessing.get_context("spawn")
+        queue = ctx.Queue()
+        proc = ctx.Process(target=_homology_in_daemon, args=(queue,),
+                           daemon=True)
+        proc.start()
+        try:
+            got = queue.get(timeout=300)
+        finally:
+            proc.join(timeout=60)
+        assert not proc.is_alive() and proc.exitcode == 0
+        assert got == ((1, 4, 28, 10, 0, 0), 1)
 
 
 class TestGenerators:
