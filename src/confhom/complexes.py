@@ -162,6 +162,14 @@ class ChainComplex:
         the caller's main script, so a script that reaches this at import
         time needs an `if __name__ == "__main__":` guard: without one the
         worker fails with a multiprocessing error and the check runs here.
+
+        The triplets reach the worker through a file, not through a pickle:
+        each boundary array is written with `array.tofile` to a file made by
+        `tempfile.mkstemp`, and the worker reads them back with
+        `array.fromfile`.  So this process holds no copy of the triplets
+        while it reduces.  This process deletes the file whatever the
+        outcome: in the waiting function once the check has passed, failed
+        or lost its worker, and at once if the worker cannot start.
         """
         if self._checked:
             return None
@@ -169,7 +177,7 @@ class ChainComplex:
         if started is None:
             self.check_boundary_squared()
             return None
-        pool, future = started
+        pool, future, path = started
 
         def wait():
             from concurrent.futures.process import BrokenProcessPool
@@ -184,12 +192,14 @@ class ChainComplex:
                 self._checked = True
             finally:
                 pool.shutdown()
+                os.unlink(path)
 
         return wait
 
     def _submit_check(self):
-        """(pool, future) of the check running in a spawned worker, or None
-        when it is to run in this process (see `start_check`)."""
+        """(pool, future, payload path) of the check running in a spawned
+        worker, or None when it is to run in this process (see
+        `start_check`)."""
         entries = sum(len(self.boundary_triplets(d)[0])
                       for d in range(2, self.top_dim + 1))
         if (entries < PARALLEL_CHECK_ENTRIES
@@ -199,17 +209,35 @@ class ChainComplex:
         import multiprocessing
         if multiprocessing.current_process().daemon:
             return None
+        import tempfile
         from concurrent.futures import ProcessPoolExecutor
-        pool = None
+        pool = path = started = None
         try:
             pool = ProcessPoolExecutor(
                 1, mp_context=multiprocessing.get_context("spawn"))
-            return pool, pool.submit(_check_triplets, self.dims,
-                                     self.boundaries)
-        except (OSError, NotImplementedError):  # no processes or semaphores
-            if pool is not None:
-                pool.shutdown()
-            return None
+            fd, path = tempfile.mkstemp(prefix="confhom-d2-", suffix=".bin")
+            layout = []
+            with open(fd, "wb") as f:
+                for d in range(1, self.top_dim + 1):
+                    arrays = [a if isinstance(a, array) else array("q", a)
+                              for a in self.boundary_triplets(d)]
+                    for a in arrays:
+                        a.tofile(f)
+                    layout.append((d, tuple((a.typecode, len(a))
+                                            for a in arrays)))
+            started = (pool, pool.submit(_check_triplets, self.dims, path,
+                                         layout), path)
+        except (OSError, NotImplementedError, OverflowError):
+            # no processes, semaphores or room for the payload, or an entry
+            # that does not fit in 64 bits
+            pass
+        finally:
+            if started is None:
+                if pool is not None:
+                    pool.shutdown()
+                if path is not None:
+                    os.unlink(path)
+        return started
 
     def _columns(self, d):
         """List over d-cells of [(row, val), ...], zero entries dropped."""
@@ -257,9 +285,21 @@ class ChainComplex:
         return f"<ChainComplex dims={self.dims} model={self.meta.get('model')}>"
 
 
-def _check_triplets(dims, boundaries):
+def _check_triplets(dims, path, layout):
     """Worker-process entry point of `ChainComplex.start_check`: the d^2
-    check of the complex with these cell counts and boundary triplets."""
+    check of the complex with these cell counts, whose boundary triplets
+    are read from the file at `path`.  `layout` lists, in file order, one
+    (dimension, ((typecode, length) of rows, cols and vals)) per dimension.
+    """
+    boundaries = {}
+    with open(path, "rb") as f:
+        for d, specs in layout:
+            arrays = []
+            for code, length in specs:
+                a = array(code)
+                a.fromfile(f, length)
+                arrays.append(a)
+            boundaries[d] = tuple(arrays)
     ChainComplex(dims, boundaries).check_boundary_squared()
 
 

@@ -324,16 +324,24 @@ def _reduce(cx: ChainComplex):
 
     dim_of = b"".join(bytes([d]) * dims[d] for d in range(top + 1))
 
+    # Memory: the per-cell containers are most of the reduction's peak.
+    # A coboundary is a dict with None values rather than a set: from five
+    # entries on a dict is the smaller of the two, and it iterates in
+    # insertion order.  Every cell id is taken from one list `ids`, so each
+    # id is a single int object shared by all boundary dicts, coboundaries,
+    # queues and the trail, instead of a new int per triplet entry.
+    ids = list(range(N))
     bdry = [None] * N
     cobdry = [None] * N
     for d in range(1, top + 1):
         rows, cols, vals = cx.boundary_triplets(d)
-        ob, oc = offsets[d - 1], offsets[d]
+        face_ids = ids[offsets[d - 1]:offsets[d]]
+        cell_ids = ids[offsets[d]:offsets[d + 1]]
         for r, c, v in zip(rows, cols, vals):
             if not v:
                 continue
-            g = oc + c
-            f = ob + r
+            g = cell_ids[c]
+            f = face_ids[r]
             bd = bdry[g]
             if bd is None:
                 bdry[g] = {f: v}
@@ -343,22 +351,22 @@ def _reduce(cx: ChainComplex):
                     bd[f] = v
                 else:
                     del bd[f]
-                    cobdry[f].discard(g)
+                    del cobdry[f][g]
                 continue
             else:
                 bd[f] = v
             cb = cobdry[f]
             if cb is None:
-                cobdry[f] = {g}
+                cobdry[f] = {g: None}
             else:
-                cb.add(g)
+                cb[g] = None
 
     alive = bytearray([1]) * N
     trail = []
 
     # one protected critical 0-cell per connected piece of the 1-skeleton,
     # which is all that H_0 depends on (0-cells have g == local index)
-    parent = list(range(dims[0]))
+    parent = ids[:dims[0]]
 
     def find(x):
         while parent[x] != x:
@@ -379,7 +387,7 @@ def _reduce(cx: ChainComplex):
                     parent[rb] = ra
     protected = []
     seen_comp = set()
-    for g in range(dims[0]):
+    for g in ids[:dims[0]]:
         r = find(g)
         if r not in seen_comp:
             seen_comp.add(r)
@@ -403,9 +411,9 @@ def _reduce(cx: ChainComplex):
                     if len(bd) == 1:
                         hq.append(g)
                 cobdry[v0] = None
-    hq += [g for g, bd in enumerate(bdry) if bd is not None and len(bd) == 1]
+    hq += [g for g, bd in zip(ids, bdry) if bd is not None and len(bd) == 1]
     heapify(hq)  # duplicates are skipped at pop
-    fq = [g for g, cb in enumerate(cobdry) if cb is not None and len(cb) == 1]
+    fq = [g for g, cb in zip(ids, cobdry) if cb is not None and len(cb) == 1]
 
     gq = []
     gq_ready = False
@@ -427,13 +435,13 @@ def _reduce(cx: ChainComplex):
                 old = bc.get(f)
                 if old is None:
                     bc[f] = q * w
-                    cobdry[f].add(c)
+                    cobdry[f][c] = None
                 elif (nv := old + q * w):
                     bc[f] = nv
                 else:
                     del bc[f]
                     cb = cobdry[f]
-                    cb.discard(c)
+                    del cb[c]
                     if len(cb) == 1:
                         heappush(fq, f)
             if len(bc) == 1:
@@ -446,7 +454,7 @@ def _reduce(cx: ChainComplex):
         # drop b from coboundaries of its faces
         for f, _ in rest:
             cb = cobdry[f]
-            cb.discard(b)
+            del cb[b]
             if len(cb) == 1:
                 heappush(fq, f)
         # drop the b-term from boundaries of b's cofaces
@@ -464,7 +472,7 @@ def _reduce(cx: ChainComplex):
         if ba:
             for f in ba:
                 cb = cobdry[f]
-                cb.discard(a)
+                del cb[a]
                 if len(cb) == 1:
                     heappush(fq, f)
         alive[a] = alive[b] = 0
@@ -499,7 +507,7 @@ def _reduce(cx: ChainComplex):
             continue
         # no zero-fill moves left: fall back to the smallest unit pivot
         if not gq_ready:
-            gq = [(len(bdry[g]), g) for g in range(N)
+            gq = [(len(bdry[g]), g) for g in ids
                   if alive[g] and bdry[g]]
             heapify(gq)
             gq_ready = True

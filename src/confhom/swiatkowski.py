@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain
+from math import comb
 
 from .complexes import Chain, ChainComplex, ResourceLimitExceeded
 from .graph import Graph, GraphError
@@ -273,11 +274,22 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
 
     rec_state(0, 0, 0, 0, [])
 
+    if max_cells is not None:
+        # a state combination with `used` particles on its sites takes
+        # len(compositions(n - used)) cells: count them before building any
+        if nedges:
+            total = sum(comb(n - used + nedges - 1, nedges - 1)
+                        for _, used, _, _ in combos)
+        else:
+            total = sum(1 for _, used, _, _ in combos if used == n)
+        if total > max_cells:
+            raise ResourceLimitExceeded(
+                f"complex has {total} cells, over max_cells={max_cells}")
+
     top = min(dim_cap, max((h for _, _, h, _ in combos), default=0))
     cells = [[] for _ in range(top + 1)]
     runs = [[] for _ in range(top + 1)]  # (pack, used, faces, start, stop)
     run_start = {}  # state pack -> first index of its run in its dimension
-    total = 0
     for pack, used, hcount, faces in combos:
         if hcount > top:
             continue
@@ -288,10 +300,6 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
             lst += map(pack.__add__, dist)
             run_start[pack] = start
             runs[hcount].append((pack, used, faces, start, len(lst)))
-            total += len(dist)
-            if max_cells is not None and total > max_cells:
-                raise ResourceLimitExceeded(
-                    f"cell count exceeded max_cells={max_cells}")
 
     positions = {}  # r -> {distribution: index in compositions(r)}
     shift_cache = {}

@@ -14,7 +14,7 @@ from confhom import (betti_K4, betti_K33, betti_wheel, build_family,
                      build_swiatkowski, enumerate_groupings, homology,
                      k2p_values, smith_normal_form)
 from confhom import tables
-from confhom.verify import (Row, _engine, suite_cross_model,
+from confhom.verify import (Row, _engine, _table_row, suite_cross_model,
                             suite_formula_engine, suite_generation,
                             suite_paper_tables_core,
                             suite_paper_tables_extended, suite_relations)
@@ -144,6 +144,17 @@ def test_criterion_06_k44e_n4_as_stated():
     b2, tor = tables.PETERSEN_N4_EXTENDED["k44e"]
     h, _ = _engine("k44e", 4)
     assert (h.betti(2), h.torsion(2)) == (b2, tor)
+
+
+@pytest.mark.parametrize("fam", ["petersen:6", "petersen:7", "petersen:8",
+                                 "k331"])
+def test_criterion_06_petersen_family_n4(fam):
+    # the extended tier's Petersen-family n=4 rows other than k44e, each a
+    # second Betti number with Z/2 torsion in H_2
+    b2, tor = tables.PETERSEN_N4_EXTENDED[fam]
+    row = _table_row("paper-tables-extended", fam, 4, {2: b2},
+                     expected_torsion={2: tor})
+    assert row.ok, f"{row.label}: got {row.got}, {row.note}"
 
 
 @pytest.mark.extended

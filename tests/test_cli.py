@@ -58,6 +58,12 @@ class TestCompute:
         assert code == 2
         assert "aborted" in json.loads(out)
 
+    def test_max_cells_one_below_the_count(self, capsys):
+        code, out = run(capsys, "compute", "--graph", "wheel:7", "-n", "7",
+                        "--max-cells", "1894019")
+        assert code == 2
+        assert "1894020" in json.loads(out)["aborted"]
+
     def test_dims_range(self, capsys):
         code, out = run(capsys, "compute", "--graph", "k4", "-n", "4",
                         "--dims", "2-3")

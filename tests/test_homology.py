@@ -11,6 +11,8 @@ import itertools
 import multiprocessing
 import os
 import random
+import tempfile
+import tracemalloc
 from array import array
 from math import gcd
 
@@ -238,6 +240,19 @@ class TestMorseReduce:
         assert rcx.meta["reduction"] == stats
         pairs = repr([(a, b) for a, b, _, _ in trail]).encode()
         assert hashlib.sha256(pairs).hexdigest()[:16] == digest
+
+    def test_peak_memory_of_the_reduction(self):
+        # k33 n=5 all-reduced, 26,679 cells: the per-cell containers and the
+        # trail the reduction keeps peak at about 15 MB under tracemalloc
+        cx = build_swiatkowski(build_family("k33"), 5, reduce_vertices="all")
+        assert cx.n_cells() == 26679
+        tracemalloc.start()
+        try:
+            morse_reduce(cx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
 
     def test_non_augmented_complex_keeps_torsion(self):
         # d_1 = (2): its column does not sum to 0, so quotienting the
@@ -484,6 +499,39 @@ class TestCheckWorker:
         with pytest.raises(BoundaryError, match="dimension 3"):
             homology(cx)
         assert in_process == [cx] and cx._reduction is None
+
+    @pytest.mark.parametrize("outcome", ["passes", "flipped-sign", "dies",
+                                         "cannot-start"])
+    def test_no_payload_file_outlives_homology(self, monkeypatch, tmp_path,
+                                               in_process, outcome):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        made = []
+        real_mkstemp = tempfile.mkstemp
+        monkeypatch.setattr(tempfile, "mkstemp", lambda *args, **kwargs:
+                            made.append(real_mkstemp(*args, **kwargs))
+                            or made[-1])
+        if outcome == "dies":
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                                _DyingPool)
+        elif outcome == "cannot-start":
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                                _no_processes)
+        if outcome == "flipped-sign":
+            with pytest.raises(BoundaryError, match="dimension 3"):
+                homology(_k33_n6_flipped())
+        else:
+            assert homology(_k33_all(5)).betti_vector() == (1, 4, 28, 10, 0, 0)
+        # the payload was written unless no pool could be made, and it is gone
+        assert len(made) == (outcome != "cannot-start")
+        assert all(path.startswith(str(tmp_path)) for _, path in made)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_list_triplets_reach_the_worker(self, in_process):
+        # a reduced complex keeps its triplets in lists, not arrays
+        rcx = morse_reduce(_k33_all(5))[0]
+        assert isinstance(rcx.boundary_triplets(2)[0], list)
+        assert homology(rcx).betti_vector() == (1, 4, 28, 10)
+        assert in_process == [] and rcx._checked
 
     def test_daemonic_caller_checks_in_process(self):
         ctx = multiprocessing.get_context("spawn")

@@ -6,7 +6,7 @@ import itertools
 import pytest
 
 from confhom.complexes import Chain, ResourceLimitExceeded
-from confhom.graph import GraphError, build_family
+from confhom.graph import Graph, GraphError, build_family
 from confhom.homology import homology
 from confhom.swiatkowski import (build_reduced_at, build_swiatkowski, cell,
                                  support)
@@ -61,6 +61,35 @@ class TestCellCounts:
     def test_max_cells(self):
         with pytest.raises(ResourceLimitExceeded):
             build_swiatkowski(build_family("k4"), 4, max_cells=10)
+
+    def test_max_cells_refuses_with_the_exact_count(self):
+        # wheel:7 n=7 all-reduced has 1,894,020 cells: one over the limit
+        # is refused from the closed-form count, before any cell is listed
+        with pytest.raises(ResourceLimitExceeded, match="1894020"):
+            build_swiatkowski(build_family("wheel:7"), 7,
+                              reduce_vertices="all", max_cells=1894019)
+
+    @pytest.mark.parametrize("fam,n,basis", [("k4", 4, None),
+                                             ("k33", 3, "all"),
+                                             ("lasso", 2, None)])
+    def test_max_cells_at_the_count_builds(self, fam, n, basis):
+        g = build_family(fam)
+        total = build_swiatkowski(g, n, reduce_vertices=basis).n_cells()
+        cx = build_swiatkowski(g, n, reduce_vertices=basis, max_cells=total)
+        assert cx.n_cells() == total
+        with pytest.raises(ResourceLimitExceeded, match=f"has {total} cells"):
+            build_swiatkowski(g, n, reduce_vertices=basis,
+                              max_cells=total - 1)
+
+    @pytest.mark.parametrize("n,total", [(0, 1), (1, 0), (2, 0)])
+    def test_max_cells_without_edges(self, n, total):
+        # with no edge and no site, the complex has one cell for n=0 and
+        # none for n >= 1, the zero rule of the edge distributions
+        g = Graph(["a"], [])
+        assert build_swiatkowski(g, n, max_cells=total).n_cells() == total
+        if total:
+            with pytest.raises(ResourceLimitExceeded):
+                build_swiatkowski(g, n, max_cells=total - 1)
 
 
 class TestBoundary:
