@@ -64,23 +64,32 @@ class ChainComplex:
     and for evaluating boundaries of sparse chains without materializing
     column slices.
 
-    A complex is not mutated after it is built: `homology.morse_reduce`
-    caches its one reduction (reduced complex and trail) in `_reduction`,
-    and homology, class ranks, generators and lifting all reuse it.
-    `homology(cx, reduce=False)` bypasses the cache.  `_checked` records
-    that the d^2 check passed, so `start_check` runs it once per complex.
+    A complex is not mutated after it is built, and it keeps two caches.
+    `homology.morse_reduce` caches its one reduction (reduced complex and
+    trail) in `_reduction`; generators and lifting always use it, and so
+    do homology and class ranks of any complex without a Morse complex.
+    A builder may attach a `morse_complex` callback returning (Morse
+    complex, flow): `build_swiatkowski` does so for the full all-reduced
+    complex (see `confhom.critical`).  `morse_complex()` calls it once and
+    caches the pair in `_morse`; homology and class ranks then reduce the
+    small Morse complex instead, carrying cycles into it by the flow.
+    `homology(cx, reduce=False)` bypasses both caches.  A failed d^2 check
+    drops both.  `_checked` records that the d^2 check passed, so
+    `start_check` runs it once per complex.
     """
 
     def __init__(self, dims, boundaries, cells=None, meta=None,
-                 describe=None, cell_faces=None):
+                 describe=None, cell_faces=None, morse_complex=None):
         self.dims = list(dims)
         self.boundaries = boundaries
         self.cells = cells
         self.meta = meta or {}
         self._describe = describe
         self._cell_faces = cell_faces
+        self._morse_complex = morse_complex
         self._index = {}
         self._reduction = None
+        self._morse = None
         self._checked = False
 
     @property
@@ -113,6 +122,18 @@ class ChainComplex:
             return self._cell_faces(d, key)
         raise NotImplementedError("complex has no cell_faces callback")
 
+    def morse_complex(self):
+        """(Morse complex, flow) from the builder's callback, built once and
+        cached; None when the builder attached none."""
+        if self._morse is None and self._morse_complex is not None:
+            self._morse = self._morse_complex()
+        return self._morse
+
+    def _drop_caches(self):
+        """Forget the reduction and the Morse complex of an invalid complex."""
+        self._reduction = None
+        self._morse = None
+
     def boundary_triplets(self, d):
         if d <= 0 or d > self.top_dim:
             return array("l"), array("l"), array("l")
@@ -126,9 +147,10 @@ class ChainComplex:
 
         This runs the check in this process, every time it is called, and
         the check is complete when it returns.  A pass is recorded on the
-        complex; a failure drops any cached reduction, so that no consumer
-        reuses a reduction of an invalid complex.  `homology` goes through
-        `start_check`, which may run this same check in a worker process.
+        complex; a failure drops any cached reduction and Morse complex, so
+        that no consumer reuses either for an invalid complex.  `homology`
+        goes through `start_check`, which may run this same check in a
+        worker process.
         """
         lower = None
         for d in range(2, self.top_dim + 1):
@@ -141,7 +163,7 @@ class ChainComplex:
                     for g, w in lower[r]:
                         acc[g] = acc.get(g, 0) + v * w
                 if any(acc.values()):
-                    self._reduction = None
+                    self._drop_caches()
                     raise BoundaryError(f"dd != 0 at dimension {d}, cell {c}")
             lower = upper
         self._checked = True
@@ -186,7 +208,7 @@ class ChainComplex:
             except BrokenProcessPool:
                 self.check_boundary_squared()
             except BoundaryError:
-                self._reduction = None
+                self._drop_caches()
                 raise
             else:
                 self._checked = True

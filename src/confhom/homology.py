@@ -299,7 +299,8 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
     reuses them; transport replays the cached trail.  This relies on a
     complex not being mutated after it is built.  `homology` and
     `class_span_rank` with reduce=False never call this, so they bypass
-    the cache.
+    the cache; on a complex with a Morse complex they call it on the Morse
+    complex, so that a call on the full complex stays the generic path.
     """
     if cx._reduction is None:
         cx._reduction = _reduce(cx)
@@ -694,6 +695,15 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
 
     dims: None for all dimensions, an int, or an inclusive (lo, hi) range.
 
+    reduce: take Smith normal forms of a reduced complex, by one of two
+    paths.  A complex with a Morse complex (`cx.morse_complex()`, the full
+    all-reduced half-edge complex) is not loaded cell by cell: its Morse
+    complex is built from the critical cells, cached in `cx._morse`, and
+    `morse_reduce` finishes it.  Any other complex goes through
+    `morse_reduce(cx)`, cached in `cx._reduction`.  `reduced_cells` counts
+    the reduced complex of the path taken; the Euler identity ties the
+    full complex's cell counts to the Betti numbers either way.
+
     check: run the exact d^2 = 0 check of `cx.check_boundary_squared`,
     once per complex (a complex whose check passed is not checked again).
     On a large complex, with two or more CPUs, the check runs in a worker
@@ -701,8 +711,8 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
     forms; otherwise it runs here first (see `ChainComplex.start_check`).
     Either way the check completes before any result is returned: if it
     fails, BoundaryError is raised, also in place of an error the
-    reduction raised meanwhile, and the complex's cached reduction is
-    dropped.
+    reduction raised meanwhile, and the complex's cached reduction and
+    Morse complex are dropped.
     """
     t0 = time.perf_counter()
     wait_for_check = cx.start_check() if check else None
@@ -722,7 +732,11 @@ def _homology(cx: ChainComplex, dims, reduce):
         wanted = [dims]
     else:
         wanted = range(dims[0], dims[1] + 1)
-    rcx = morse_reduce(cx)[0] if reduce else cx
+    if reduce:
+        morse = cx.morse_complex()
+        rcx = morse_reduce(cx if morse is None else morse[0])[0]
+    else:
+        rcx = cx
 
     snf_cache = {}
 
@@ -804,7 +818,11 @@ def solve_boundary(cx: ChainComplex, b: Chain):
 
 
 def class_span_rank(cx: ChainComplex, cycles, d, reduce=True):
-    """Rank of the span of the cycles' classes in d-dimensional homology."""
+    """Rank of the span of the cycles' classes in d-dimensional homology.
+
+    With reduce, the cycles are carried to a reduced complex: by the flow
+    into the Morse complex and then along its trail when cx has a Morse
+    complex, else along the trail of cx."""
     for z in cycles:
         if z.dim != d:
             raise ValueError("cycle of wrong dimension")
@@ -812,7 +830,12 @@ def class_span_rank(cx: ChainComplex, cycles, d, reduce=True):
             raise ValueError("input chain is not a cycle")
     if not cycles:
         return 0
-    if reduce:
+    morse = cx.morse_complex() if reduce else None
+    if morse is not None:
+        mcx, flow = morse
+        rcx, moved, _ = morse_reduce(
+            mcx, track=[flow.chain(z, mcx) for z in cycles])
+    elif reduce:
         rcx, moved, _ = morse_reduce(cx, track=cycles)
     else:
         rcx, moved = cx, cycles

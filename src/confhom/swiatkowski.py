@@ -10,7 +10,9 @@ the alternating-sign rule in a fixed global vertex order.
 
 Reduced sites replace {occupied, h_0..h_{d-1}} by differences h_k - h_0
 against the site's first half-edge; reduced and unreduced complexes have
-the same homology.
+the same homology.  A complex with every site reduced and no dimension cap
+carries the builder of its algebraic Morse complex (`confhom.critical`),
+which `homology` and class ranks use in place of reducing it cell by cell.
 """
 
 from __future__ import annotations
@@ -339,12 +341,20 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
                         * (stop - start))
         boundaries[d] = (rows, cols, vals)
 
+    def morse():
+        # imported on first use: importing confhom does not load it
+        from .critical import morse_complex
+        return morse_complex(enc)
+
     meta = {"model": "swiatkowski", "graph": g, "n": n,
             "reduced": reduced, "encoding": enc}
     cx = ChainComplex([len(c) for c in cells], boundaries, cells=cells,
                       meta=meta,
                       describe=lambda d, key: enc.describe(key),
-                      cell_faces=lambda d, key: enc.cell_faces(key))
+                      cell_faces=lambda d, key: enc.cell_faces(key),
+                      morse_complex=(morse if max_dim is None
+                                     and reduced.issuperset(enc.sites)
+                                     else None))
     return cx
 
 
