@@ -9,20 +9,14 @@ from __future__ import annotations
 
 import functools
 import gc
-import os
 from array import array
+from operator import itemgetter
 
-# Boundary entries in dimensions >= 2 from which `ChainComplex.start_check`
-# runs the d^2 check in a worker process beside the reduction.  Measured on
-# a 2-core host (Python 3.11): spawning a worker that imports confhom and
-# returns takes 0.15-0.25 s, the check runs at 1.2-1.7 us per entry and the
-# reduction takes about twice as long as the check.  With the worker,
-# homology() of wheel:5 n=5 all-reduced (53k entries) went from 0.17 to
-# 0.33 s, of k33 n=5 all-reduced (102k) from 0.51 to 0.42 s and of
-# wheel:6 n=5 all-reduced (185k) from 0.82 to 0.61 s.  From 150k entries
-# the check alone takes as long as a worker start, which keeps a margin
-# over the crossover.
-PARALLEL_CHECK_ENTRIES = 150_000
+# Entries of the (d-2)-targets the slot proof of `check_boundary_squared`
+# gathers at once: the columns it takes per step shrink as the number of
+# (upper slot, lower slot) pairs grows, so that the gathered targets take
+# about 1 MB whatever the dimension.
+SLOT_CHUNK_ENTRIES = 1 << 15
 
 
 class BoundaryError(ValueError):
@@ -75,7 +69,7 @@ class ChainComplex:
     small Morse complex instead, carrying cycles into it by the flow.
     `homology(cx, reduce=False)` bypasses both caches.  A failed d^2 check
     drops both.  `_checked` records that the d^2 check passed, so
-    `start_check` runs it once per complex.
+    `homology` runs it once per complex, in the calling process.
     """
 
     def __init__(self, dims, boundaries, cells=None, meta=None,
@@ -145,15 +139,42 @@ class ChainComplex:
         every dimension >= 2, summing each column's entries wherever they
         sit in the triplets.
 
-        This runs the check in this process, every time it is called, and
-        the check is complete when it returns.  A pass is recorded on the
-        complex; a failure drops any cached reduction and Morse complex, so
-        that no consumer reuses either for an invalid complex.  `homology`
-        goes through `start_check`, which may run this same check in a
-        worker process.
+        Each dimension d is first given to the slot proof (`_slots_cancel`),
+        which both builders' layout admits: the triplets of dimension d list
+        every column's F entries as one block of F, column after column, and
+        the value at position k of a block (slot k) is v_k in every column.
+        Let the triplets of dimension d-1 be laid out alike, with G slots of
+        values w_l, and write rows_k[c] and lower_l[r] for the row in slot k
+        of column c and in slot l of column r.  Then
+
+            d(d(e_c)) = sum over k, l of v_k * w_l * e_{T_kl[c]},
+            T_kl[c] = lower_l[rows_k[c]],
+
+        so if the F*G target vectors T_kl fall into classes of equal vectors
+        whose coefficients v_k * w_l sum to 0, the terms of each class cancel
+        in every column.  The proof gathers the vectors over a few thousand
+        columns at a time and groups them there, so equal only over those
+        columns is enough.  Repeated rows and zero values need no special
+        case, because the sum is linear in the entries.
+
+        A dimension whose layout is not uniform (explicit, JSON, Morse and
+        reduced complexes) or whose classes do not all cancel is checked
+        column by column: each column's d^2 is accumulated in a dict, and
+        the first column with a non-zero entry is named in the error.  So
+        the check is exact either way, and only the column check rejects a
+        complex.
+
+        The check runs every time it is called.  A pass is recorded on the
+        complex, and `homology` then does not check it again; a failure
+        drops any cached reduction and Morse complex, so that no consumer
+        reuses either for an invalid complex.
         """
         lower = None
         for d in range(2, self.top_dim + 1):
+            if _slots_cancel(self.boundary_triplets(d), self.dims[d],
+                             self.boundary_triplets(d - 1), self.dims[d - 1]):
+                lower = None
+                continue
             if lower is None:
                 lower = self._columns(d - 1)
             upper = self._columns(d)
@@ -167,99 +188,6 @@ class ChainComplex:
                     raise BoundaryError(f"dd != 0 at dimension {d}, cell {c}")
             lower = upper
         self._checked = True
-
-    def start_check(self):
-        """Start the d^2 check of `check_boundary_squared`.  Return None
-        once it has passed, or a function that waits for it: the function
-        returns once the check has passed and raises BoundaryError if it
-        failed.  A complex whose check passed is not checked again.
-
-        The check runs in one spawned worker process, while the caller goes
-        on working, when the complex has at least PARALLEL_CHECK_ENTRIES
-        boundary entries in dimensions >= 2, this process may run on two
-        or more CPUs, and it is not daemonic (daemonic processes cannot
-        have children).  Otherwise, or if the worker cannot start, it runs
-        here before `start_check` returns; if the worker dies, the waiting
-        function runs it here.  Like any spawned process, the worker imports
-        the caller's main script, so a script that reaches this at import
-        time needs an `if __name__ == "__main__":` guard: without one the
-        worker fails with a multiprocessing error and the check runs here.
-
-        The triplets reach the worker through a file, not through a pickle:
-        each boundary array is written with `array.tofile` to a file made by
-        `tempfile.mkstemp`, and the worker reads them back with
-        `array.fromfile`.  So this process holds no copy of the triplets
-        while it reduces.  This process deletes the file whatever the
-        outcome: in the waiting function once the check has passed, failed
-        or lost its worker, and at once if the worker cannot start.
-        """
-        if self._checked:
-            return None
-        started = self._submit_check()
-        if started is None:
-            self.check_boundary_squared()
-            return None
-        pool, future, path = started
-
-        def wait():
-            from concurrent.futures.process import BrokenProcessPool
-            try:
-                future.result()
-            except BrokenProcessPool:
-                self.check_boundary_squared()
-            except BoundaryError:
-                self._drop_caches()
-                raise
-            else:
-                self._checked = True
-            finally:
-                pool.shutdown()
-                os.unlink(path)
-
-        return wait
-
-    def _submit_check(self):
-        """(pool, future, payload path) of the check running in a spawned
-        worker, or None when it is to run in this process (see
-        `start_check`)."""
-        entries = sum(len(self.boundary_triplets(d)[0])
-                      for d in range(2, self.top_dim + 1))
-        if (entries < PARALLEL_CHECK_ENTRIES
-                or not hasattr(os, "sched_getaffinity")
-                or len(os.sched_getaffinity(0)) < 2):
-            return None
-        import multiprocessing
-        if multiprocessing.current_process().daemon:
-            return None
-        import tempfile
-        from concurrent.futures import ProcessPoolExecutor
-        pool = path = started = None
-        try:
-            pool = ProcessPoolExecutor(
-                1, mp_context=multiprocessing.get_context("spawn"))
-            fd, path = tempfile.mkstemp(prefix="confhom-d2-", suffix=".bin")
-            layout = []
-            with open(fd, "wb") as f:
-                for d in range(1, self.top_dim + 1):
-                    arrays = [a if isinstance(a, array) else array("q", a)
-                              for a in self.boundary_triplets(d)]
-                    for a in arrays:
-                        a.tofile(f)
-                    layout.append((d, tuple((a.typecode, len(a))
-                                            for a in arrays)))
-            started = (pool, pool.submit(_check_triplets, self.dims, path,
-                                         layout), path)
-        except (OSError, NotImplementedError, OverflowError):
-            # no processes, semaphores or room for the payload, or an entry
-            # that does not fit in 64 bits
-            pass
-        finally:
-            if started is None:
-                if pool is not None:
-                    pool.shutdown()
-                if path is not None:
-                    os.unlink(path)
-        return started
 
     def _columns(self, d):
         """List over d-cells of [(row, val), ...], zero entries dropped."""
@@ -307,22 +235,55 @@ class ChainComplex:
         return f"<ChainComplex dims={self.dims} model={self.meta.get('model')}>"
 
 
-def _check_triplets(dims, path, layout):
-    """Worker-process entry point of `ChainComplex.start_check`: the d^2
-    check of the complex with these cell counts, whose boundary triplets
-    are read from the file at `path`.  `layout` lists, in file order, one
-    (dimension, ((typecode, length) of rows, cols and vals)) per dimension.
-    """
-    boundaries = {}
-    with open(path, "rb") as f:
-        for d, specs in layout:
-            arrays = []
-            for code, length in specs:
-                a = array(code)
-                a.fromfile(f, length)
-                arrays.append(a)
-            boundaries[d] = tuple(arrays)
-    ChainComplex(dims, boundaries).check_boundary_squared()
+def _slot_width(trips, n):
+    """Entries per column F when the triplets of n > 0 columns are arrays
+    listing each column's entries as one block of F, in column order, with
+    the same value at each position of every block; else None.  The rows
+    are not looked at.  The columns are compared against their expected
+    values a chunk at a time, so no array of the full length is made."""
+    rows, cols, vals = trips
+    if (not n or not rows or len(rows) % n or len(cols) != len(rows)
+            or len(vals) != len(rows)
+            or not all(isinstance(a, array) for a in trips)):
+        return None
+    f = len(rows) // n
+    step = max(1, SLOT_CHUNK_ENTRIES // f)
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        if vals[a * f:b * f] != vals[:f] * (b - a):
+            return None
+        expected = array(cols.typecode, range(a, b))
+        if any(cols[a * f + k:b * f:f] != expected for k in range(f)):
+            return None
+    return f
+
+
+def _slots_cancel(upper, n, lower, m):
+    """True when the slot proof of `ChainComplex.check_boundary_squared`
+    shows that the boundary triplets `upper`, of n columns, composed with
+    the triplets `lower`, of m columns, give 0; False when it cannot, which
+    says nothing about d^2 itself."""
+    f = _slot_width(upper, n)
+    g = _slot_width(lower, m) if f else None
+    if not g:
+        return False
+    rows, v, w = upper[0], upper[2][:f], lower[2][:g]
+    lower_rows = [lower[0][l::g] for l in range(g)]
+    step = max(1, SLOT_CHUNK_ENTRIES // (f * g))
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        sums = {}
+        for k in range(f):
+            slot = rows[a * f + k:b * f:f]
+            # itemgetter gathers in C, but returns a bare item for one index
+            gather = (itemgetter(*slot) if len(slot) > 1
+                      else lambda seq, i=slot[0]: (seq[i],))
+            for l, targets in enumerate(lower_rows):
+                key = gather(targets)
+                sums[key] = sums.get(key, 0) + v[k] * w[l]
+        if any(sums.values()):
+            return False
+    return True
 
 
 class Chain:

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .complexes import Chain, ChainComplex, pause_gc
+from .complexes import BoundaryError, Chain, ChainComplex, pause_gc
 
 
 class EngineError(RuntimeError):
@@ -704,28 +704,17 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
     the reduced complex of the path taken; the Euler identity ties the
     full complex's cell counts to the Betti numbers either way.
 
-    check: run the exact d^2 = 0 check of `cx.check_boundary_squared`,
-    once per complex (a complex whose check passed is not checked again).
-    On a large complex, with two or more CPUs, the check runs in a worker
-    process while this process reduces the complex and takes Smith normal
-    forms; otherwise it runs here first (see `ChainComplex.start_check`).
-    Either way the check completes before any result is returned: if it
-    fails, BoundaryError is raised, also in place of an error the
-    reduction raised meanwhile, and the complex's cached reduction and
-    Morse complex are dropped.
+    check: run the exact d^2 = 0 check of `cx.check_boundary_squared`
+    before any other work, once per complex (a complex whose check passed
+    is not checked again).  On the Morse path the result comes from the
+    Morse complex, whose differential the flow builds rather than the
+    checked triplets, so that complex is checked as well, once.  The check
+    runs in this process; if it fails, BoundaryError is raised and the
+    complex's cached reduction and Morse complex are dropped.
     """
     t0 = time.perf_counter()
-    wait_for_check = cx.start_check() if check else None
-    try:
-        result = _homology(cx, dims, reduce)
-    finally:
-        if wait_for_check:
-            wait_for_check()
-    result.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return result
-
-
-def _homology(cx: ChainComplex, dims, reduce):
+    if check and not cx._checked:
+        cx.check_boundary_squared()
     if dims is None:
         wanted = range(0, cx.top_dim + 1)
     elif isinstance(dims, int):
@@ -734,6 +723,12 @@ def _homology(cx: ChainComplex, dims, reduce):
         wanted = range(dims[0], dims[1] + 1)
     if reduce:
         morse = cx.morse_complex()
+        if check and morse is not None and not morse[0]._checked:
+            try:
+                morse[0].check_boundary_squared()
+            except BoundaryError:
+                cx._drop_caches()
+                raise
         rcx = morse_reduce(cx if morse is None else morse[0])[0]
     else:
         rcx = cx
@@ -769,6 +764,7 @@ def _homology(cx: ChainComplex, dims, reduce):
             raise EngineError(
                 f"Euler check failed: cells give {result.euler}, "
                 f"Betti numbers give {alt}")
+    result.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return result
 
 

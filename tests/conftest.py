@@ -10,8 +10,7 @@ def pytest_configure(config):
 
 @pytest.fixture(autouse=True)
 def no_child_process_outlives_the_test():
-    """Fail a test that leaves a multiprocessing child running, such as
-    the d^2 check's worker when its pool is not shut down."""
+    """Fail a test that leaves a multiprocessing child running."""
     yield
     children = multiprocessing.active_children()
     if children:

@@ -12,11 +12,10 @@ import pytest
 
 from confhom import (betti_K4, betti_K33, betti_wheel, build_family,
                      build_swiatkowski, enumerate_groupings, homology,
-                     k2p_values, smith_normal_form)
+                     smith_normal_form)
 from confhom import tables
-from confhom.verify import (Row, _engine, _table_row, suite_cross_model,
-                            suite_formula_engine, suite_generation,
-                            suite_paper_tables_core,
+from confhom.verify import (_engine, _table_row, suite_cross_model,
+                            suite_generation, suite_paper_tables_core,
                             suite_paper_tables_extended, suite_relations)
 
 from test_homology import snf_oracle

@@ -3,13 +3,12 @@ matching rule against brute force, the basis change, the flow's cycle
 check, and homology and class ranks against the generic reduction."""
 
 import itertools
-import os
 import tracemalloc
 
 import pytest
 
-from confhom import complexes, tables
-from confhom.complexes import BoundaryError
+from confhom import tables
+from confhom.complexes import BoundaryError, ChainComplex
 from confhom.critical import (MorseFlow, MorseMatching, _spread,
                               search_references)
 from confhom.graph import Graph, build_family
@@ -233,14 +232,7 @@ class TestTwoPaths:
         assert homology(cx).betti_vector() == (1, 4, 19, 1, 0)
         assert calls == [cx.morse_complex()[0]] and cx._reduction is None
 
-    @pytest.mark.parametrize("where", ["in-process", "worker"])
-    def test_flipped_sign_drops_both_caches(self, monkeypatch, where):
-        if where == "worker":
-            monkeypatch.setattr(complexes, "PARALLEL_CHECK_ENTRIES", 0)
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                                raising=False)
-        else:
-            monkeypatch.setattr(complexes, "PARALLEL_CHECK_ENTRIES", 10 ** 18)
+    def test_flipped_sign_drops_both_caches(self):
         cx = build_swiatkowski(build_family("k33"), 5, reduce_vertices="all")
         morse_reduce(cx)
         assert cx.morse_complex() is not None
@@ -249,6 +241,37 @@ class TestTwoPaths:
         with pytest.raises(BoundaryError, match="dimension 3"):
             homology(cx)
         assert cx._morse is None and cx._reduction is None
+
+    def test_the_morse_complex_is_checked_once(self, monkeypatch):
+        calls = []
+        real = ChainComplex.check_boundary_squared
+        monkeypatch.setattr(ChainComplex, "check_boundary_squared",
+                            lambda cx: calls.append(cx) or real(cx))
+        cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
+        homology(cx)
+        homology(cx, dims=2)
+        mcx = cx.morse_complex()[0]
+        assert calls == [cx, mcx] and mcx._checked
+        fresh = build_swiatkowski(build_family("k33"), 4,
+                                  reduce_vertices="all")
+        homology(fresh, check=False)
+        assert calls == [cx, mcx]
+
+    def test_a_broken_morse_complex_is_caught(self):
+        # the Morse complex's differential comes from the flow, not from
+        # the checked triplets: flip one entry whose row has a boundary
+        cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
+        mcx = cx.morse_complex()[0]
+        lower = {}
+        for r, c, v in zip(*mcx.boundary_triplets(2)):
+            lower[c, r] = lower.get((c, r), 0) + v
+        bounding = {c for (c, _), v in lower.items() if v}  # 2-cells
+        rows, _, vals = mcx.boundary_triplets(3)
+        i = next(i for i, r in enumerate(rows) if r in bounding)
+        vals[i] = -vals[i]
+        with pytest.raises(BoundaryError, match="dimension 3"):
+            homology(cx)
+        assert cx._checked and not mcx._checked and cx._morse is None
 
     def test_peak_memory_of_homology(self):
         # k33 n=5 all-reduced: the Morse path never loads the 26,679 cells
@@ -263,4 +286,18 @@ class TestTwoPaths:
         finally:
             tracemalloc.stop()
         assert h.betti_vector() == (1, 4, 28, 10, 0, 0)
+        assert peak < 5_000_000
+
+    def test_peak_memory_of_the_checked_homology(self):
+        # the same with the d^2 check on: the slot proof gathers about 32k
+        # targets at a time, where the column check held every column's
+        # entries as tuples, at about 9 MB
+        cx = build_swiatkowski(build_family("k33"), 5, reduce_vertices="all")
+        tracemalloc.start()
+        try:
+            h = homology(cx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cx._checked and h.betti_vector() == (1, 4, 28, 10, 0, 0)
         assert peak < 5_000_000

@@ -5,7 +5,6 @@ from math import gcd
 
 import pytest
 
-from confhom.complexes import Chain
 from confhom.cycles import (CycleError, CycleSpec, make_cycle, product_cycle,
                             span_rank, verify_chain_identity)
 from confhom.graph import build_family, order_vertices, subdivide_for

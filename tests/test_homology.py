@@ -1,17 +1,13 @@
 """Engine checks: Smith normal form against independent oracles, unit-pivot
-reduction soundness, boundary solving, and generator extraction."""
+reduction soundness, the d^2 = 0 check, boundary solving, and generator
+extraction."""
 
-import concurrent.futures
-import errno
-import faulthandler
 import gc
 import hashlib
 import importlib
 import itertools
-import multiprocessing
-import os
-import random
-import tempfile
+import multiprocessing.process
+import subprocess
 import tracemalloc
 from array import array
 from math import gcd
@@ -24,8 +20,8 @@ from confhom import complexes
 from confhom.complexes import BoundaryError, Chain, ChainComplex
 from confhom.graph import build_family, order_vertices, subdivide_for
 from confhom.homology import (EngineError, ReductionStats, homology,
-                              homology_generators, lift_cycle, morse_reduce,
-                              smith_normal_form, snf_dense, solve_boundary)
+                              homology_generators, morse_reduce,
+                              smith_normal_form, solve_boundary)
 from confhom.swiatkowski import build_swiatkowski
 from confhom.abrams import build_abrams
 
@@ -366,38 +362,6 @@ def _k33_n6_flipped():
     return cx
 
 
-def _comparable(h):
-    h.elapsed_ms = 0.0
-    return h
-
-
-def _no_processes(*args, **kwargs):
-    raise OSError(errno.EAGAIN, "cannot start a process")
-
-
-class _DyingPool(concurrent.futures.ProcessPoolExecutor):
-    """A real pool whose worker exits at once, breaking the pool."""
-
-    def submit(self, fn, *args, **kwargs):
-        return super().submit(os._exit, 1)
-
-
-def _homology_in_daemon(queue):
-    """Target of a daemonic process: homology of k33 n=5 with the worker
-    path otherwise forced, and the number of d^2 checks run in process;
-    an error is sent instead, so that the test need not wait it out."""
-    complexes.PARALLEL_CHECK_ENTRIES = 0
-    os.sched_getaffinity = lambda pid: {0, 1}
-    calls = []
-    real = ChainComplex.check_boundary_squared
-    ChainComplex.check_boundary_squared = lambda cx: calls.append(cx) or real(cx)
-    try:
-        queue.put((homology(_k33_all(5)).betti_vector(), len(calls)))
-    except Exception as exc:
-        queue.put(repr(exc))
-        raise
-
-
 class TestCheckOnce:
     def test_a_passed_check_is_not_repeated(self, monkeypatch):
         calls = []
@@ -418,133 +382,231 @@ class TestCheckOnce:
                 homology(bad)
         assert calls == [cx, bad, bad] and not bad._checked
 
-    def test_failed_check_drops_the_cached_reduction(self, monkeypatch):
-        monkeypatch.setattr(complexes, "PARALLEL_CHECK_ENTRIES", 10 ** 18)
+    def test_failed_check_drops_the_cached_reduction(self):
         cx = _k33_n6_flipped()
         morse_reduce(cx)
         with pytest.raises(BoundaryError, match="dimension 3"):
             homology(cx)
-        assert cx._reduction is None
+        assert cx._reduction is None and not cx._checked
+
+    def test_homology_starts_no_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("homology started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        cx = _k33_all(5)
+        assert homology(cx).betti_vector() == (1, 4, 28, 10, 0, 0)
+        assert cx._checked and cx.morse_complex()[0]._checked
+
+
+def _comparable(h):
+    h.elapsed_ms = 0.0
+    return h
+
+
+def _homology_in_daemon(queue):
+    """Target of a daemonic process, which may start no child of its own:
+    homology of k33 n=5, the number of d^2 checks run, and the stats of
+    the generic reduction; an error is sent instead, so that the test need
+    not wait it out."""
+    calls = []
+    real = ChainComplex.check_boundary_squared
+    ChainComplex.check_boundary_squared = lambda cx: calls.append(cx) or real(cx)
+    try:
+        cx = _k33_all(5)
+        h = _comparable(homology(cx))
+        queue.put((h, len(calls), morse_reduce(cx)[0].meta["reduction"]))
+    except Exception as exc:
+        queue.put(repr(exc))
+        raise
+
+
+def _run_in_daemon():
+    ctx = multiprocessing.get_context("spawn")
+    queue = ctx.Queue()
+    proc = ctx.Process(target=_homology_in_daemon, args=(queue,), daemon=True)
+    proc.start()
+    try:
+        got = queue.get(timeout=300)
+    finally:
+        proc.join(timeout=60)
+    assert not proc.is_alive() and proc.exitcode == 0
+    return got
 
 
 class TestCheckWorker:
-    """`homology` with the d^2 check in a worker process beside the
-    reduction, forced by a threshold of 0 entries."""
+    """`homology` called from a caller's worker process, and beside a
+    failing reduction: the d^2 check runs first, in the calling process."""
 
-    @pytest.fixture
-    def in_process(self, monkeypatch):
-        """Force the worker path and list the checks run in this process;
-        a wait that hangs ends the run with a traceback after 300 s."""
-        monkeypatch.setattr(complexes, "PARALLEL_CHECK_ENTRIES", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        calls = []
-        real = ChainComplex.check_boundary_squared
-        monkeypatch.setattr(ChainComplex, "check_boundary_squared",
-                            lambda cx: calls.append(cx) or real(cx))
-        faulthandler.dump_traceback_later(300, exit=True)
-        yield calls
-        faulthandler.cancel_dump_traceback_later()
-
-    def test_worker_and_in_process_results_agree(self, monkeypatch,
-                                                 in_process):
-        worker_cx = _k33_all(5)
-        by_worker = _comparable(homology(worker_cx))
-        assert in_process == [] and worker_cx._checked
-        monkeypatch.setattr(complexes, "PARALLEL_CHECK_ENTRIES", 10 ** 18)
+    def test_worker_and_in_process_results_agree(self):
+        by_worker, _, worker_stats = _run_in_daemon()
         here_cx = _k33_all(5)
         here = _comparable(homology(here_cx))
-        assert in_process == [here_cx]
         assert by_worker == here
-        assert (morse_reduce(worker_cx)[0].meta["reduction"]
-                == morse_reduce(here_cx)[0].meta["reduction"]
+        assert (worker_stats == morse_reduce(here_cx)[0].meta["reduction"]
                 == ReductionStats(original=[1287, 5940, 9900, 7200, 2160, 192],
                                   reduced=[1, 5, 29, 10], pairs=13317,
                                   protected=1))
-        # checked once: no second worker, no check in process
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            _no_processes)
-        assert _comparable(homology(worker_cx)) == here
-        assert in_process == [here_cx]
 
-    def test_flipped_sign_fails_through_the_worker(self, in_process):
-        cx = _k33_n6_flipped()
-        with pytest.raises(BoundaryError, match="dimension 3"):
-            homology(cx)
-        assert in_process == []
-        assert cx._reduction is None and not cx._checked
-
-    def test_check_failure_takes_precedence(self, monkeypatch, in_process):
-        hom = importlib.import_module("confhom.homology")
+    def test_check_failure_takes_precedence(self, monkeypatch):
+        reductions = []
 
         def failing(cx, *args, **kwargs):
+            reductions.append(cx)
             raise EngineError("reduction failed")
 
-        monkeypatch.setattr(hom, "morse_reduce", failing)
-        cx = _k33_n6_flipped()
-        with pytest.raises(BoundaryError) as raised:
-            homology(cx)
-        assert isinstance(raised.value.__context__, EngineError)
-        valid = _k33_all(5)
-        with pytest.raises(EngineError):
-            homology(valid)
-        assert valid._checked and in_process == []
-
-    @pytest.mark.parametrize("pool", [_no_processes, _DyingPool],
-                             ids=["cannot-start", "dies"])
-    def test_worker_failure_falls_back_to_this_process(
-            self, monkeypatch, in_process, pool):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(importlib.import_module("confhom.homology"),
+                            "morse_reduce", failing)
         cx = _k33_n6_flipped()
         with pytest.raises(BoundaryError, match="dimension 3"):
             homology(cx)
-        assert in_process == [cx] and cx._reduction is None
-
-    @pytest.mark.parametrize("outcome", ["passes", "flipped-sign", "dies",
-                                         "cannot-start"])
-    def test_no_payload_file_outlives_homology(self, monkeypatch, tmp_path,
-                                               in_process, outcome):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        made = []
-        real_mkstemp = tempfile.mkstemp
-        monkeypatch.setattr(tempfile, "mkstemp", lambda *args, **kwargs:
-                            made.append(real_mkstemp(*args, **kwargs))
-                            or made[-1])
-        if outcome == "dies":
-            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                                _DyingPool)
-        elif outcome == "cannot-start":
-            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                                _no_processes)
-        if outcome == "flipped-sign":
-            with pytest.raises(BoundaryError, match="dimension 3"):
-                homology(_k33_n6_flipped())
-        else:
-            assert homology(_k33_all(5)).betti_vector() == (1, 4, 28, 10, 0, 0)
-        # the payload was written unless no pool could be made, and it is gone
-        assert len(made) == (outcome != "cannot-start")
-        assert all(path.startswith(str(tmp_path)) for _, path in made)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_list_triplets_reach_the_worker(self, in_process):
-        # a reduced complex keeps its triplets in lists, not arrays
-        rcx = morse_reduce(_k33_all(5))[0]
-        assert isinstance(rcx.boundary_triplets(2)[0], list)
-        assert homology(rcx).betti_vector() == (1, 4, 28, 10)
-        assert in_process == [] and rcx._checked
+        assert reductions == [] and not cx._checked
+        valid = _k33_all(5)
+        with pytest.raises(EngineError, match="reduction failed"):
+            homology(valid)
+        assert valid._checked and reductions == [valid.morse_complex()[0]]
 
     def test_daemonic_caller_checks_in_process(self):
-        ctx = multiprocessing.get_context("spawn")
-        queue = ctx.Queue()
-        proc = ctx.Process(target=_homology_in_daemon, args=(queue,),
-                           daemon=True)
-        proc.start()
-        try:
-            got = queue.get(timeout=300)
-        finally:
-            proc.join(timeout=60)
-        assert not proc.is_alive() and proc.exitcode == 0
-        assert got == ((1, 4, 28, 10, 0, 0), 1)
+        # the full complex and its Morse complex, each checked once
+        h, checks, _ = _run_in_daemon()
+        assert (h.betti_vector(), checks) == ((1, 4, 28, 10, 0, 0), 2)
+
+
+def _verdict(cx):
+    """None when cx passes the d^2 check, else the error's message."""
+    try:
+        cx.check_boundary_squared()
+    except BoundaryError as exc:
+        return str(exc)
+    return None
+
+
+def _column_verdict(cx, monkeypatch):
+    """The verdict of the column-by-column check alone."""
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "_slots_cancel", lambda *args: False)
+        return _verdict(cx)
+
+
+def _slots_cancel_at(cx, d):
+    return complexes._slots_cancel(cx.boundary_triplets(d), cx.dims[d],
+                                   cx.boundary_triplets(d - 1),
+                                   cx.dims[d - 1])
+
+
+SLOT_BUILDERS = {
+    "swiatkowski-canonical": lambda: build_swiatkowski(build_family("k4"), 4),
+    "swiatkowski-all": lambda: _k33_all(4),
+    "abrams": lambda: build_abrams(order_vertices(
+        subdivide_for(build_family("k4"), 3)), 3),
+}
+
+
+# Mutants of one entry i of a boundary with f entries per column, n columns
+# and n_lower rows.  Each returns the columns whose d^2 it makes non-zero.
+
+def _flip_sign(rows, cols, vals, i, f, n, n_lower):
+    vals[i] = -vals[i]
+    return {i // f}
+
+
+def _move_row(rows, cols, vals, i, f, n, n_lower):
+    rows[i] = (rows[i] + 1) % n_lower
+    return {i // f}
+
+
+def _move_column(rows, cols, vals, i, f, n, n_lower):
+    cols[i] = (cols[i] + 1) % n
+    return {i // f, cols[i]}
+
+
+def _swap_rows(rows, cols, vals, i, f, n, n_lower):
+    # slots 0 and 1 of every column carry values of opposite sign
+    j = i - i % f
+    rows[j], rows[j + 1] = rows[j + 1], rows[j]
+    return {i // f}
+
+
+def _swap_entries(rows, cols, vals, i, f, n, n_lower):
+    j = i - i % f
+    rows[j], rows[j + 1] = rows[j + 1], rows[j]
+    vals[j], vals[j + 1] = vals[j + 1], vals[j]
+    return set()
+
+
+class TestSlotProof:
+    """The d^2 check proves uniform slot layouts slot pair by slot pair and
+    checks anything else column by column; both give one verdict."""
+
+    @pytest.mark.parametrize("build", SLOT_BUILDERS.values(),
+                             ids=SLOT_BUILDERS.keys())
+    @pytest.mark.parametrize("mutate", [
+        _flip_sign, _move_row, _move_column, _swap_rows, _swap_entries],
+        ids=["flipped-sign", "moved-row", "moved-column", "swapped-rows",
+             "swapped-entries"])
+    def test_mutants_get_the_column_verdict(self, monkeypatch, build, mutate):
+        cx = build()
+        for d in range(2, cx.top_dim + 1):
+            assert _slots_cancel_at(cx, d)
+        assert _verdict(cx) is _column_verdict(cx, monkeypatch) is None
+        # a mutant of dimension 1 shows in the check of dimension 2
+        for d in (1, 2, cx.top_dim):
+            rows, _, vals = cx.boundary_triplets(d)
+            f = len(rows) // cx.dims[d]
+            assert vals[0] == -vals[1]
+            for i in (0, len(rows) // 2 + 1, len(rows) - 1):
+                mutant = build()
+                broken = mutate(*mutant.boundary_triplets(d), i, f,
+                                cx.dims[d], cx.dims[d - 1])
+                assert not _slots_cancel_at(mutant, max(d, 2))
+                verdict = _verdict(mutant)
+                assert verdict == _column_verdict(mutant, monkeypatch)
+                if not broken:
+                    assert verdict is None
+                elif d == 1:
+                    assert verdict.startswith("dd != 0 at dimension 2, ")
+                else:
+                    assert verdict == (f"dd != 0 at dimension {d}, "
+                                       f"cell {min(broken)}")
+
+    def test_uniform_layout_cancelling_only_per_column_passes(self):
+        # two vertices, two parallel edges and two loops, each edge's faces
+        # as (-1, +1); disc 0 is bounded by the parallel edges and cancels
+        # between its slots' vertices, disc 1 by the loops and cancels
+        # within each loop, so no pairing of slots holds in both columns
+        cx = ChainComplex.from_json_dict({"dims": [2, 4, 2], "boundary": {
+            "1": [[0, 0, -1], [1, 0, 1], [0, 1, -1], [1, 1, 1],
+                  [0, 2, -1], [0, 2, 1], [1, 3, -1], [1, 3, 1]],
+            "2": [[0, 0, 1], [1, 0, -1], [2, 1, 1], [3, 1, -1]]}})
+        assert not _slots_cancel_at(cx, 2)
+        assert _verdict(cx) is None
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_swiatkowski(build_family("k4"), 3),
+        lambda: build_swiatkowski(build_family("k33"), 3,
+                                  reduce_vertices="essential"),
+        lambda: build_swiatkowski(build_family("lasso"), 3,
+                                  reduce_vertices="all"),
+        lambda: build_swiatkowski(build_family("theta:4"), 3,
+                                  reduce_vertices="all", max_dim=1),
+        lambda: build_swiatkowski(build_family("k33"), 3,
+                                  reduce_vertices=("a0",)),
+        lambda: build_abrams(order_vertices(
+            subdivide_for(build_family("theta:3"), 3)), 3),
+        lambda: build_abrams(order_vertices(
+            subdivide_for(build_family("k4"), 3)), 3, max_dim=1),
+    ], ids=["canonical", "essential", "all-lasso", "truncated", "one-site",
+            "cube", "cube-truncated"])
+    def test_builder_complexes_never_fall_back(self, monkeypatch, build):
+        def refuse(cx, d):
+            raise AssertionError(f"column check reached at dimension {d}")
+
+        monkeypatch.setattr(ChainComplex, "_columns", refuse)
+        cx = build()
+        cx.check_boundary_squared()
+        assert cx._checked
 
 
 class TestGenerators:

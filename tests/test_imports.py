@@ -1,12 +1,14 @@
-"""Every module-level import in src/confhom is used: a name bound by an
-import must be read somewhere in its module, or re-exported via __all__."""
+"""Every module-level import in src/confhom and in the tests is used: a name
+bound by an import must be read somewhere in its module, or re-exported via
+__all__."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "confhom"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "confhom"
 
 
 def unused_imports(tree):
@@ -28,7 +30,9 @@ def unused_imports(tree):
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
