@@ -10,7 +10,6 @@ over the cell's edges sorted by their lower-labelled endpoints.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
 
 from .complexes import Chain, ChainComplex, ResourceLimitExceeded
 from .graph import GraphError, OrderedGraph, check_subdivided
@@ -168,18 +167,31 @@ def build_abrams(og: OrderedGraph, n: int, max_dim=None,
     cells = [by_dim.get(d, []) for d in range(top + 1)]
     index = [{key: i for i, key in enumerate(cells[d])} for d in range(top + 1)]
 
-    # every d-cell has 2d faces whose signs alternate over its edges in
-    # order, so all columns of one dimension share the first one's signs
+    # every d-cell has 2d faces, two per edge in the order of the edges'
+    # bits, and their signs alternate over the edges, so all columns of one
+    # dimension share the first one's signs.  The triplets are written
+    # slot-major (see `check_boundary_squared`): the slots of the i-th edge
+    # of every cell, its iota face and then its tau face, are filled by
+    # clearing the lowest edge bit left in each cell.
+    ends = {1 << j: pair for j, pair in enumerate(enc.edge_ends)}
     boundaries = {}
     for d in range(1, top + 1):
         low = index[d - 1]
         lst = cells[d]
-        rows = array("l", (low[fk] for key in lst
-                           for fk, _ in enc.cell_faces(key)))
+        rows = array("l")
+        left = [key >> nv for key in lst]
+        for _ in range(d):
+            bits = [e & -e for e in left]
+            left = [e ^ b for e, b in zip(left, bits)]
+            bases = [key ^ (b << nv) for key, b in zip(lst, bits)]
+            for end in (0, 1):
+                rows.fromlist([low[base | ends[b][end]]
+                               for base, b in zip(bases, bits)])
         signs = array("b", [w for _, w in enc.cell_faces(lst[0])])
-        cols = array("l", chain.from_iterable(
-            zip(*[range(len(lst))] * len(signs))))
-        boundaries[d] = (rows, cols, signs * len(lst))
+        vals = array("b")
+        for w in signs:
+            vals.extend(array("b", [w]) * len(lst))
+        boundaries[d] = (rows, array("l", range(len(lst))) * len(signs), vals)
 
     meta = {"model": "abrams", "graph": g, "ordered": og, "n": n,
             "encoding": enc}

@@ -15,7 +15,8 @@ from operator import itemgetter
 # Entries of the (d-2)-targets the slot proof of `check_boundary_squared`
 # gathers at once: the columns it takes per step shrink as the number of
 # (upper slot, lower slot) pairs grows, so that the gathered targets take
-# about 1 MB whatever the dimension.
+# about 1 MB whatever the dimension.  Slots are recognised and converted
+# to shared ints in runs of this many entries too.
 SLOT_CHUNK_ENTRIES = 1 << 15
 
 
@@ -69,7 +70,8 @@ class ChainComplex:
     small Morse complex instead, carrying cycles into it by the flow.
     `homology(cx, reduce=False)` bypasses both caches.  A failed d^2 check
     drops both.  `_checked` records that the d^2 check passed, so
-    `homology` runs it once per complex, in the calling process.
+    `homology`, class ranks and generators run it once per complex, in
+    the calling process.
     """
 
     def __init__(self, dims, boundaries, cells=None, meta=None,
@@ -140,12 +142,14 @@ class ChainComplex:
         sit in the triplets.
 
         Each dimension d is first given to the slot proof (`_slots_cancel`),
-        which both builders' layout admits: the triplets of dimension d list
-        every column's F entries as one block of F, column after column, and
-        the value at position k of a block (slot k) is v_k in every column.
-        Let the triplets of dimension d-1 be laid out alike, with G slots of
-        values w_l, and write rows_k[c] and lower_l[r] for the row in slot k
-        of column c and in slot l of column r.  Then
+        which both builders' layout admits.  The triplets of dimension d are
+        written slot-major: every column has F entries, and the entries of
+        slot k for columns 0..n-1 form one contiguous run, so entry k*n + c
+        is slot k of column c, `cols` is `array("l", range(n)) * F`, and
+        every entry of slot k has the value v_k.  Let the triplets of
+        dimension d-1 be laid out alike, with G slots of values w_l, and
+        write rows_k[c] and lower_l[r] for the row in slot k of column c and
+        in slot l of column r.  Then
 
             d(d(e_c)) = sum over k, l of v_k * w_l * e_{T_kl[c]},
             T_kl[c] = lower_l[rows_k[c]],
@@ -172,7 +176,8 @@ class ChainComplex:
         lower = None
         for d in range(2, self.top_dim + 1):
             if _slots_cancel(self.boundary_triplets(d), self.dims[d],
-                             self.boundary_triplets(d - 1), self.dims[d - 1]):
+                             self.boundary_triplets(d - 1), self.dims[d - 1],
+                             self.dims[d - 2]):
                 lower = None
                 continue
             if lower is None:
@@ -212,13 +217,31 @@ class ChainComplex:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Complex from `to_json_dict` output.  It is input from outside the
+        program, so ValueError names the dimension and the entry of a
+        negative dim, a boundary key outside 1..top, or a triplet whose row
+        or column names no cell."""
         dims = list(data["dims"])
+        for d, size in enumerate(dims):
+            if size < 0:
+                raise ValueError(f"dims[{d}] = {size} is negative")
         boundaries = {}
         for dstr, trips in data["boundary"].items():
+            d = int(dstr)
+            if not 1 <= d < len(dims):
+                raise ValueError(f"boundary key {dstr!r} is outside "
+                                 f"1..{len(dims) - 1}")
+            for t in trips:
+                for what, x, size in (("row", t[0], dims[d - 1]),
+                                      ("column", t[1], dims[d])):
+                    if not 0 <= x < size:
+                        raise ValueError(
+                            f"boundary entry {list(t)} of dimension {d}: "
+                            f"{what} {x} is outside range({size})")
             rows = array("l", (t[0] for t in trips))
             cols = array("l", (t[1] for t in trips))
             vals = array("l", (t[2] for t in trips))
-            boundaries[int(dstr)] = (rows, cols, vals)
+            boundaries[d] = (rows, cols, vals)
         cx = cls(dims, boundaries, cells=None, meta={"model": "json"})
 
         columns = {}
@@ -237,50 +260,66 @@ class ChainComplex:
 
 def _slot_width(trips, n):
     """Entries per column F when the triplets of n > 0 columns are arrays
-    listing each column's entries as one block of F, in column order, with
-    the same value at each position of every block; else None.  The rows
-    are not looked at.  The columns are compared against their expected
-    values a chunk at a time, so no array of the full length is made."""
+    written slot-major, else None.  Slot-major means that every column has
+    F entries and that slot k's entries for columns 0..n-1 form the run
+    [k*n, (k+1)*n): `cols` is `array("l", range(n)) * F`, and every entry
+    of one slot has the same value.  `cols` and `vals` are compared slot by
+    slot against their expected values, a chunk of columns at a time, so
+    no array of the full length is made; the rows are not looked at."""
     rows, cols, vals = trips
     if (not n or not rows or len(rows) % n or len(cols) != len(rows)
             or len(vals) != len(rows)
             or not all(isinstance(a, array) for a in trips)):
         return None
-    f = len(rows) // n
-    step = max(1, SLOT_CHUNK_ENTRIES // f)
-    for a in range(0, n, step):
-        b = min(n, a + step)
-        if vals[a * f:b * f] != vals[:f] * (b - a):
-            return None
+    for a in range(0, n, SLOT_CHUNK_ENTRIES):
+        b = min(n, a + SLOT_CHUNK_ENTRIES)
         expected = array(cols.typecode, range(a, b))
-        if any(cols[a * f + k:b * f:f] != expected for k in range(f)):
-            return None
-    return f
+        for k in range(0, len(rows), n):
+            if (cols[k + a:k + b] != expected
+                    or vals[k + a:k + b] != vals[k:k + 1] * (b - a)):
+                return None
+    return len(rows) // n
 
 
-def _slots_cancel(upper, n, lower, m):
+def _getter(slot):
+    """Gather the items at the indices `slot` of a sequence, as a tuple;
+    itemgetter gathers in C, but returns a bare item for one index."""
+    if len(slot) > 1:
+        return itemgetter(*slot)
+    return lambda seq, i=slot[0]: (seq[i],)
+
+
+def _slots_cancel(upper, n, lower, m, p):
     """True when the slot proof of `ChainComplex.check_boundary_squared`
     shows that the boundary triplets `upper`, of n columns, composed with
-    the triplets `lower`, of m columns, give 0; False when it cannot, which
-    says nothing about d^2 itself."""
+    the triplets `lower`, of m columns and rows among p cells, give 0;
+    False when it cannot, which says nothing about d^2 itself.
+
+    Each lower slot becomes a list of one shared int object per cell (a
+    row outside range(p) raises), so a gather only copies references and
+    equal targets compare by identity."""
     f = _slot_width(upper, n)
     g = _slot_width(lower, m) if f else None
     if not g:
         return False
-    rows, v, w = upper[0], upper[2][:f], lower[2][:g]
-    lower_rows = [lower[0][l::g] for l in range(g)]
+    rows, v, w = upper[0], upper[2][::n], lower[2][::m]
+    ids = list(range(p))
+    lower_slots = []
+    for start in range(0, g * m, m):
+        targets = []
+        for a in range(start, start + m, SLOT_CHUNK_ENTRIES):
+            targets += _getter(
+                lower[0][a:min(start + m, a + SLOT_CHUNK_ENTRIES)])(ids)
+        lower_slots.append(targets)
     step = max(1, SLOT_CHUNK_ENTRIES // (f * g))
     for a in range(0, n, step):
         b = min(n, a + step)
         sums = {}
-        for k in range(f):
-            slot = rows[a * f + k:b * f:f]
-            # itemgetter gathers in C, but returns a bare item for one index
-            gather = (itemgetter(*slot) if len(slot) > 1
-                      else lambda seq, i=slot[0]: (seq[i],))
-            for l, targets in enumerate(lower_rows):
+        for vk, k in zip(v, range(0, f * n, n)):
+            gather = _getter(rows[k + a:k + b])
+            for wl, targets in zip(w, lower_slots):
                 key = gather(targets)
-                sums[key] = sums.get(key, 0) + v[k] * w[l]
+                sums[key] = sums.get(key, 0) + vk * wl
         if any(sums.values()):
             return False
     return True

@@ -690,6 +690,28 @@ class HomologyResult:
                          for d, (b, t) in sorted(self.dims.items())}}
 
 
+def _checked_morse(cx: ChainComplex, reduce, check=True):
+    """The (Morse complex, flow) pair a result of cx is read from when
+    `reduce` (`cx.morse_complex()`, None when the builder attached none),
+    else None; with `check`, after the d^2 checks that result needs.
+
+    cx is checked once per complex (a complex whose check passed is not
+    checked again).  A Morse complex's differential comes from the flow,
+    not from cx's checked triplets, so it is checked as well, once, when it
+    is used.  A failed check raises BoundaryError and drops the cached
+    reduction and Morse complex of cx."""
+    if check and not cx._checked:
+        cx.check_boundary_squared()
+    morse = cx.morse_complex() if reduce else None
+    if check and morse is not None and not morse[0]._checked:
+        try:
+            morse[0].check_boundary_squared()
+        except BoundaryError:
+            cx._drop_caches()
+            raise
+    return morse
+
+
 def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyResult:
     """Betti numbers and torsion coefficients of a chain complex.
 
@@ -705,16 +727,13 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
     full complex's cell counts to the Betti numbers either way.
 
     check: run the exact d^2 = 0 check of `cx.check_boundary_squared`
-    before any other work, once per complex (a complex whose check passed
-    is not checked again).  On the Morse path the result comes from the
-    Morse complex, whose differential the flow builds rather than the
-    checked triplets, so that complex is checked as well, once.  The check
-    runs in this process; if it fails, BoundaryError is raised and the
-    complex's cached reduction and Morse complex are dropped.
+    before any other work, once per complex, and on the Morse path that of
+    the Morse complex too (see `_checked_morse`).  The check runs in this
+    process; if it fails, BoundaryError is raised and the complex's cached
+    reduction and Morse complex are dropped.
     """
     t0 = time.perf_counter()
-    if check and not cx._checked:
-        cx.check_boundary_squared()
+    morse = _checked_morse(cx, reduce, check)
     if dims is None:
         wanted = range(0, cx.top_dim + 1)
     elif isinstance(dims, int):
@@ -722,13 +741,6 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
     else:
         wanted = range(dims[0], dims[1] + 1)
     if reduce:
-        morse = cx.morse_complex()
-        if check and morse is not None and not morse[0]._checked:
-            try:
-                morse[0].check_boundary_squared()
-            except BoundaryError:
-                cx._drop_caches()
-                raise
         rcx = morse_reduce(cx if morse is None else morse[0])[0]
     else:
         rcx = cx
@@ -818,7 +830,8 @@ def class_span_rank(cx: ChainComplex, cycles, d, reduce=True):
 
     With reduce, the cycles are carried to a reduced complex: by the flow
     into the Morse complex and then along its trail when cx has a Morse
-    complex, else along the trail of cx."""
+    complex, else along the trail of cx.  The complexes the rank is read
+    from are d^2-checked first, as by `homology`."""
     for z in cycles:
         if z.dim != d:
             raise ValueError("cycle of wrong dimension")
@@ -826,7 +839,7 @@ def class_span_rank(cx: ChainComplex, cycles, d, reduce=True):
             raise ValueError("input chain is not a cycle")
     if not cycles:
         return 0
-    morse = cx.morse_complex() if reduce else None
+    morse = _checked_morse(cx, reduce)
     if morse is not None:
         mcx, flow = morse
         rcx, moved, _ = morse_reduce(
@@ -855,7 +868,9 @@ def class_span_rank(cx: ChainComplex, cycles, d, reduce=True):
 
 
 def homology_generators(cx: ChainComplex, d):
-    """Explicit cycles generating the free part of d-dimensional homology."""
+    """Explicit cycles generating the free part of d-dimensional homology,
+    read from the reduction of cx after its d^2 check, as by `homology`."""
+    _checked_morse(cx, False)
     rcx, _, trail_info = morse_reduce(cx, record_trail=True)
     if d > rcx.top_dim:
         return []

@@ -18,7 +18,6 @@ which `homology` and class ranks use in place of reducing it cell by cell.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
 from math import comb
 
 from .complexes import Chain, ChainComplex, ResourceLimitExceeded
@@ -320,26 +319,27 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
 
     # All cells of a run share one state pack, and the i-th cell's face
     # sits in the run of the face's state pack: at position i, or at the
-    # shifted position when a particle moves onto an edge.  The faces are
-    # listed face by face and interleaved into each column's face order.
+    # shifted position when a particle moves onto an edge.  Every d-cell
+    # has its 2d faces in one slot order, with one sign per slot, so the
+    # triplets are written slot-major (see `check_boundary_squared`): slot
+    # by slot, each slot's rows for all columns in one run.
     boundaries = {}
     for d in range(1, top + 1):
+        ncols = len(cells[d])
         rows = array("l")
-        cols = array("l")
         vals = array("b")
-        for pack, used, faces, start, stop in runs[d]:
-            face_rows = []
-            for dstate, edge, _ in faces:
+        first_faces = runs[d][0][2] if runs[d] else ()
+        for slot, (_, _, sign) in enumerate(first_faces):
+            for pack, used, faces, start, stop in runs[d]:
+                dstate, edge, _ = faces[slot]
                 s0 = run_start[pack + dstate]
-                face_rows.append(
-                    range(s0, s0 + stop - start) if edge is None
-                    else map(s0.__add__, shifted(n - used, edge)))
-            rows.extend(chain.from_iterable(zip(*face_rows)))
-            cols.extend(chain.from_iterable(
-                zip(*[range(start, stop)] * len(faces))))
-            vals.extend(array("b", [sign for _, _, sign in faces])
-                        * (stop - start))
-        boundaries[d] = (rows, cols, vals)
+                # fromlist copies a list 1.5-2 times faster than extend
+                # takes an iterator's items
+                rows.fromlist(list(range(s0, s0 + stop - start))
+                              if edge is None
+                              else [s0 + i for i in shifted(n - used, edge)])
+            vals.extend(array("b", [sign]) * ncols)
+        boundaries[d] = (rows, array("l", range(ncols)) * (2 * d), vals)
 
     def morse():
         # imported on first use: importing confhom does not load it

@@ -331,6 +331,23 @@ class TestErrors:
         cx.check_boundary_squared()
         assert homology(cx).betti_vector() == (1, 0, 1)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"dims": [2, -1], "boundary": {}}, r"dims\[1\] = -1 is negative"),
+        ({"dims": [2, 1], "boundary": {"2": [[0, 0, 1]]}},
+         r"boundary key '2' is outside 1\.\.1"),
+        ({"dims": [2, 1], "boundary": {"1": [[-1, 0, 1], [0, 0, -1]]}},
+         r"entry \[-1, 0, 1\] of dimension 1: row -1 is outside range\(2\)"),
+        ({"dims": [2, 1], "boundary": {"1": [[2, 0, 1], [0, 0, -1]]}},
+         r"entry \[2, 0, 1\] of dimension 1: row 2 is outside range\(2\)"),
+        ({"dims": [2, 1], "boundary": {"1": [[1, 0, 1], [0, 1, -1]]}},
+         r"entry \[0, 1, -1\] of dimension 1: column 1 is outside "
+         r"range\(1\)"),
+    ], ids=["negative-dim", "key-above-top", "negative-row", "row-too-large",
+            "column-too-large"])
+    def test_json_complex_is_validated_on_load(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            ChainComplex.from_json_dict(data)
+
     @pytest.mark.parametrize("model", ["swiatkowski", "abrams"])
     @pytest.mark.parametrize("where", ["dim2", "top"])
     def test_one_flipped_sign_is_detected(self, model, where):
@@ -436,6 +453,33 @@ def _run_in_daemon():
     return got
 
 
+class TestCheckBeforeEveryResult:
+    """Class ranks and generators are read only from complexes whose d^2
+    check passed, as homology is."""
+
+    def _flipped(self, **kwargs):
+        cx = build_swiatkowski(build_family("theta:4"), 3, **kwargs)
+        vals = cx.boundary_triplets(2)[2]
+        vals[0] = -vals[0]
+        return cx
+
+    def test_class_rank(self):
+        from confhom.cycles import CycleSpec, product_cycle, span_rank
+        cx = self._flipped(reduce_vertices="all")
+        z = product_cycle(cx, [CycleSpec(kind="Y", hub="u",
+                                         branches=("e1", "e2", "e3"))],
+                          dressing={"edges": {"e4": 1}})
+        with pytest.raises(BoundaryError, match="dimension 2"):
+            span_rank(cx, [z], 1)
+        assert cx._morse is None and cx._reduction is None
+
+    def test_generators(self):
+        cx = self._flipped()
+        with pytest.raises(BoundaryError, match="dimension 2"):
+            homology_generators(cx, 1)
+        assert cx._reduction is None
+
+
 class TestCheckWorker:
     """`homology` called from a caller's worker process, and beside a
     failing reduction: the d^2 check runs first, in the calling process."""
@@ -493,7 +537,7 @@ def _column_verdict(cx, monkeypatch):
 def _slots_cancel_at(cx, d):
     return complexes._slots_cancel(cx.boundary_triplets(d), cx.dims[d],
                                    cx.boundary_triplets(d - 1),
-                                   cx.dims[d - 1])
+                                   cx.dims[d - 1], cx.dims[d - 2])
 
 
 SLOT_BUILDERS = {
@@ -504,35 +548,36 @@ SLOT_BUILDERS = {
 }
 
 
-# Mutants of one entry i of a boundary with f entries per column, n columns
-# and n_lower rows.  Each returns the columns whose d^2 it makes non-zero.
+# Mutants of one entry i of a slot-major boundary with n columns and
+# n_lower rows: entry i is slot i // n of column i % n.  Each returns the
+# columns whose d^2 it makes non-zero.
 
-def _flip_sign(rows, cols, vals, i, f, n, n_lower):
+def _flip_sign(rows, cols, vals, i, n, n_lower):
     vals[i] = -vals[i]
-    return {i // f}
+    return {i % n}
 
 
-def _move_row(rows, cols, vals, i, f, n, n_lower):
+def _move_row(rows, cols, vals, i, n, n_lower):
     rows[i] = (rows[i] + 1) % n_lower
-    return {i // f}
+    return {i % n}
 
 
-def _move_column(rows, cols, vals, i, f, n, n_lower):
+def _move_column(rows, cols, vals, i, n, n_lower):
     cols[i] = (cols[i] + 1) % n
-    return {i // f, cols[i]}
+    return {i % n, cols[i]}
 
 
-def _swap_rows(rows, cols, vals, i, f, n, n_lower):
+def _swap_rows(rows, cols, vals, i, n, n_lower):
     # slots 0 and 1 of every column carry values of opposite sign
-    j = i - i % f
-    rows[j], rows[j + 1] = rows[j + 1], rows[j]
-    return {i // f}
+    j = i % n
+    rows[j], rows[j + n] = rows[j + n], rows[j]
+    return {j}
 
 
-def _swap_entries(rows, cols, vals, i, f, n, n_lower):
-    j = i - i % f
-    rows[j], rows[j + 1] = rows[j + 1], rows[j]
-    vals[j], vals[j + 1] = vals[j + 1], vals[j]
+def _swap_entries(rows, cols, vals, i, n, n_lower):
+    j = i % n
+    rows[j], rows[j + n] = rows[j + n], rows[j]
+    vals[j], vals[j + n] = vals[j + n], vals[j]
     return set()
 
 
@@ -554,11 +599,10 @@ class TestSlotProof:
         # a mutant of dimension 1 shows in the check of dimension 2
         for d in (1, 2, cx.top_dim):
             rows, _, vals = cx.boundary_triplets(d)
-            f = len(rows) // cx.dims[d]
-            assert vals[0] == -vals[1]
+            assert vals[0] == -vals[cx.dims[d]]
             for i in (0, len(rows) // 2 + 1, len(rows) - 1):
                 mutant = build()
-                broken = mutate(*mutant.boundary_triplets(d), i, f,
+                broken = mutate(*mutant.boundary_triplets(d), i,
                                 cx.dims[d], cx.dims[d - 1])
                 assert not _slots_cancel_at(mutant, max(d, 2))
                 verdict = _verdict(mutant)
@@ -575,13 +619,59 @@ class TestSlotProof:
         # two vertices, two parallel edges and two loops, each edge's faces
         # as (-1, +1); disc 0 is bounded by the parallel edges and cancels
         # between its slots' vertices, disc 1 by the loops and cancels
-        # within each loop, so no pairing of slots holds in both columns
+        # within each loop, so no pairing of slots holds in both columns.
+        # The triplets are slot-major: slot 0 of every column, then slot 1.
         cx = ChainComplex.from_json_dict({"dims": [2, 4, 2], "boundary": {
-            "1": [[0, 0, -1], [1, 0, 1], [0, 1, -1], [1, 1, 1],
-                  [0, 2, -1], [0, 2, 1], [1, 3, -1], [1, 3, 1]],
-            "2": [[0, 0, 1], [1, 0, -1], [2, 1, 1], [3, 1, -1]]}})
+            "1": [[0, 0, -1], [0, 1, -1], [0, 2, -1], [1, 3, -1],
+                  [1, 0, 1], [1, 1, 1], [0, 2, 1], [1, 3, 1]],
+            "2": [[0, 0, 1], [2, 1, 1], [1, 0, -1], [3, 1, -1]]}})
+        for d in (1, 2):
+            assert complexes._slot_width(cx.boundary_triplets(d),
+                                         cx.dims[d]) == 2
         assert not _slots_cancel_at(cx, 2)
         assert _verdict(cx) is None
+
+    @pytest.mark.parametrize("build", SLOT_BUILDERS.values(),
+                             ids=SLOT_BUILDERS.keys())
+    def test_builders_write_slot_major(self, build):
+        cx = build()
+        for d in range(1, cx.top_dim + 1):
+            n = cx.dims[d]
+            rows, cols, vals = cx.boundary_triplets(d)
+            f = len(rows) // n
+            assert f == 2 * d and cols == array("l", range(n)) * f
+            for k in range(f):
+                assert set(vals[k * n:(k + 1) * n]) == {vals[k * n]}
+
+    def test_column_major_layout_falls_back_to_the_column_check(
+            self, monkeypatch):
+        valid = SLOT_BUILDERS["swiatkowski-canonical"]()
+
+        def column_major():
+            boundaries = {}
+            for d in range(1, valid.top_dim + 1):
+                rows, cols, vals = valid.boundary_triplets(d)
+                order = sorted(range(len(cols)), key=cols.__getitem__)
+                boundaries[d] = tuple(array(a.typecode, map(a.__getitem__,
+                                                            order))
+                                      for a in (rows, cols, vals))
+            return ChainComplex(valid.dims, boundaries)
+
+        columns = []
+        real = ChainComplex._columns
+        monkeypatch.setattr(ChainComplex, "_columns",
+                            lambda cx, d: columns.append(d) or real(cx, d))
+        cx = column_major()
+        for d in range(1, cx.top_dim + 1):
+            assert complexes._slot_width(cx.boundary_triplets(d),
+                                         cx.dims[d]) is None
+        assert _verdict(cx) is None
+        assert columns == list(range(1, cx.top_dim + 1))
+        bad = column_major()
+        rows, cols, vals = bad.boundary_triplets(2)
+        i = len(vals) // 2
+        vals[i] = -vals[i]
+        assert _verdict(bad) == f"dd != 0 at dimension 2, cell {cols[i]}"
 
     @pytest.mark.parametrize("build", [
         lambda: build_swiatkowski(build_family("k4"), 3),

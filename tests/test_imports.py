@@ -1,6 +1,6 @@
-"""Every module-level import in src/confhom and in the tests is used: a name
-bound by an import must be read somewhere in its module, or re-exported via
-__all__."""
+"""Every module-level import in src/confhom, in the tests and in the
+benchmark scripts is used: a name bound by an import must be read somewhere
+in its module, or re-exported via __all__.  The files are only parsed."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "confhom"
+BENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(tree):
@@ -31,8 +32,9 @@ def unused_imports(tree):
 
 
 @pytest.mark.parametrize(
-    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
-    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
+    "path", (sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+             + sorted(BENCH.glob("*.py"))),
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
