@@ -2,7 +2,8 @@
 
 Cells are stored as packed integer keys per dimension (the packing is
 model-specific and owned by the builder); boundary matrices are triplet
-arrays mapping d-cells to (d-1)-chains.
+arrays mapping d-cells to (d-1)-chains, or runs of columns (`SlotRuns`)
+that expand into such arrays.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 import functools
 import gc
 from array import array
-from operator import itemgetter
+from dataclasses import dataclass
+from itertools import repeat
+from operator import add, itemgetter, lt, mul, sub
 
 # Entries of the (d-2)-targets the slot proof of `check_boundary_squared`
 # gathers at once: the columns it takes per step shrink as the number of
@@ -54,6 +57,10 @@ class ChainComplex:
     boundaries[d] is (rows, cols, vals) with rows indexing (d-1)-cells,
     cols indexing d-cells.  The triplets may come in any order; entries
     repeated at one (row, col) are summed and zero entries are ignored.
+    A builder may instead give boundaries[d] as runs of columns
+    (`SlotRuns`): `boundary_triplets(d)` expands them on first use and
+    puts the triplets in their place, so every reader, the d^2 check
+    included, sees one form of each dimension at a time.
     `cells[d]` lists packed cell keys in canonical order; `describe` and
     `cell_faces` are builder-supplied callbacks used for pretty-printing
     and for evaluating boundaries of sparse chains without materializing
@@ -131,9 +138,14 @@ class ChainComplex:
         self._morse = None
 
     def boundary_triplets(self, d):
-        if d <= 0 or d > self.top_dim:
+        """(rows, cols, vals) of dimension d, empty outside 1..top; runs
+        are expanded here, once, and replaced by their triplets."""
+        b = self.boundaries.get(d) if 0 < d <= self.top_dim else None
+        if b is None:
             return array("l"), array("l"), array("l")
-        return self.boundaries.get(d, (array("l"), array("l"), array("l")))
+        if isinstance(b, SlotRuns):
+            b = self.boundaries[d] = b.expand()
+        return b
 
     @pause_gc
     def check_boundary_squared(self):
@@ -141,15 +153,41 @@ class ChainComplex:
         every dimension >= 2, summing each column's entries wherever they
         sit in the triplets.
 
-        Each dimension d is first given to the slot proof (`_slots_cancel`),
-        which both builders' layout admits.  The triplets of dimension d are
-        written slot-major: every column has F entries, and the entries of
-        slot k for columns 0..n-1 form one contiguous run, so entry k*n + c
-        is slot k of column c, `cols` is `array("l", range(n)) * F`, and
-        every entry of slot k has the value v_k.  Let the triplets of
-        dimension d-1 be laid out alike, with G slots of values w_l, and
-        write rows_k[c] and lower_l[r] for the row in slot k of column c and
-        in slot l of column r.  Then
+        Each dimension is validated first, once.  Triplets must have one
+        row, column and value per entry, rows in range(dims[d-1]) and
+        columns in range(dims[d]); else the error names the dimension and
+        the entry.  Runs (`SlotRuns`) are kept as they are only if they
+        pass `_runs_valid`: both lists of starts rise strictly from 0 to
+        the number of cells, every offset is the start of a run below,
+        every map has its run's length and its values lie in range of that
+        run below.  Any other runs are expanded and validated as triplets.
+
+        The run proof (`_runs_cancel`) takes a pair of run-described
+        dimensions, with slot values v_k in dimension d and w_l in d-1.
+        Slot k of dimension d sends column s_j + i of run j to row
+        o_kj + f_kj(i) of dimension d-1, where o_kj is the start of run
+        q = q(k, j) below and f_kj an index map, and slot l of dimension d-1
+        sends that row on to o'_lq + f'_lq(f_kj(i)).  So over the whole run
+        the target of the slot pair (k, l) is the offset o'_lq plus the
+        composite map f'_lq . f_kj, and pairs with equal offsets and equal
+        composites (compared by content) hit the same cell in every column
+        of the run.  When the pairs fall into such classes whose
+        coefficients v_k * w_l sum to 0, d^2 is 0 on the whole run.  As in
+        the slot proof below, the classes are formed over a chunk of runs at
+        once, so equal only over those runs is enough.  The validation is
+        what makes this exact: the offsets o_kj are the runs that dimension
+        d-1 describes, and no map value leaves its run or wraps around.
+
+        Any pair of dimensions the run proof does not prove is expanded
+        (the triplets replace the runs) and given to the slot proof
+        (`_slots_cancel`), which both builders' layout admits.  The
+        triplets of dimension d are written slot-major: every column has F
+        entries, and the entries of slot k for columns 0..n-1 form one
+        contiguous run, so entry k*n + c is slot k of column c, `cols` is
+        `array("l", range(n)) * F`, and every entry of slot k has the value
+        v_k.  Let the triplets of dimension d-1 be laid out alike, with G
+        slots of values w_l, and write rows_k[c] and lower_l[r] for the row
+        in slot k of column c and in slot l of column r.  Then
 
             d(d(e_c)) = sum over k, l of v_k * w_l * e_{T_kl[c]},
             T_kl[c] = lower_l[rows_k[c]],
@@ -159,25 +197,60 @@ class ChainComplex:
         in every column.  The proof gathers the vectors over a few thousand
         columns at a time and groups them there, so equal only over those
         columns is enough.  Repeated rows and zero values need no special
-        case, because the sum is linear in the entries.
+        case, because the sum is linear in the entries.  Each dimension's
+        slot layout is recognised once per check.
 
         A dimension whose layout is not uniform (explicit, JSON, Morse and
         reduced complexes) or whose classes do not all cancel is checked
         column by column: each column's d^2 is accumulated in a dict, and
         the first column with a non-zero entry is named in the error.  So
-        the check is exact either way, and only the column check rejects a
-        complex.
+        the check is exact whichever proof passes, and only the column
+        check and the validation reject a complex.
 
         The check runs every time it is called.  A pass is recorded on the
         complex, and `homology` then does not check it again; a failure
         drops any cached reduction and Morse complex, so that no consumer
         reuses either for an invalid complex.
         """
+        try:
+            self._check_boundary_squared()
+        except BoundaryError:
+            self._drop_caches()
+            raise
+        self._checked = True
+
+    def _check_boundary_squared(self):
+        dims = self.dims
+        runs = {}  # d -> validated runs, while boundaries[d] holds them
+        stats = {}
+        for d in range(1, self.top_dim + 1):
+            b = self.boundaries.get(d)
+            if isinstance(b, SlotRuns):
+                if id(b.table) not in stats:
+                    stats[id(b.table)] = _map_stats(b.table)
+                if _runs_valid(b, dims[d], dims[d - 1], stats[id(b.table)]):
+                    runs[d] = b
+                    continue
+            _check_entries(self.boundary_triplets(d), d, dims)
+        widths = {}
+        composites = None
         lower = None
         for d in range(2, self.top_dim + 1):
-            if _slots_cancel(self.boundary_triplets(d), self.dims[d],
-                             self.boundary_triplets(d - 1), self.dims[d - 1],
-                             self.dims[d - 2]):
+            if d in runs and d - 1 in runs:
+                if composites is None or composites.table is not runs[d].table:
+                    composites = _Composites(runs[d].table)
+                if _runs_cancel(runs[d], runs[d - 1], composites):
+                    lower = None
+                    continue
+            for e in (d - 1, d):
+                if e not in widths:
+                    runs.pop(e, None)
+                    widths[e] = _slot_width(self.boundary_triplets(e),
+                                            dims[e])
+            if widths[d] and widths[d - 1] and _slots_cancel(
+                    self.boundary_triplets(d), widths[d],
+                    self.boundary_triplets(d - 1), widths[d - 1],
+                    dims[d - 2]):
                 lower = None
                 continue
             if lower is None:
@@ -189,10 +262,8 @@ class ChainComplex:
                     for g, w in lower[r]:
                         acc[g] = acc.get(g, 0) + v * w
                 if any(acc.values()):
-                    self._drop_caches()
                     raise BoundaryError(f"dd != 0 at dimension {d}, cell {c}")
             lower = upper
-        self._checked = True
 
     def _columns(self, d):
         """List over d-cells of [(row, val), ...], zero entries dropped."""
@@ -210,7 +281,7 @@ class ChainComplex:
             "dims": list(self.dims),
             "boundary": {
                 str(d): [[int(r), int(c), int(v)]
-                         for r, c, v in zip(*self.boundaries[d])]
+                         for r, c, v in zip(*self.boundary_triplets(d))]
                 for d in sorted(self.boundaries)
             },
         }
@@ -220,7 +291,7 @@ class ChainComplex:
         """Complex from `to_json_dict` output.  It is input from outside the
         program, so ValueError names the dimension and the entry of a
         negative dim, a boundary key outside 1..top, or a triplet whose row
-        or column names no cell."""
+        or column names no cell (the last a BoundaryError)."""
         dims = list(data["dims"])
         for d, size in enumerate(dims):
             if size < 0:
@@ -231,17 +302,10 @@ class ChainComplex:
             if not 1 <= d < len(dims):
                 raise ValueError(f"boundary key {dstr!r} is outside "
                                  f"1..{len(dims) - 1}")
-            for t in trips:
-                for what, x, size in (("row", t[0], dims[d - 1]),
-                                      ("column", t[1], dims[d])):
-                    if not 0 <= x < size:
-                        raise ValueError(
-                            f"boundary entry {list(t)} of dimension {d}: "
-                            f"{what} {x} is outside range({size})")
-            rows = array("l", (t[0] for t in trips))
-            cols = array("l", (t[1] for t in trips))
-            vals = array("l", (t[2] for t in trips))
-            boundaries[d] = (rows, cols, vals)
+            rows, cols, vals = ([t[i] for t in trips] for i in range(3))
+            _check_entries((rows, cols, vals), d, dims)
+            boundaries[d] = (array("l", rows), array("l", cols),
+                             array("l", vals))
         cx = cls(dims, boundaries, cells=None, meta={"model": "json"})
 
         columns = {}
@@ -256,6 +320,165 @@ class ChainComplex:
 
     def __repr__(self):
         return f"<ChainComplex dims={self.dims} model={self.meta.get('model')}>"
+
+
+def _check_entries(trips, d, dims):
+    """Raise BoundaryError unless the triplets of dimension d have as many
+    rows as columns and values, rows in range(dims[d-1]) and columns in
+    range(dims[d]); the error names the first entry out of range."""
+    rows, cols, vals = trips
+    if not len(rows) == len(cols) == len(vals):
+        raise BoundaryError(
+            f"boundary of dimension {d} has {len(rows)} rows, {len(cols)} "
+            f"columns and {len(vals)} values")
+    for what, xs, size in (("row", rows, dims[d - 1]),
+                           ("column", cols, dims[d])):
+        if xs and not (min(xs) >= 0 and max(xs) < size):
+            i = next(i for i, x in enumerate(xs) if not 0 <= x < size)
+            raise BoundaryError(
+                f"boundary entry {[rows[i], cols[i], vals[i]]} of dimension "
+                f"{d}: {what} {xs[i]} is outside range({size})")
+
+
+@dataclass(slots=True)
+class SlotRuns:
+    """The boundary of one dimension as runs of columns, the form in which
+    `build_swiatkowski` writes it: the half-edge complex is a free module
+    over the edge monomials, and one run holds the cells of one state of
+    the vertices, one cell per monomial.
+
+    The columns 0..n-1 fall into runs [starts[j], starts[j+1]), and the
+    rows into the runs of the dimension below, which start at
+    `face_starts`; the last entry of either list is its number of cells.
+    Every column has F = len(signs) faces in one slot order, and slot k has
+    the value signs[k] in every column.  Slot k sends column starts[j] + i
+    to row
+
+        offsets[k][j] + table[maps[k][j]][i],
+
+    where offsets[k][j] is the start of a run below and the index map
+    table[maps[k][j]] gives, for each column of run j, a position in that
+    run.  The table of maps is shared by every dimension of a complex.
+    """
+
+    starts: list
+    face_starts: list
+    signs: list
+    offsets: list
+    maps: list
+    table: list
+
+    def expand(self):
+        """The slot-major triplets (see `check_boundary_squared`): slot k's
+        rows for every column, in column order, then slot k+1's; `cols` is
+        `array("l", range(n)) * F` and `vals` an array("b")."""
+        n = self.starts[-1]
+        table = self.table
+        rows = array("l")
+        vals = array("b")
+        for sign, offsets, maps in zip(self.signs, self.offsets, self.maps):
+            slot = []
+            for o, m in zip(offsets, maps):
+                f = table[m]
+                slot += (range(o + f.start, o + f.stop, f.step)
+                         if type(f) is range else map(add, f, repeat(o)))
+            # fromlist copies a list 1.5-2 times faster than extend takes
+            # an iterator's items
+            rows.fromlist(slot)
+            vals.extend(array("b", [sign]) * n)
+        return rows, array("l", range(n)) * len(self.signs), vals
+
+
+def _rising(starts, n):
+    """True when starts rise strictly from 0 to n."""
+    return (len(starts) > 0 and starts[0] == 0 and starts[-1] == n
+            and all(map(lt, starts, starts[1:])))
+
+
+def _map_stats(table):
+    """Length, least and largest value of every map of a table."""
+    return (list(map(len, table)), [min(f, default=0) for f in table],
+            [max(f, default=0) for f in table])
+
+
+def _runs_valid(runs, n, m, stats):
+    """True when `runs` describes a boundary of n columns with rows among m
+    cells: both lists of starts rise strictly from 0 to n and to m, every
+    slot has one offset and one map id per run, every offset is the start
+    of a run below, and every map has its run's length and its values in
+    range(length of that run below).  `stats` is `_map_stats(runs.table)`.
+    Then every row is in range(m), and no map index wraps around."""
+    starts, face_starts = runs.starts, runs.face_starts
+    if not (_rising(starts, n) and _rising(face_starts, m)
+            and len(runs.offsets) == len(runs.maps) == len(runs.signs)):
+        return False
+    lengths = list(map(sub, starts[1:], starts))
+    room = dict(zip(face_starts, map(sub, face_starts[1:], face_starts)))
+    lens, lows, highs = stats
+    for offsets, maps in zip(runs.offsets, runs.maps):
+        if len(offsets) != len(lengths) or len(maps) != len(lengths):
+            return False
+        if not lengths:
+            continue
+        if min(maps) < 0 or max(maps) >= len(lens):
+            return False
+        below = list(map(room.get, offsets))
+        if (None in below or list(map(lens.__getitem__, maps)) != lengths
+                or min(map(lows.__getitem__, maps)) < 0
+                or not all(map(lt, map(highs.__getitem__, maps), below))):
+            return False
+    return True
+
+
+class _Composites(dict):
+    """Key ml * len(table) + mk -> a small int naming the content of the
+    composite map table[ml] . table[mk]; composites with equal contents
+    get the same int.  Each content is computed and hashed once."""
+
+    def __init__(self, table):
+        super().__init__()
+        self.table = table
+        self.ids = {}
+
+    def __missing__(self, key):
+        ml, mk = divmod(key, len(self.table))
+        content = tuple(map(self.table[ml].__getitem__, self.table[mk]))
+        self[key] = cid = self.ids.setdefault(content, len(self.ids))
+        return cid
+
+
+def _runs_cancel(upper, lower, composites):
+    """True when the run proof of `ChainComplex.check_boundary_squared`
+    shows that the runs `upper` composed with the runs `lower` give 0;
+    False when it cannot, which says nothing about d^2 itself.  Both must
+    have passed `_runs_valid`; `composites` is a `_Composites` of their
+    shared table.
+
+    The runs are taken a chunk at a time, and each slot's lower runs are
+    gathered once per chunk; a key of each slot pair per run is then the
+    lower offset and the id of the composite map."""
+    if upper.face_starts != lower.starts or upper.table is not lower.table:
+        return False
+    run_of = {s: q for q, s in enumerate(lower.starts)}
+    t = len(upper.table)
+    # lower map ids times t, to which an upper map id adds a composite key
+    scaled = [list(map(mul, maps, repeat(t))) for maps in lower.maps]
+    nruns = len(upper.starts) - 1
+    step = max(1, SLOT_CHUNK_ENTRIES // (len(upper.signs) * len(lower.signs)))
+    for a in range(0, nruns, step):
+        b = min(nruns, a + step)
+        sums = {}
+        for v, offsets, maps in zip(upper.signs, upper.offsets, upper.maps):
+            gather = _getter(_getter(offsets[a:b])(run_of))
+            maps = maps[a:b]
+            for w, low, low_scaled in zip(lower.signs, lower.offsets, scaled):
+                key = (gather(low), tuple(map(
+                    composites.__getitem__,
+                    map(add, gather(low_scaled), maps))))
+                sums[key] = sums.get(key, 0) + v * w
+        if any(sums.values()):
+            return False
+    return True
 
 
 def _slot_width(trips, n):
@@ -289,19 +512,16 @@ def _getter(slot):
     return lambda seq, i=slot[0]: (seq[i],)
 
 
-def _slots_cancel(upper, n, lower, m, p):
+def _slots_cancel(upper, f, lower, g, p):
     """True when the slot proof of `ChainComplex.check_boundary_squared`
-    shows that the boundary triplets `upper`, of n columns, composed with
-    the triplets `lower`, of m columns and rows among p cells, give 0;
-    False when it cannot, which says nothing about d^2 itself.
+    shows that the boundary triplets `upper`, slot-major with f slots,
+    composed with the triplets `lower`, slot-major with g slots and rows in
+    range(p), give 0; False when it cannot, which says nothing about d^2
+    itself.
 
-    Each lower slot becomes a list of one shared int object per cell (a
-    row outside range(p) raises), so a gather only copies references and
-    equal targets compare by identity."""
-    f = _slot_width(upper, n)
-    g = _slot_width(lower, m) if f else None
-    if not g:
-        return False
+    Each lower slot becomes a list of one shared int object per cell, so a
+    gather only copies references and equal targets compare by identity."""
+    n, m = len(upper[0]) // f, len(lower[0]) // g
     rows, v, w = upper[0], upper[2][::n], lower[2][::m]
     ids = list(range(p))
     lower_slots = []

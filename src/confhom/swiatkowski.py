@@ -17,10 +17,9 @@ which `homology` and class ranks use in place of reducing it cell by cell.
 
 from __future__ import annotations
 
-from array import array
 from math import comb
 
-from .complexes import Chain, ChainComplex, ResourceLimitExceeded
+from .complexes import Chain, ChainComplex, ResourceLimitExceeded, SlotRuns
 from .graph import Graph, GraphError
 
 EMPTY = 0
@@ -302,44 +301,55 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
             run_start[pack] = start
             runs[hcount].append((pack, used, faces, start, len(lst)))
 
+    # Index maps within a run, in one table shared by every dimension: the
+    # identity of each run length, and one more particle on edge j.
+    table = []
+    map_id = {}  # ("id", length) or (r, j) -> position in table
     positions = {}  # r -> {distribution: index in compositions(r)}
-    shift_cache = {}
+
+    def identity(length):
+        if ("id", length) not in map_id:
+            map_id["id", length] = len(table)
+            table.append(range(length))
+        return map_id["id", length]
 
     def shifted(r, j):
-        """Position in compositions(r + 1) of each distribution of
-        compositions(r) with one more particle on edge j."""
-        if (r, j) not in shift_cache:
+        """Id of the map sending each distribution of compositions(r) to
+        its position in compositions(r + 1) with one more particle on edge
+        j."""
+        if (r, j) not in map_id:
             if r + 1 not in positions:
                 positions[r + 1] = {
                     ep: i for i, ep in enumerate(compositions(r + 1))}
             pos = positions[r + 1]
             step = enc.eplace[j]
-            shift_cache[r, j] = [pos[ep + step] for ep in compositions(r)]
-        return shift_cache[r, j]
+            map_id[r, j] = len(table)
+            table.append([pos[ep + step] for ep in compositions(r)])
+        return map_id[r, j]
 
     # All cells of a run share one state pack, and the i-th cell's face
     # sits in the run of the face's state pack: at position i, or at the
     # shifted position when a particle moves onto an edge.  Every d-cell
-    # has its 2d faces in one slot order, with one sign per slot, so the
-    # triplets are written slot-major (see `check_boundary_squared`): slot
-    # by slot, each slot's rows for all columns in one run.
+    # has its 2d faces in one slot order, with one sign per slot, so each
+    # dimension's boundary is written as runs (`SlotRuns`): per slot, the
+    # face run's start and the id of the index map, for every run.  No
+    # per-entry row is written; `ChainComplex.boundary_triplets` expands
+    # the runs into slot-major triplets when a consumer reads them.
+    starts = [[start for _, _, _, start, _ in rs] + [len(c)]
+              for rs, c in zip(runs, cells)]
     boundaries = {}
     for d in range(1, top + 1):
-        ncols = len(cells[d])
-        rows = array("l")
-        vals = array("b")
         first_faces = runs[d][0][2] if runs[d] else ()
-        for slot, (_, _, sign) in enumerate(first_faces):
-            for pack, used, faces, start, stop in runs[d]:
-                dstate, edge, _ = faces[slot]
-                s0 = run_start[pack + dstate]
-                # fromlist copies a list 1.5-2 times faster than extend
-                # takes an iterator's items
-                rows.fromlist(list(range(s0, s0 + stop - start))
-                              if edge is None
-                              else [s0 + i for i in shifted(n - used, edge)])
-            vals.extend(array("b", [sign]) * ncols)
-        boundaries[d] = (rows, array("l", range(ncols)) * (2 * d), vals)
+        offsets, maps = [], []
+        for slot in range(len(first_faces)):
+            offsets.append([run_start[pack + faces[slot][0]]
+                            for pack, _, faces, _, _ in runs[d]])
+            maps.append([identity(stop - start) if faces[slot][1] is None
+                         else shifted(n - used, faces[slot][1])
+                         for _, used, faces, start, stop in runs[d]])
+        boundaries[d] = SlotRuns(starts[d], starts[d - 1],
+                                 [sign for _, _, sign in first_faces],
+                                 offsets, maps, table)
 
     def morse():
         # imported on first use: importing confhom does not load it

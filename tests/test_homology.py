@@ -2,11 +2,14 @@
 reduction soundness, the d^2 = 0 check, boundary solving, and generator
 extraction."""
 
+import copy
+import functools
 import gc
 import hashlib
 import importlib
 import itertools
 import multiprocessing.process
+import re
 import subprocess
 import tracemalloc
 from array import array
@@ -17,12 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confhom import complexes
-from confhom.complexes import BoundaryError, Chain, ChainComplex
-from confhom.graph import build_family, order_vertices, subdivide_for
+from confhom.complexes import BoundaryError, Chain, ChainComplex, SlotRuns
+from confhom.graph import Graph, build_family, order_vertices, subdivide_for
 from confhom.homology import (EngineError, ReductionStats, homology,
                               homology_generators, morse_reduce,
                               smith_normal_form, solve_boundary)
-from confhom.swiatkowski import build_swiatkowski
+from confhom.swiatkowski import build_reduced_at, build_swiatkowski
 from confhom.abrams import build_abrams
 
 
@@ -348,6 +351,31 @@ class TestErrors:
         with pytest.raises(ValueError, match=message):
             ChainComplex.from_json_dict(data)
 
+    @pytest.mark.parametrize("d, entry, message", [
+        (1, 0, r"entry \[5, 0, 1\] of dimension 1: row 5 is outside "
+               r"range\(2\)"),
+        (2, 1, r"entry \[0, 1, -1\] of dimension 2: column 1 is outside "
+               r"range\(1\)"),
+    ], ids=["row", "column"])
+    def test_entries_out_of_range_are_refused(self, d, entry, message):
+        # an interval with both ends on vertex 0 and a disc on it, written
+        # slot-major by hand; one entry is then moved out of range
+        boundaries = {e: (array("l", [0, 0]), array("l", [0, 0]),
+                          array("l", [1, -1])) for e in (1, 2)}
+        boundaries[d][d - 1][entry] = 5 if d == 1 else 1
+        cx = ChainComplex([2, 1, 1], boundaries)
+        with pytest.raises(BoundaryError, match=message):
+            cx.check_boundary_squared()
+        assert not cx._checked
+
+    def test_unequal_triplet_lengths_are_refused(self):
+        cx = toy_complex(2)
+        cx.boundaries[2] = (array("l", [0, 0]), array("l", [0]),
+                            array("l", [1]))
+        with pytest.raises(BoundaryError, match=r"dimension 2 has 2 rows, "
+                           r"1 columns and 1 values"):
+            cx.check_boundary_squared()
+
     @pytest.mark.parametrize("model", ["swiatkowski", "abrams"])
     @pytest.mark.parametrize("where", ["dim2", "top"])
     def test_one_flipped_sign_is_detected(self, model, where):
@@ -530,14 +558,18 @@ def _verdict(cx):
 def _column_verdict(cx, monkeypatch):
     """The verdict of the column-by-column check alone."""
     with monkeypatch.context() as m:
+        m.setattr(complexes, "_runs_cancel", lambda *args: False)
         m.setattr(complexes, "_slots_cancel", lambda *args: False)
         return _verdict(cx)
 
 
 def _slots_cancel_at(cx, d):
-    return complexes._slots_cancel(cx.boundary_triplets(d), cx.dims[d],
-                                   cx.boundary_triplets(d - 1),
-                                   cx.dims[d - 1], cx.dims[d - 2])
+    """The slot proof of dimension d on the expanded triplets."""
+    upper, lower = cx.boundary_triplets(d), cx.boundary_triplets(d - 1)
+    f = complexes._slot_width(upper, cx.dims[d])
+    g = complexes._slot_width(lower, cx.dims[d - 1])
+    return bool(f and g) and complexes._slots_cancel(upper, f, lower, g,
+                                                     cx.dims[d - 2])
 
 
 SLOT_BUILDERS = {
@@ -697,6 +729,247 @@ class TestSlotProof:
         cx = build()
         cx.check_boundary_squared()
         assert cx._checked
+
+
+def _run_proof_at(cx, d):
+    """True when dimensions d and d-1 are runs that `_runs_valid` accepts
+    and the run proof passes them."""
+    pair = [(cx.boundaries.get(e), e) for e in (d, d - 1)]
+    return all(isinstance(b, SlotRuns) and complexes._runs_valid(
+        b, cx.dims[e], cx.dims[e - 1], complexes._map_stats(b.table))
+        for b, e in pair) and complexes._runs_cancel(
+        pair[0][0], pair[1][0], complexes._Composites(pair[0][0].table))
+
+
+def _two_pieces():
+    """A theta graph beside a star: disconnected, with parallel edges."""
+    return Graph(["u", "v", "c", "l0", "l1", "l2"],
+                 [("e1", "u", "v"), ("e2", "u", "v"), ("e3", "u", "v"),
+                  ("s0", "c", "l0"), ("s1", "c", "l1"), ("s2", "c", "l2")])
+
+
+RUN_BUILDERS = {
+    "all-reduced": lambda: _k33_all(3),
+    "canonical": lambda: build_swiatkowski(build_family("k4"), 3),
+    "essential": lambda: build_swiatkowski(build_family("lasso"), 3,
+                                           reduce_vertices="essential"),
+    "reduced-at": lambda: build_reduced_at(build_family("k33"), 3, "a0"),
+    "truncated": lambda: build_swiatkowski(build_family("k4"), 4,
+                                           reduce_vertices="all", max_dim=1),
+    "disconnected": lambda: build_swiatkowski(_two_pieces(), 3),
+    "disconnected-all": lambda: build_swiatkowski(_two_pieces(), 3,
+                                                  reduce_vertices="all"),
+    "multigraph": lambda: build_swiatkowski(build_family("theta:4"), 3),
+}
+
+
+# Mutants of the runs of one dimension, at slot k and run j, whose face run
+# has `below` cells; each changes what the runs say and leaves the table's
+# maps as they are.  One that cannot apply there returns False.
+
+def _flip_slot_sign(runs, k, j, below):
+    runs.signs[k] = -runs.signs[k]
+
+
+def _swap_slots(runs, k, j, below):
+    # k and k ^ 1 are the two faces of one site, k and k ^ 2 are not
+    for other in (k ^ 1, k ^ 2):
+        if other < len(runs.signs):
+            for a in (runs.offsets, runs.maps):
+                a[k][j], a[other][j] = a[other][j], a[k][j]
+            return
+
+
+def _negate_run(runs, k, j, below):
+    # swapping the two faces of every site negates each column of run j
+    for s in range(0, len(runs.signs), 2):
+        for a in (runs.offsets, runs.maps):
+            a[s][j], a[s + 1][j] = a[s + 1][j], a[s][j]
+
+
+def _move_offset(runs, k, j, below):
+    runs.offsets[k][j] += 1
+
+
+def _retarget(runs, k, j, below):
+    # another run below of the same length: a valid description
+    starts = runs.face_starts
+    other = [a for a, b in zip(starts, starts[1:])
+             if b - a == below and a != runs.offsets[k][j]]
+    if not other:
+        return False
+    runs.offsets[k][j] = other[len(other) // 2]
+
+
+def _shift_starts(runs, k, j, below):
+    runs.starts = [a + 1 for a in runs.starts]
+
+
+def _changed_map(change):
+    def mutate(runs, k, j, below):
+        f = list(runs.table[runs.maps[k][j]])
+        if change(f, below) is False:
+            return False
+        runs.maps[k][j] = len(runs.table)
+        runs.table.append(f)
+    return mutate
+
+
+def _bump(f, below):
+    if below == 1:
+        return False
+    f[-1] = (f[-1] + 1) % below
+
+
+def _negative(f, below):
+    f[len(f) // 2] = -1
+
+
+def _too_large(f, below):
+    f[0] = below
+
+
+def _longer(f, below):
+    f.append(0)
+
+
+def _shorter(f, below):
+    f.pop()
+
+
+RUN_MUTANTS = {
+    "flipped-sign": _flip_slot_sign,
+    "swapped-slots": _swap_slots,
+    "negated-run": _negate_run,
+    "moved-offset": _move_offset,
+    "retargeted-offset": _retarget,
+    "shifted-starts": _shift_starts,
+    "changed-map": _changed_map(_bump),
+    "negative-map": _changed_map(_negative),
+    "map-out-of-range": _changed_map(_too_large),
+    "long-map": _changed_map(_longer),
+    "short-map": _changed_map(_shorter),
+}
+
+
+@functools.cache
+def _run_base(fam, basis):
+    return build_swiatkowski(build_family(fam), 4, reduce_vertices=basis)
+
+
+class TestRunProof:
+    """The half-edge builder writes runs of columns; they expand to the
+    builder's cell faces, the run proof passes them as they are, and no
+    mutant of them passes it: the check gives the column check's verdict
+    on the expanded triplets."""
+
+    @pytest.mark.parametrize("build", RUN_BUILDERS.values(),
+                             ids=RUN_BUILDERS.keys())
+    def test_expansion_gives_each_cells_faces(self, build):
+        cx = build()
+        enc = cx.meta["encoding"]
+        assert all(isinstance(b, SlotRuns) for b in cx.boundaries.values())
+        for d in range(1, cx.top_dim + 1):
+            n, index = cx.dims[d], cx.index(d - 1)
+            rows, cols, vals = cx.boundary_triplets(d)
+            assert cx.boundaries[d] == (rows, cols, vals)
+            f = len(rows) // n
+            assert cols == array("l", range(n)) * f
+            for c, key in enumerate(cx.cells[d]):
+                assert ([(rows[i], vals[i]) for i in range(c, f * n, n)]
+                        == [(index[face], w)
+                            for face, w in enc.cell_faces(key)])
+
+    @pytest.mark.parametrize("basis", ["all", None])
+    @pytest.mark.parametrize("fam", ["theta:4", "k4", "wheel:5"])
+    def test_run_proof_passes_the_builders_runs(self, monkeypatch, fam,
+                                                basis):
+        def refuse(*args):
+            raise AssertionError("runs were expanded or not proved")
+
+        for where, name in ((complexes, "_slots_cancel"),
+                            (SlotRuns, "expand"), (ChainComplex, "_columns")):
+            monkeypatch.setattr(where, name, refuse)
+        cx = build_swiatkowski(build_family(fam), 4, reduce_vertices=basis)
+        cx.check_boundary_squared()
+        assert cx._checked and cx.top_dim >= 2
+        assert all(isinstance(cx.boundaries[d], SlotRuns)
+                   for d in range(1, cx.top_dim + 1))
+
+    @pytest.mark.parametrize("mutate", RUN_MUTANTS.values(),
+                             ids=RUN_MUTANTS.keys())
+    @pytest.mark.parametrize("basis", ["all", None])
+    @pytest.mark.parametrize("fam", ["theta:4", "k4", "wheel:4"])
+    def test_mutants_get_the_column_verdict(self, monkeypatch, fam, basis,
+                                            mutate):
+        base = _run_base(fam, basis)
+        top = base.top_dim
+        for d in (1, 2, top):
+            runs = base.boundaries[d]
+            nruns = len(runs.starts) - 1
+            f = len(runs.signs)
+            for k, j in ((0, 0), (f - 1, nruns // 2), (f // 2, nruns - 1)):
+                # the face run of slot k in run j, and its length
+                q = runs.face_starts.index(runs.offsets[k][j])
+                below = runs.face_starts[q + 1] - runs.face_starts[q]
+                got, expanded = (ChainComplex(base.dims,
+                                              copy.deepcopy(base.boundaries))
+                                 for _ in range(2))
+                if False in [mutate(cx.boundaries[d], k, j, below)
+                             for cx in (got, expanded)]:
+                    continue
+                for e in range(1, top + 1):
+                    expanded.boundary_triplets(e)
+                verdict = _column_verdict(expanded, monkeypatch)
+                assert _verdict(got) == verdict
+                if verdict is not None:
+                    bad = int(re.search(r"dimension (\d+)", verdict)[1])
+                    assert not _run_proof_at(got, max(bad, 2))
+                # negated columns are a change of basis only in the top
+                # dimension, where they are the faces of no cell; a run
+                # retargeted to a like run below may still give a complex
+                if mutate is _negate_run and d == top:
+                    assert verdict is None
+                elif mutate is not _retarget:
+                    assert verdict is not None
+
+    def test_face_runs_must_be_the_runs_below(self, monkeypatch):
+        # an interval whose two ends are swapped by its second face, and a
+        # disc whose faces read the interval's one run as two: each side is
+        # a valid description, but not of one complex
+        table = [range(1), range(2), [1, 0]]
+        cx = ChainComplex([2, 2, 1], {
+            1: SlotRuns([0, 2], [0, 2], [1, -1], [[0], [0]], [[1], [2]],
+                        table),
+            2: SlotRuns([0, 1], [0, 1, 2], [1, -1], [[0], [1]], [[0], [0]],
+                        table)})
+        stats = complexes._map_stats(table)
+        assert all(complexes._runs_valid(cx.boundaries[d], cx.dims[d],
+                                         cx.dims[d - 1], stats)
+                   for d in (1, 2))
+        assert not _run_proof_at(cx, 2)
+        assert (_verdict(cx) == _column_verdict(cx, monkeypatch)
+                == "dd != 0 at dimension 2, cell 0")
+
+    @pytest.mark.parametrize("basis", ["all", None])
+    def test_json_round_trip_of_runs(self, basis):
+        def build():
+            return build_swiatkowski(build_family("k4"), 3,
+                                     reduce_vertices=basis)
+
+        cx = build()
+        assert all(isinstance(b, SlotRuns) for b in cx.boundaries.values())
+        loaded = ChainComplex.from_json_dict(cx.to_json_dict())
+        assert homology(loaded).dims == homology(build()).dims
+
+    def test_each_slot_layout_is_recognised_once(self, monkeypatch):
+        widths = []
+        real = complexes._slot_width
+        monkeypatch.setattr(complexes, "_slot_width", lambda trips, n: (
+            widths.append(n) or real(trips, n)))
+        cx = SLOT_BUILDERS["abrams"]()
+        cx.check_boundary_squared()
+        assert widths == cx.dims[1:]
 
 
 class TestGenerators:
