@@ -42,9 +42,36 @@ flow fixes critical cells, sends upper cells of pairs to 0, and sends a
 lower cell a paired with b to -(1/[db : a]) times the flow of b's other
 faces.  It is an iterative depth-first search with a memo, so no recursion
 limit applies; reaching a cell that is still being expanded is a back edge,
-a cycle of gradient paths, and raises EngineError.  The memo stays with the
-Morse complex, so that carrying cycles into it (`MorseFlow.chain`) reuses
-it.
+a cycle of gradient paths, and raises EngineError.
+
+Tables.  A cell's move, its sign and its faces depend on the monomial m
+only through mask tests, so each state set S (the key's part above the
+edge fields) is compiled once, on first use, into one shared table: the
+scan's tests in order (down at v in S: the E_v field masks below v's code,
+with the partner's key delta; up at v not in S: the field masks of E_v and
+the up moves' deltas), the sign of each test (the parity of the sites of S
+before it in builder order), and the key deltas and coefficients of the
+faces.  Classifying a cell is then one table lookup and a few mask tests.
+
+Pruning.  Let a = m * y_S be a lower cell, matched up at v with code k,
+and b = (m / e_{v,k}) * y_{S+v:k} its partner.  A face of b at a site u of
+S scanned after v, adding the edge e (e_{u,c_u} or e_{r(u)}), is upper,
+matched down at v, unless (i) e is an edge of E_v at a position below k,
+or (ii) e is in E_w for a site w not in S scanned before v.  Proof: b is
+matched down at v, so no site scanned before v has a move on b.  The face
+differs from b only in u's state, which only u reads, and in the edge e,
+which only its owner w reads.  An added edge never creates a down move;
+it creates an up move only at an owner w not in S, case (ii) when w is
+scanned before v; and it breaks v's down move (m / e_{v,k} has no edge of
+E_v below k) only in case (i).  So the flow of a reads a compiled list,
+per (S, v, k) and built the first time such a move fires, of b's other
+faces at v and at sites scanned before v and of the faces in cases (i)
+and (ii); the faces it skips have flow 0.
+
+Memo.  The memo holds the critical cells and the lower cells the flow has
+expanded; an upper cell costs one table lookup to recognise again, so it
+gets no entry.  The memo stays with the Morse complex, so that carrying
+cycles into it (`MorseFlow.chain`) reuses it.
 """
 
 from __future__ import annotations
@@ -147,49 +174,153 @@ class MorseMatching:
             shift += mask.bit_length()
         self.scan = sorted(range(len(enc.sites)),
                            key=lambda i: rank[enc.sites[i]])
+        self.scan_pos = [0] * len(self.scan)
+        for pos, i in enumerate(self.scan):
+            self.scan_pos[i] = pos
+        self.state_shift = bits * len(g.edges)
+        # per site: its up moves as (field mask, partner's key delta,
+        # option), in position order; option j is the move (site, code)
+        self.moves = []
+        self.options = []
+        for i, (shift, _, _, up, _) in enumerate(self.rule):
+            self.moves.append(tuple(
+                (fmask, (code << shift) - unit, len(self.options) + j)
+                for j, (fmask, unit, code) in enumerate(up)))
+            self.options += [(i, code) for _, _, code in up]
+        self._tables = {}  # state part -> (tests, faces)
+        self._followed = {}  # option ident -> faces the flow follows
+        self._shared = {}  # one copy of every equal tuple in the tables
+
+    def _share(self, t):
+        return self._shared.setdefault(t, t)
+
+    def _codes_and_signs(self, st):
+        """The site codes of state part st in builder order, and the sign
+        of each site's term in the boundary: -1 after an odd number of
+        occupied sites."""
+        base = st << self.state_shift
+        codes = [(base >> shift) & mask for shift, mask, _, _ in
+                 self.faces_data]
+        signs, odd = [], 0
+        for c in codes:
+            signs.append(-1 if odd else 1)
+            odd ^= bool(c)
+        return codes, signs
+
+    def _table(self, st):
+        """The compiled table of state part st, built on first use:
+        (tests, faces).  tests are the scan's (mask, up moves, partner
+        delta, sign) in order: a down test (up moves None) fires when the
+        key has no bit of mask, an up test when it has one.  faces are the
+        (key delta, coeff) of the boundary terms."""
+        got = self._tables.get(st)
+        if got is not None:
+            return got
+        share = self._share
+        codes, signs = self._codes_and_signs(st)
+        tests = []
+        for i in self.scan:
+            shift, _, emask, _, below = self.rule[i]
+            c = codes[i]
+            if c:
+                low = below.get(c)
+                if low is not None:
+                    delta = self.faces_data[i][2][c] - (c << shift)
+                    tests.append(share((low, None, delta, signs[i])))
+                    if not low:  # fires on every key: the scan ends here
+                        break
+            elif emask:
+                tests.append(share((emask, self.moves[i], None, signs[i])))
+        faces = []
+        for (shift, _, units, ref_unit), c, sign in zip(self.faces_data,
+                                                        codes, signs):
+            if c:
+                faces.append(share((units[c] - (c << shift), sign)))
+                faces.append(share((ref_unit - (c << shift), -sign)))
+        got = self._tables[st] = (share(tuple(tests)), share(tuple(faces)))
+        return got
+
+    def _move(self, key):
+        """The first move of the scan on key as (partner delta, sign,
+        option ident, None for a down move); None for a critical cell."""
+        st = key >> self.state_shift
+        table = self._tables.get(st) or self._table(st)
+        for mask, moves, delta, sign in table[0]:
+            if key & mask:
+                if moves:
+                    for fmask, partner, j in moves:
+                        if key & fmask:
+                            return partner, sign, st * len(self.options) + j
+            elif moves is None:
+                return delta, sign, None
+        return None
 
     # -- one cell -----------------------------------------------------------
 
+    def face_terms(self, key):
+        """Boundary of one y cell as its table's ((key delta, coeff), ...)."""
+        return self._table(key >> self.state_shift)[1]
+
     def faces(self, key):
         """Boundary of one y cell as [(face key, coeff), ...]."""
-        out = []
-        sign = 1
-        for shift, mask, units, ref_unit in self.faces_data:
-            c = (key >> shift) & mask
-            if c:
-                base = key - (c << shift)
-                out.append((base + units[c], sign))
-                out.append((base + ref_unit, -sign))
-                sign = -sign
-        return out
+        return [(key + d, w) for d, w in self.face_terms(key)]
 
     def classify(self, key):
         """None for a critical cell, else (partner, [d upper : lower], is
         the cell the lower one)."""
-        rule = self.rule
-        for i in self.scan:
-            shift, mask, emask, up, below = rule[i]
-            c = (key >> shift) & mask
-            if c:
-                low = below.get(c)
-                if low is not None and not key & low:
-                    return (key - (c << shift) + self.faces_data[i][2][c],
-                            self._sign(key, i), False)
-            elif key & emask:
-                for fmask, unit, code in up:
-                    if key & fmask:
-                        return (key - unit + (code << shift),
-                                self._sign(key, i), True)
-        return None
+        got = self._move(key)
+        if got is None:
+            return None
+        delta, sign, ident = got
+        return key + delta, sign, ident is not None
 
-    def _sign(self, key, i):
-        """Sign of site i's term in the boundary of a cell that has site i
-        in its state set and agrees with key at every other site."""
-        odd = 0
-        for shift, mask, _, _ in self.faces_data[:i]:
-            if (key >> shift) & mask:
-                odd ^= 1
-        return -1 if odd else 1
+    def followed_faces(self, key):
+        """The flow's step from one cell: None for a critical cell, False
+        for an upper one, and for a lower cell a the (key delta, coeff)
+        terms of flow(a) = sum of coeff * flow(a + delta), from the faces
+        of a's partner that the pruning rule keeps."""
+        got = self._move(key)
+        if got is None:
+            return None
+        ident = got[2]
+        if ident is None:
+            return False
+        followed = self._followed.get(ident)
+        if followed is None:
+            followed = self._followed[ident] = self._split(ident)[0]
+        return followed
+
+    def _split(self, ident):
+        """(followed, skipped) for the up move `ident` (state part times
+        the number of options, plus the option) of a lower cell a: the
+        faces of a's partner b other than a, as (key delta from a, flow
+        coefficient -[db : f]/[db : a]) pairs, split by the pruning rule;
+        every skipped face is upper."""
+        st, j = divmod(ident, len(self.options))
+        i, k = self.options[j]
+        shift, _, units, _ = self.faces_data[i]
+        codes, signs = self._codes_and_signs(st)
+        scale = -signs[i]
+        partner = (k << shift) - units[k]
+        keep = self.rule[i][4][k]  # (i) the E_v edges below k
+        for w in self.scan[:self.scan_pos[i]]:
+            if not codes[w]:
+                keep |= self.rule[w][2]  # (ii) E_w, w before v, not in S
+        codes[i] = k  # b's codes; its signs flip after site i
+        followed, skipped = [], []
+        for u, ((shift, _, units, ref_unit), c, sign) in enumerate(
+                zip(self.faces_data, codes, signs)):
+            if not c:
+                continue
+            if u > i:
+                sign = -sign
+            late = self.scan_pos[u] > self.scan_pos[i]
+            for x, w in ((units[c], sign), (ref_unit, -sign)):
+                delta = partner - (c << shift) + x
+                if delta:  # delta 0 is a itself
+                    out = skipped if late and not x & keep else followed
+                    out.append(self._share((delta, scale * w)))
+        return tuple(followed), tuple(skipped)
 
     # -- all cells ----------------------------------------------------------
 
@@ -264,84 +395,75 @@ class MorseFlow:
         self.matching = matching
         self.memo = {key: {key: 1} for dim in critical for key in dim}
 
-    def cell(self, key):
-        """flow(key), expanding lower cells depth first."""
+    def _flow(self, base, terms):
+        """The sum of q * flow(base + delta) over terms (delta, q), as
+        {critical key: coeff}, expanding lower cells depth first."""
         memo = self.memo
-        val = memo.get(key)
-        if val is not None:
-            return val
-        classify = self.matching.classify
-        faces = self.matching.faces
-        stack = []
+        followed_faces = self.matching.followed_faces
+        stack = [[base, terms, 0, {}]]
         active = set()
-
-        def enter(cell):
-            """Push a frame for an unflowed lower cell, or return the flow
-            of a critical or upper one."""
-            got = classify(cell)
-            if got is None:
-                raise EngineError(f"cell {cell} is critical but not listed")
-            partner, eps, lower = got
-            if not lower:
-                memo[cell] = _EMPTY
-                return _EMPTY
-            if cell in active:
-                raise EngineError("the gradient paths form a cycle")
-            active.add(cell)
-            stack.append([cell, -eps, faces(partner), 0, {}])
-            return None
-
-        val = enter(key)
-        if val is not None:
-            return val
-        while stack:
+        while True:
             frame = stack[-1]
-            cell, scale, fs, i, acc = frame
+            cell, fs, i, acc = frame
             while i < len(fs):
-                f, w = fs[i]
-                if f != cell:
-                    val = memo.get(f)
-                    if val is None:
-                        val = enter(f)
-                        if val is None:
-                            frame[3] = i
-                            break
-                    q = scale * w
-                    for g, x in val.items():
-                        acc[g] = acc.get(g, 0) + q * x
+                delta, q = fs[i]
+                f = cell + delta
+                val = memo.get(f)
+                if val is None:
+                    step = followed_faces(f)
+                    if step is None:
+                        raise EngineError(f"cell {f} is critical but not "
+                                          f"listed")
+                    if step is not False:  # a lower cell: expand it first
+                        if f in active:
+                            raise EngineError("the gradient paths form a "
+                                              "cycle")
+                        active.add(f)
+                        frame[2] = i
+                        stack.append([f, step, 0, {}])
+                        break
+                    val = _EMPTY  # an upper cell
+                for g, x in val.items():
+                    acc[g] = acc.get(g, 0) + q * x
                 i += 1
             else:
                 stack.pop()
+                val = {g: x for g, x in acc.items() if x}
+                if not stack:
+                    return val
                 active.discard(cell)
-                memo[cell] = {g: x for g, x in acc.items() if x} or _EMPTY
-        return memo[key]
+                memo[cell] = val or _EMPTY
+
+    def cell(self, key):
+        """flow(key)."""
+        val = self.memo.get(key)
+        return self._flow(key, ((0, 1),)) if val is None else val
 
     def boundary(self, key):
         """The Morse differential of a critical cell: flow(d key)."""
-        acc = {}
-        for f, w in self.matching.faces(key):
-            for g, x in self.cell(f).items():
-                acc[g] = acc.get(g, 0) + w * x
-        return {g: x for g, x in acc.items() if x}
+        return self._flow(key, self.matching.face_terms(key))
 
     def chain(self, z: Chain, mcx: ChainComplex) -> Chain:
         """A chain of the builder's complex carried into the Morse complex
         mcx: the basis change, then the flow."""
-        acc = {}
         from_builder = self.matching.from_builder
-        for key, coeff in z.data.items():
-            for y, x in from_builder(key):
-                for g, v in self.cell(y).items():
-                    acc[g] = acc.get(g, 0) + coeff * x * v
-        return Chain(mcx, z.dim, acc)
+        terms = [(y, coeff * x) for key, coeff in z.data.items()
+                 for y, x in from_builder(key)]
+        return Chain(mcx, z.dim, self._flow(0, terms))
 
 
 @pause_gc
-def morse_complex(enc):
+def morse_complex(enc, euler):
     """(Morse complex, flow) of the all-reduced half-edge complex encoded by
-    enc: one cell per critical cell, in sorted key order per dimension."""
+    enc, whose Euler characteristic is euler: one cell per critical cell, in
+    sorted key order per dimension.  Raises EngineError when the critical
+    counts do not give that Euler characteristic."""
     matching = MorseMatching(enc)
     cells = matching.critical_cells()
+    got = sum((-1) ** d * len(c) for d, c in enumerate(cells))
+    if got != euler:
+        raise EngineError(f"the critical cells give Euler characteristic "
+                          f"{got}, the complex {euler}")
     flow = MorseFlow(matching, cells)
     boundaries = {}
     for d in range(1, len(cells)):

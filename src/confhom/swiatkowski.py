@@ -351,10 +351,15 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
                                  [sign for _, _, sign in first_faces],
                                  offsets, maps, table)
 
+    # the callback holds the Euler characteristic, not cx: a reference
+    # cycle through cx would keep every dropped complex alive until the
+    # cyclic collector runs
+    euler = sum((-1) ** d * len(c) for d, c in enumerate(cells))
+
     def morse():
         # imported on first use: importing confhom does not load it
         from .critical import morse_complex
-        return morse_complex(enc)
+        return morse_complex(enc, euler)
 
     meta = {"model": "swiatkowski", "graph": g, "n": n,
             "reduced": reduced, "encoding": enc}

@@ -2,8 +2,11 @@
 matching rule against brute force, the basis change, the flow's cycle
 check, and homology and class ranks against the generic reduction."""
 
+import gc
+import hashlib
 import itertools
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -55,6 +58,36 @@ BRUTE = [("k33", 4), ("wheel:5", 4), ("k4", 4), ("theta:4", 3), ("net:4", 3),
          ("lasso", 2), ("linear_tree:3", 3)]
 
 
+def _cyclic_triangle():
+    """A triangle whose references run round it, with its matching."""
+    g = Graph(list("abc"), [("ab", "a", "b"), ("bc", "b", "c"),
+                            ("ca", "c", "a")])
+    refs = {}
+    for v, e in (("a", "ab"), ("b", "bc"), ("c", "ca")):
+        refs[v] = [g.edges[i][0] for i, _ in g.half_edges(v)].index(e)
+    return g, MorseMatching(_encoding(g, 1), order=list("abc"), refs=refs)
+
+
+def _unpruned_flow(m):
+    """The flow of m read off the definition: every face of a lower
+    cell's partner, no tables of followed faces, no cycle check."""
+    memo = {}
+
+    def flow(key):
+        if key not in memo:
+            got = m.classify(key)
+            acc = {key: 1} if got is None else {}
+            if got is not None and got[2]:
+                partner, eps, _ = got
+                for f, w in m.faces(partner):
+                    if f != key:
+                        for g, x in flow(f).items():
+                            acc[g] = acc.get(g, 0) - eps * w * x
+            memo[key] = {g: x for g, x in acc.items() if x}
+        return memo[key]
+    return flow
+
+
 class TestRule:
     @pytest.mark.parametrize("fam,n", BRUTE)
     def test_matching_against_brute_force(self, fam, n):
@@ -74,10 +107,13 @@ class TestRule:
         listed = m.critical_cells()
         assert sorted(critical) == sorted(itertools.chain(*listed))
         assert all(dim == sorted(dim) for dim in listed)
-        # every cell flows without meeting a cycle of gradient paths
+        # every cell flows without meeting a cycle of gradient paths, and
+        # the memo keeps only critical and lower cells
         flow = MorseFlow(m, listed)
         for key in every:
             flow.cell(key)
+        assert all(m.classify(key) is None or m.classify(key)[2]
+                   for key in flow.memo)
 
     @pytest.mark.parametrize("fam,n", BRUTE)
     def test_basis_change_is_a_chain_map(self, fam, n):
@@ -115,12 +151,7 @@ class TestRule:
     def test_a_cycle_of_gradient_paths_raises(self):
         # references running round a triangle match every cell, and the
         # gradient paths from an edge go round it
-        g = Graph(list("abc"), [("ab", "a", "b"), ("bc", "b", "c"),
-                                ("ca", "c", "a")])
-        refs = {}
-        for v, e in (("a", "ab"), ("b", "bc"), ("c", "ca")):
-            refs[v] = [g.edges[i][0] for i, _ in g.half_edges(v)].index(e)
-        m = MorseMatching(_encoding(g, 1), order=list("abc"), refs=refs)
+        g, m = _cyclic_triangle()
         assert all(m.classify(key) is not None for key in _every_y_cell(m))
         flow = MorseFlow(m, m.critical_cells())
         with pytest.raises(EngineError, match="cycle"):
@@ -132,6 +163,63 @@ class TestRule:
     def test_critical_counts_are_pinned(self, fam, n, count):
         cells = MorseMatching(_encoding(build_family(fam), n)).critical_cells()
         assert sum(map(len, cells)) == count
+
+    @pytest.mark.parametrize("fam,n", BRUTE + [("cyclic", 1)])
+    def test_pruned_faces_are_upper(self, fam, n):
+        # per lower cell, the followed faces and the skipped ones are the
+        # partner's faces other than the cell, with the flow's weights
+        if fam == "cyclic":
+            _, m = _cyclic_triangle()
+        else:
+            m = MorseMatching(_encoding(_graph(fam), n))
+        for key in _every_y_cell(m):
+            got = m.classify(key)
+            if got is None or not got[2]:
+                continue
+            partner, eps, _ = got
+            followed, skipped = m._split(m._move(key)[2])
+            assert m.followed_faces(key) == followed
+            assert sorted((key + d, q) for d, q in followed + skipped) == \
+                sorted((f, -eps * w) for f, w in m.faces(partner) if f != key)
+            for d, _ in skipped:
+                upper = m.classify(key + d)
+                assert upper is not None and not upper[2]
+
+    @pytest.mark.parametrize("fam,n", BRUTE)
+    def test_flow_equals_the_unpruned_flow(self, fam, n):
+        m = MorseMatching(_encoding(_graph(fam), n))
+        flow = MorseFlow(m, m.critical_cells())
+        unpruned = _unpruned_flow(m)
+        for key in _every_y_cell(m):
+            assert flow.cell(key) == unpruned(key)
+
+    @pytest.mark.parametrize("fam,n,digest", [
+        ("k33", 5, "6a3cc23324cb966b"), ("wheel:5", 5, "0bb1a07ce8465ac8")])
+    def test_morse_complex_is_pinned(self, fam, n, digest):
+        # the flow may get cheaper, but the differential must not drift
+        cx = build_swiatkowski(build_family(fam), n, reduce_vertices="all")
+        mcx = cx.morse_complex()[0]
+        data = repr([mcx.dims] + [[list(a) for a in mcx.boundary_triplets(d)]
+                                  for d in range(1, mcx.top_dim + 1)])
+        assert hashlib.sha256(data.encode()).hexdigest()[:16] == digest
+
+    def test_a_lost_critical_cell_breaks_the_euler_check(self, monkeypatch):
+        from confhom.cycles import span_rank
+        from confhom.homology import homology_generators
+        g = build_family("theta:4")
+        cx = build_swiatkowski(g, 3, reduce_vertices="all")
+        gens = homology_generators(cx, 1)  # from the generic reduction
+        real = MorseMatching.critical_cells
+
+        def lose_one(m):
+            cells = real(m)
+            cells[1].pop()
+            return cells
+        monkeypatch.setattr(MorseMatching, "critical_cells", lose_one)
+        with pytest.raises(EngineError, match="Euler characteristic"):
+            homology(build_swiatkowski(g, 3, reduce_vertices="all"), dims=1)
+        with pytest.raises(EngineError, match="Euler characteristic"):
+            span_rank(cx, gens, 1)
 
 
 # the core-table complexes above 260k cells (517k to 1.9M), which the
@@ -272,6 +360,19 @@ class TestTwoPaths:
         with pytest.raises(BoundaryError, match="dimension 3"):
             homology(cx)
         assert cx._checked and not mcx._checked and cx._morse is None
+
+    def test_a_dropped_complex_is_freed_at_once(self):
+        # nothing the Morse path attaches refers back to cx, so dropping
+        # cx frees it without the cyclic collector
+        cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
+        homology(cx)
+        ref = weakref.ref(cx)
+        gc.disable()
+        try:
+            del cx
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_peak_memory_of_homology(self):
         # k33 n=5 all-reduced: the Morse path never loads the 26,679 cells
