@@ -109,6 +109,9 @@ def cmd_compute(args):
         "euler": h.euler,
         "elapsed_ms": round(h.elapsed_ms, 3),
     })
+    morse = cx.morse_complex() if args.reduce else None
+    if morse is not None:
+        out["critical_cells"] = morse[0].meta["critical_cells"]
     _emit(out, args.format)
     return 0
 

@@ -9,13 +9,13 @@ that looks at one cell at a time names the critical cells without building
 anything else, and algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006)
 gives a smaller complex with the same homology.
 
-Basis.  Each vertex v gets a reference half-edge r(v): its parent edge in
-a breadth-first search, run per connected component from a vertex of
-maximum degree, and at a root its first half-edge.  The Morse layer works
-in the basis y_{v,j} = h_j - h_{r(v)}, j != r(v), so that d(m * y_S)
-follows the builder's sign rule with e_{r(v)} in place of e_0.  A builder
-cell, in x_{v,c} = h_c - h_0, maps over by x_c = y_c - y_0 for c != r and
-x_r = -y_0, and by the identity where r = 0: a unimodular chain
+Basis.  Each vertex v of nonzero degree gets a reference half-edge r(v)
+from a search of its component (see Order and Choice): the edge the search
+reached v by, and at the search's root its first half-edge.  The Morse
+layer works in the basis y_{v,j} = h_j - h_{r(v)}, j != r(v), so that
+d(m * y_S) follows the builder's sign rule with e_{r(v)} in place of e_0.
+A builder cell, in x_{v,c} = h_c - h_0, maps over by x_c = y_c - y_0 for
+c != r and x_r = -y_0, and by the identity where r = 0: a unimodular chain
 isomorphism, needed only to carry chains into the Morse complex.  A
 generator's code in a y key is its half-edge position, except that
 y_{v,0} takes the code r(v), which is free.
@@ -32,10 +32,58 @@ A cell that reaches the end of the scan is critical.  Both moves change m
 only at edges of E_v, which no other site looks at, so the matching is an
 involution, and every pair has coefficient +-1.
 
+Order.  The matching is acyclic when
+  (C) every site's reference edge joins it to a vertex earlier in the
+      search order, or is its other end's reference edge as well,
+so that the edge is in E_p for a site p scanned earlier or in no E_w at
+all (a free edge).  Proof: give a cell m * y_S the word (f, phi_v1,
+phi_v2, ...) over the sites in scan order, compared lexicographically,
+where f counts m's particles on free edges and phi_v = (m's particles on
+E_v, minus the sum of their positions at v, 1 if v is not in S else 0).
+Let a = m * y_S be matched up at v with position k, e = e_{v,k} and
+b = (m / e) * y_{S+v:k}.  Every face of b other than a that is lower has a
+larger word than a:
+  - at v, e_{r(v)} in place of e: by (C) the first entry to change is f or
+    phi_p for a site p scanned before v, and its count rises;
+  - at u in S, u != v: u leaves S and its particle goes onto an edge e' at
+    u (e_{u,c} or e_{r(u)}), e leaves m and v joins S.  Only f and the
+    entries of u, v and e''s owner w change.  If e' is free, or w comes
+    before u and v, that count rises.  Else if u comes before v, phi_u
+    gains e' or keeps its E_u part while its last entry goes from 0 to 1.
+    Else v comes first: the sites before v are as in a, where no move
+    applies, so the face is lower only if v has no down move, that is, if
+    its E_v part has an edge below k.  a's had none, so that edge is e', at
+    a position j < k, and phi_v keeps its count while its position sum
+    falls by k - j.
+The words are finitely many, so no gradient path comes back to a cell.
+A BFS or DFS that takes each vertex's half-edges in position order meets
+(C): a vertex's reference edge leads to the vertex the search reached it
+from, and the root's first half-edge to the first vertex reached, by that
+edge, which is then that vertex's reference too.  A search that takes the
+root's half-edges in another order may reach that vertex by another edge;
+the root's reference edge is then in E_w of a later site w, and a
+depth-first search of wheel:5 by decreasing degree gives a cycle at n=4.
+So only these searches are candidates; the flow's back-edge check stays.
+
 Listing.  Critical cells are listed per state set S: the edges of E_v are
 forbidden for v not in S; for v in S whose generator k is eligible, m needs
 an edge of E_v below k (if there is none, S has no critical cell); every
 other edge is free.
+
+Count.  Those conditions are per site, on disjoint sets E_v, so the
+critical cells of dimension d are the coefficient of x^n y^d in
+(1-x)^-F * prod_v (1 + y x S_v(x)), where F is the number of free edges
+and S_v sums (1-x)^-|E_v| over v's codes outside E_v, and
+(1-x)^-|E_v| - (1-x)^-(|E_v|-at) over the codes of E_v with at > 0 edges
+of E_v below them.  It depends only on F and each site's degree and |E_v|.
+
+Choice.  Per component, the candidates are the BFS and the DFS from each
+vertex, roots by decreasing degree and then in the order a BFS from the
+component's first vertex reaches them, BFS first; the one with the fewest
+critical cells is kept, the earlier one on a tie.  The count of a complex
+is the product of its components' series, so the components are chosen
+one after another, each for the fewest cells of the whole complex with the
+others at their current choice (their first candidates to begin with).
 
 Flow.  The Morse differential of a critical cell c is flow(d c), where the
 flow fixes critical cells, sends upper cells of pairs to 0, and sends a
@@ -77,6 +125,7 @@ cycles into it (`MorseFlow.chain`) reuses it.
 from __future__ import annotations
 
 from array import array
+from math import comb
 
 from .complexes import Chain, ChainComplex, pause_gc
 from .homology import EngineError
@@ -84,30 +133,162 @@ from .homology import EngineError
 _EMPTY = {}  # the flow of an upper cell; shared, never mutated
 
 
-def search_references(g):
-    """(order, refs): the vertices of nonzero degree in breadth-first order,
-    one component after another, each searched from its first vertex of
-    maximum degree; refs[v] is the position in g.half_edges(v) of v's
-    parent edge, or 0 at a root."""
-    def search(root):
-        refs = {root: 0}
-        order = [root]
+def half_edge_ends(g):
+    """Per vertex, its half-edges in position order as (edge index, other
+    end, the edge's position at the other end)."""
+    out = {}
+    for v in g.vertices:
+        out[v] = row = []
+        for eidx, end in g.half_edges(v):
+            w = g.other_end(eidx, v)
+            row.append((eidx, w, g.half_edges(w).index((eidx, 1 - end))))
+    return out
+
+
+def search(ends, root, kind):
+    """(order, refs) of the breadth-first ("bfs") or depth-first ("dfs")
+    search of root's component, taking each vertex's half-edges (`ends`,
+    from `half_edge_ends`) in position order: the vertices as the search
+    reaches them, and refs[v] the position of the edge v was reached by, or
+    0 at the root."""
+    refs = {root: 0}
+    order = [root]
+    if kind == "bfs":
         for v in order:
-            for eidx, end in g.half_edges(v):
-                w = g.other_end(eidx, v)
+            for _, w, q in ends[v]:
                 if w not in refs:
-                    refs[w] = g.half_edges(w).index((eidx, 1 - end))
+                    refs[w] = q
                     order.append(w)
         return order, refs
-
-    order, refs = [], {}
-    for v in g.vertices:
-        if v not in refs and g.degree(v):
-            component, _ = search(v)
-            o, r = search(max(component, key=g.degree))
-            order += o
-            refs.update(r)
+    stack = [iter(ends[root])]
+    while stack:
+        for _, w, q in stack[-1]:
+            if w not in refs:
+                refs[w] = q
+                order.append(w)
+                stack.append(iter(ends[w]))
+                break
+        else:
+            stack.pop()
     return order, refs
+
+
+def _eligible(ends, v, rank, refs):
+    """E_v as (position, edge index) pairs, in position order."""
+    r, rv = refs[v], rank[v]
+    return [(p, eidx) for p, (eidx, w, q) in enumerate(ends[v])
+            if p != r and (rank[w] > rv or refs[w] == q)]
+
+
+def _mul(a, b, n):
+    """The product of two series in x and y, each given as rows per power
+    of y of the coefficients of x^0..x^n, cut at x^n."""
+    out = [[0] * (n + 1) for _ in range(min(len(a) + len(b) - 1, n + 1))]
+    for d, ra in enumerate(a):
+        for e, rb in enumerate(b[:len(out) - d]):
+            row = out[d + e]
+            for i, x in enumerate(ra):
+                if x:
+                    for j in range(n + 1 - i):
+                        row[i + j] += x * rb[j]
+    return out
+
+
+def _free_series(a, n):
+    """(1 - x)^-a up to x^n: the monomials on a edges, by degree."""
+    return [comb(a - 1 + j, j) for j in range(n + 1)] if a else \
+        [1] + [0] * n
+
+
+def _count_series(sites, free, n):
+    """The critical cells as a series in x (particles) and y (dimension),
+    from each site's (degree, |E_v|) and the number of free edges."""
+    table = [_free_series(free, n)]
+    for deg, e in sites:
+        full = _free_series(e, n)
+        s = [(deg - 1 - e) * c for c in full]  # codes outside E_v
+        for at in range(1, e):  # an E_v edge below the code's
+            s = [x + c - c2 for x, c, c2 in
+                 zip(s, full, _free_series(e - at, n))]
+        if any(s):
+            table = _mul(table, [[1] + [0] * n, [0] + s[:n]], n)
+    return table
+
+
+def _search_key(ends, sites, edges, order, refs):
+    """(sites, free) of _count_series for one search: the sorted (degree,
+    |E_v|) of these sites, and how many of these edges are in no E_v."""
+    rank = {v: i for i, v in enumerate(order)}
+    key = sorted((len(ends[v]), len(_eligible(ends, v, rank, refs)))
+                 for v in sites)
+    return tuple(key), edges - sum(e for _, e in key)
+
+
+def _dims(table, n):
+    """Critical cells per dimension of a count series with n particles,
+    without empty top dimensions."""
+    counts = [row[n] for row in table]
+    while len(counts) > 1 and not counts[-1]:
+        counts.pop()
+    return counts
+
+
+def critical_counts(enc, order, refs):
+    """The critical cells per dimension of MorseMatching(enc, order, refs),
+    counted without listing them."""
+    g = enc.graph
+    key = _search_key(half_edge_ends(g), enc.sites, len(g.edges), order,
+                      refs)
+    return _dims(_count_series(*key, enc.n), enc.n)
+
+
+def choose_search(enc):
+    """(order, refs, searches, counts): the search the matching uses (see
+    Choice), its (kind, root) per component, and its critical cells per
+    dimension."""
+    g, n = enc.graph, enc.n
+    ends = half_edge_ends(g)
+    components = []
+    seen = set()
+    tables = {}  # _search_key -> _count_series: many searches share one
+    for v in g.vertices:
+        if v in seen or not g.degree(v):
+            continue
+        component = search(ends, v, "bfs")[0]
+        seen.update(component)
+        sites = [w for w in component if g.degree(w) >= 2]
+        edges = sum(map(g.degree, component)) // 2
+        candidates = []
+        for root in sorted(component, key=g.degree, reverse=True):
+            for kind in ("bfs", "dfs"):
+                order, refs = search(ends, root, kind)
+                key = _search_key(ends, sites, edges, order, refs)
+                if key not in tables:
+                    tables[key] = _count_series(*key, n)
+                candidates.append((tables[key], kind, root, order, refs))
+        components.append(candidates)
+    chosen = [0] * len(components)
+
+    def product(skip=None):
+        table = [[1] + [0] * n]
+        for k, candidates in enumerate(components):
+            if k != skip:
+                table = _mul(table, candidates[chosen[k]][0], n)
+        return table
+
+    for c, candidates in enumerate(components):
+        # the other components' cells by particle number, in all dimensions
+        rest = [sum(col) for col in zip(*product(skip=c))]
+        chosen[c] = min(range(len(candidates)), key=lambda i: sum(
+            r * row[n - j] for row in candidates[i][0]
+            for j, r in enumerate(rest) if r))
+    order, refs, searches = [], {}, []
+    for i, candidates in zip(chosen, components):
+        _, kind, root, o, r = candidates[i]
+        order += o
+        refs.update(r)
+        searches.append((kind, root))
+    return order, refs, searches, _dims(product(), n)
 
 
 def _spread(units, t):
@@ -127,14 +308,15 @@ class MorseMatching:
     A y key packs each edge's multiplicity into n.bit_length() bits, then
     each site's generator code (0 = empty) above them, sites in the
     builder's order, which fixes the signs.  `order` and `refs` default to
-    `search_references`.
+    `choose_search`.
     """
 
     def __init__(self, enc, order=None, refs=None):
         g = enc.graph
         if order is None:
-            order, refs = search_references(g)
+            order, refs = choose_search(enc)[:2]
         rank = {v: i for i, v in enumerate(order)}
+        ends = half_edge_ends(g)
         self.enc = enc
         self.n = enc.n
         bits = max(1, self.n.bit_length())
@@ -160,15 +342,12 @@ class MorseMatching:
             up = []
             below = {}
             emask = 0
-            for p, (eidx, end) in enumerate(hs):
-                w = g.other_end(eidx, v)
-                if p != r and (rank[w] > rank[v] or g.half_edges(w)[refs[w]]
-                               == (eidx, 1 - end)):
-                    code = p if p else r
-                    below[code] = emask
-                    emask |= field[eidx]
-                    up.append((field[eidx], self.unit[eidx], code))
-                    self.eligible_edges.add(eidx)
+            for p, eidx in _eligible(ends, v, rank, refs):
+                code = p if p else r
+                below[code] = emask
+                emask |= field[eidx]
+                up.append((field[eidx], self.unit[eidx], code))
+                self.eligible_edges.add(eidx)
             self.rule.append((shift, mask, emask, up, below))
             self.ref_code.append(r)
             shift += mask.bit_length()
@@ -455,15 +634,21 @@ class MorseFlow:
 @pause_gc
 def morse_complex(enc, euler):
     """(Morse complex, flow) of the all-reduced half-edge complex encoded by
-    enc, whose Euler characteristic is euler: one cell per critical cell, in
-    sorted key order per dimension.  Raises EngineError when the critical
-    counts do not give that Euler characteristic."""
-    matching = MorseMatching(enc)
+    enc, whose Euler characteristic is euler: one cell per critical cell of
+    the chosen search, in sorted key order per dimension; its meta records
+    the search and the critical cells per dimension.  Raises EngineError
+    when the listed critical cells do not give that Euler characteristic or
+    differ from their count."""
+    order, refs, searches, counts = choose_search(enc)
+    matching = MorseMatching(enc, order, refs)
     cells = matching.critical_cells()
     got = sum((-1) ** d * len(c) for d, c in enumerate(cells))
     if got != euler:
         raise EngineError(f"the critical cells give Euler characteristic "
                           f"{got}, the complex {euler}")
+    if list(map(len, cells)) != counts:
+        raise EngineError(f"{list(map(len, cells))} critical cells listed "
+                          f"per dimension, {counts} counted")
     flow = MorseFlow(matching, cells)
     boundaries = {}
     for d in range(1, len(cells)):
@@ -475,7 +660,8 @@ def morse_complex(enc, euler):
                 cols.append(c)
                 vals.append(x)
         boundaries[d] = (rows, cols, vals)
-    meta = {"model": "swiatkowski-morse", "graph": enc.graph, "n": enc.n}
+    meta = {"model": "swiatkowski-morse", "graph": enc.graph, "n": enc.n,
+            "search": searches, "critical_cells": counts}
     mcx = ChainComplex([len(c) for c in cells], boundaries, cells=cells,
                        meta=meta)
     return mcx, flow

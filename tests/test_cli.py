@@ -39,6 +39,13 @@ class TestCompute:
         data = json.loads(out)
         assert data["dims"] == {"2": {"betti": 40, "torsion": [2]}}
 
+    def test_critical_cells_of_the_morse_path(self, capsys):
+        _, out = run(capsys, "compute", "--graph", "wheel:5", "-n", "5")
+        assert json.loads(out)["critical_cells"] == [1, 38, 111, 48]
+        for argv in (["--no-reduce"], ["--model", "abrams"]):
+            _, out = run(capsys, "compute", "--graph", "k4", "-n", "3", *argv)
+            assert "critical_cells" not in json.loads(out)
+
     def test_deterministic_modulo_timing(self, capsys):
         _, a = run(capsys, "compute", "--graph", "k4", "-n", "3")
         _, b = run(capsys, "compute", "--graph", "k4", "-n", "3")

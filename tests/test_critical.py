@@ -13,7 +13,8 @@ import pytest
 from confhom import tables
 from confhom.complexes import BoundaryError, ChainComplex
 from confhom.critical import (MorseFlow, MorseMatching, _spread,
-                              search_references)
+                              choose_search, critical_counts, half_edge_ends,
+                              search)
 from confhom.graph import Graph, build_family
 from confhom.homology import EngineError, homology, morse_reduce
 from confhom.swiatkowski import SwEncoding, build_swiatkowski
@@ -25,6 +26,13 @@ MULTIGRAPH = Graph(list("abcd"), [
     ("p", "a", "b"), ("q", "a", "b"), ("r", "b", "c"), ("s", "c", "a"),
     ("t", "a", "c"), ("u", "c", "d")])
 
+TWO_WHEELS = Graph(
+    [f"{p}.{v}" for p, w in (("a", "wheel:5"), ("b", "wheel:4"))
+     for v in build_family(w).vertices],
+    [(f"{p}.{e}", f"{p}.{u}", f"{p}.{v}")
+     for p, w in (("a", "wheel:5"), ("b", "wheel:4"))
+     for e, u, v in build_family(w).edges])
+
 
 def _graph(fam):
     return {"2tri": TWO_TRIANGLES, "multi": MULTIGRAPH}.get(fam) or \
@@ -33,6 +41,41 @@ def _graph(fam):
 
 def _encoding(g, n):
     return SwEncoding(g, n, [v for v in g.vertices if g.degree(v) >= 2])
+
+
+def _searches(g):
+    """(kind, root, order, refs) of the BFS and the DFS from every vertex of
+    nonzero degree, the other components searched breadth first from their
+    first vertex: every candidate of `choose_search`."""
+    ends = half_edge_ends(g)
+    out = []
+    for root in g.vertices:
+        for kind in ("bfs", "dfs") if g.degree(root) else ():
+            order, refs = search(ends, root, kind)
+            for v in g.vertices:
+                if v not in refs and g.degree(v):
+                    o, r = search(ends, v, "bfs")
+                    order, refs = order + o, {**refs, **r}
+            out.append((kind, root, order, refs))
+    return out
+
+
+def _hub_bfs(g):
+    """Breadth first from the first vertex of maximum degree, the search
+    the pinned counts and digests below were taken with (g connected)."""
+    return search(half_edge_ends(g), max(g.vertices, key=g.degree), "bfs")
+
+
+def _meets_the_condition(g, order, refs):
+    """Every reference edge joins its vertex to an earlier one, or is its
+    other end's reference too."""
+    rank = {v: i for i, v in enumerate(order)}
+    for v in order:
+        eidx, end = g.half_edges(v)[refs[v]]
+        w = g.other_end(eidx, v)
+        if rank[w] > rank[v] and g.half_edges(w)[refs[w]] != (eidx, 1 - end):
+            return False
+    return True
 
 
 def _every_y_cell(m):
@@ -91,29 +134,40 @@ def _unpruned_flow(m):
 class TestRule:
     @pytest.mark.parametrize("fam,n", BRUTE)
     def test_matching_against_brute_force(self, fam, n):
-        m = MorseMatching(_encoding(_graph(fam), n))
-        every = _every_y_cell(m)
-        critical = set()
-        for key in every:
-            got = m.classify(key)
-            if got is None:
-                critical.add(key)
-                continue
-            partner, coeff, lower = got
-            # an involution with a unit coefficient, upper above lower
-            assert m.classify(partner) == (key, coeff, not lower)
-            upper, low = (partner, key) if lower else (key, partner)
-            assert dict(m.faces(upper))[low] == coeff in (1, -1)
-        listed = m.critical_cells()
-        assert sorted(critical) == sorted(itertools.chain(*listed))
-        assert all(dim == sorted(dim) for dim in listed)
-        # every cell flows without meeting a cycle of gradient paths, and
-        # the memo keeps only critical and lower cells
-        flow = MorseFlow(m, listed)
-        for key in every:
-            flow.cell(key)
-        assert all(m.classify(key) is None or m.classify(key)[2]
-                   for key in flow.memo)
+        g = _graph(fam)
+        enc = _encoding(g, n)
+        every = _every_y_cell(MorseMatching(enc))
+        for _, _, order, refs in _searches(g):
+            m = MorseMatching(enc, order, refs)
+            critical = set()
+            for key in every:
+                got = m.classify(key)
+                if got is None:
+                    critical.add(key)
+                    continue
+                partner, coeff, lower = got
+                # an involution with a unit coefficient, upper above lower
+                assert m.classify(partner) == (key, coeff, not lower)
+                upper, low = (partner, key) if lower else (key, partner)
+                assert dict(m.faces(upper))[low] == coeff in (1, -1)
+            listed = m.critical_cells()
+            assert sorted(critical) == sorted(itertools.chain(*listed))
+            assert all(dim == sorted(dim) for dim in listed)
+            # every cell flows without meeting a cycle of gradient paths,
+            # and the memo keeps only critical and lower cells
+            flow = MorseFlow(m, listed)
+            for key in every:
+                flow.cell(key)
+            assert all(m.classify(key) is None or m.classify(key)[2]
+                       for key in flow.memo)
+
+    @pytest.mark.parametrize("fam,n", BRUTE)
+    def test_count_equals_listing(self, fam, n):
+        g = _graph(fam)
+        enc = _encoding(g, n)
+        for _, _, order, refs in _searches(g):
+            listed = MorseMatching(enc, order, refs).critical_cells()
+            assert critical_counts(enc, order, refs) == list(map(len, listed))
 
     @pytest.mark.parametrize("fam,n", BRUTE)
     def test_basis_change_is_a_chain_map(self, fam, n):
@@ -140,13 +194,31 @@ class TestRule:
                 assert phi(cx.cell_faces(dim, key)) == d(phi([(key, 1)]))
 
     def test_references_are_parent_edges(self):
-        g = build_family("wheel:5")
-        order, refs = search_references(g)
-        hub = max(g.vertices, key=g.degree)
-        assert order[0] == hub and refs[hub] == 0
-        for v in order[1:]:
-            eidx, _ = g.half_edges(v)[refs[v]]
-            assert g.other_end(eidx, v) in order[:order.index(v)]
+        for fam in ("wheel:5", "k44e", "lasso", "2tri", "multi",
+                    "linear_tree:3"):
+            # every candidate meets the acyclicity condition: a reference
+            # edge leads to the parent, and a root's to the first vertex
+            # reached
+            g = _graph(fam)
+            for kind, root, order, refs in _searches(g):
+                assert _meets_the_condition(g, order, refs)
+                assert order[0] == root and refs[root] == 0
+                assert order[1] == g.other_end(g.half_edges(root)[0][0], root)
+            # the choice is the first candidate with the fewest critical
+            # cells, roots by decreasing degree, BFS before DFS
+            enc = _encoding(g, 3)
+            order, refs, searches, counts = choose_search(enc)
+            assert counts == critical_counts(enc, order, refs)
+            assert len(searches) == (2 if fam == "2tri" else 1)
+            if len(searches) == 1:
+                (kind, root), = searches
+                ends = half_edge_ends(g)
+                assert (order, refs) == search(ends, root, kind)
+                reached = search(ends, g.vertices[0], "bfs")[0]
+                assert min((sum(critical_counts(enc, o, r)), -g.degree(v),
+                            reached.index(v), k)
+                           for k, v, o, r in _searches(g)) == \
+                    (sum(counts), -g.degree(root), reached.index(root), kind)
 
     def test_a_cycle_of_gradient_paths_raises(self):
         # references running round a triangle match every cell, and the
@@ -157,12 +229,60 @@ class TestRule:
         with pytest.raises(EngineError, match="cycle"):
             flow.cell(m.unit[g.edge_index("ab")])
 
+    def test_a_search_out_of_position_order_forms_a_cycle(self):
+        # a depth-first search that takes each vertex's neighbours by
+        # decreasing degree goes from r0 to the hub first, not to r1 by
+        # r0's first half-edge: r0's reference edge is then in E_r1,
+        # scanned after r0, and the gradient paths go round.  With r0's
+        # reference on the edge the search left it by, the same order
+        # meets the condition and every cell flows.
+        g = build_family("wheel:5")
+        refs = {"r0": 0}
+        order = ["r0"]
+
+        def visit(v):
+            by_degree = sorted(g.half_edges(v),
+                               key=lambda h: -g.degree(g.other_end(h[0], v)))
+            for eidx, end in by_degree:
+                w = g.other_end(eidx, v)
+                if w not in refs:
+                    refs[w] = g.half_edges(w).index((eidx, 1 - end))
+                    order.append(w)
+                    visit(w)
+        visit("r0")
+        assert order == ["r0", "h", "r1", "r2", "r3"]
+        assert not _meets_the_condition(g, order, refs)
+        enc = _encoding(g, 4)
+        m = MorseMatching(enc, order, refs)
+        flow = MorseFlow(m, m.critical_cells())
+        with pytest.raises(EngineError, match="cycle"):
+            for key in _every_y_cell(m):
+                flow.cell(key)
+        hub_edge, end = g.half_edges("h")[refs["h"]]
+        refs["r0"] = g.half_edges("r0").index((hub_edge, 1 - end))
+        assert _meets_the_condition(g, order, refs)
+        m = MorseMatching(enc, order, refs)
+        flow = MorseFlow(m, m.critical_cells())
+        for key in _every_y_cell(m):
+            flow.cell(key)
+
     @pytest.mark.parametrize("fam,n,count", [
         ("wheel:7", 7, 30226), ("k33", 8, 2558), ("k33", 7, 1227),
         ("wheel:6", 6, 3541), ("k44e", 6, 11561)])
     def test_critical_counts_are_pinned(self, fam, n, count):
-        cells = MorseMatching(_encoding(build_family(fam), n)).critical_cells()
+        g = build_family(fam)
+        cells = MorseMatching(_encoding(g, n), *_hub_bfs(g)).critical_cells()
         assert sum(map(len, cells)) == count
+
+    @pytest.mark.parametrize("fam,n,kind,root,count", [
+        ("wheel:7", 7, "dfs", "r0", 2938), ("wheel:6", 6, "dfs", "r0", 765),
+        ("wheel:5", 5, "dfs", "r0", 198), ("k33", 8, "bfs", "a0", 2558),
+        ("k44e", 6, "bfs", "a0", 11561)])
+    def test_chosen_counts_are_pinned(self, fam, n, kind, root, count):
+        enc = _encoding(build_family(fam), n)
+        _, _, searches, counts = choose_search(enc)
+        assert searches == [(kind, root)] and sum(counts) == count
+        assert list(map(len, MorseMatching(enc).critical_cells())) == counts
 
     @pytest.mark.parametrize("fam,n", BRUTE + [("cyclic", 1)])
     def test_pruned_faces_are_upper(self, fam, n):
@@ -187,16 +307,43 @@ class TestRule:
 
     @pytest.mark.parametrize("fam,n", BRUTE)
     def test_flow_equals_the_unpruned_flow(self, fam, n):
-        m = MorseMatching(_encoding(_graph(fam), n))
-        flow = MorseFlow(m, m.critical_cells())
-        unpruned = _unpruned_flow(m)
-        for key in _every_y_cell(m):
-            assert flow.cell(key) == unpruned(key)
+        g = _graph(fam)
+        enc = _encoding(g, n)
+        every = _every_y_cell(MorseMatching(enc))
+        for _, _, order, refs in _searches(g):
+            m = MorseMatching(enc, order, refs)
+            flow = MorseFlow(m, m.critical_cells())
+            unpruned = _unpruned_flow(m)
+            for key in every:
+                assert flow.cell(key) == unpruned(key)
 
     @pytest.mark.parametrize("fam,n,digest", [
         ("k33", 5, "6a3cc23324cb966b"), ("wheel:5", 5, "0bb1a07ce8465ac8")])
     def test_morse_complex_is_pinned(self, fam, n, digest):
-        # the flow may get cheaper, but the differential must not drift
+        # the flow may get cheaper, but the differential of the search
+        # from the hub must not drift: built here as `morse_complex` does
+        g = build_family(fam)
+        m = MorseMatching(_encoding(g, n), *_hub_bfs(g))
+        cells = m.critical_cells()
+        flow = MorseFlow(m, cells)
+        triplets = []
+        for d in range(1, len(cells)):
+            index = {key: i for i, key in enumerate(cells[d - 1])}
+            rows, cols, vals = [], [], []
+            for c, key in enumerate(cells[d]):
+                for f, x in flow.boundary(key).items():
+                    rows.append(index[f])
+                    cols.append(c)
+                    vals.append(x)
+            triplets.append([rows, cols, vals])
+        data = repr([list(map(len, cells))] + triplets)
+        assert hashlib.sha256(data.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("fam,n,digest", [
+        ("k33", 5, "6a3cc23324cb966b"), ("wheel:5", 5, "6ab8a663ff17027a")])
+    def test_the_chosen_morse_complex_is_pinned(self, fam, n, digest):
+        # k33 has no better search than the hub's: its Morse complex is the
+        # one pinned above, byte for byte
         cx = build_swiatkowski(build_family(fam), n, reduce_vertices="all")
         mcx = cx.morse_complex()[0]
         data = repr([mcx.dims] + [[list(a) for a in mcx.boundary_triplets(d)]
@@ -253,6 +400,23 @@ class TestTwoPaths:
         generic = homology(_without_morse(cx), check=False)
         assert _nonzero(h) == _nonzero(generic)
         assert h.euler == generic.euler == cx.euler_characteristic()
+
+    def test_each_component_chooses_its_search(self):
+        # wheel:5 and wheel:4 side by side: one search per component, the
+        # counts of the whole complex in the Morse complex's meta, and the
+        # homology of the generic reduction
+        cx = build_swiatkowski(TWO_WHEELS, 3, reduce_vertices="all")
+        h = homology(cx, check=False)
+        mcx = cx.morse_complex()[0]
+        assert mcx.meta["search"] == [("dfs", "a.r0"), ("bfs", "b.r0")]
+        assert mcx.meta["critical_cells"] == mcx.dims == [4, 47, 81, 17]
+        ends = half_edge_ends(TWO_WHEELS)
+        (o1, r1), (o2, r2) = [search(ends, f"{p}.h", "bfs") for p in "ab"]
+        from_hubs = critical_counts(cx.meta["encoding"], o1 + o2, {**r1, **r2})
+        assert sum(from_hubs) > sum(mcx.dims)
+        generic = homology(_without_morse(cx), check=False)
+        assert _nonzero(h) == _nonzero(generic)
+        assert h.betti_vector() == (4, 25, 42, 0)
 
     def test_span_rank_agrees_on_the_subdivided_k33(self):
         # the 69 dressed products of test_transport_replays_the_cached_trail
