@@ -605,14 +605,6 @@ class Chain:
                     del out[fk]
         return Chain(self.complex, self.dim - 1, out)
 
-    def is_cycle(self):
-        return not self.boundary()
-
-    def to_vector(self):
-        """Map to {local index: coeff} using the complex's cell index."""
-        idx = self.complex.index(self.dim)
-        return {idx[k]: v for k, v in self.data.items()}
-
     def describe(self):
         items = sorted(self.data.items(), key=lambda kv: str(kv[0]))
         return " + ".join(

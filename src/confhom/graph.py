@@ -292,7 +292,6 @@ class OrderedGraph:
         self.root = root
         self.labels = dict(labels)
         self.spanning_tree = frozenset(tree_edges)
-        self.by_label = sorted(self.labels, key=self.labels.get)
         # edge order: by (tau, iota) label pair
         self.edge_tau_iota = []
         for eid, u, v in graph.edges:
@@ -310,9 +309,6 @@ class OrderedGraph:
     def edge_name(self, eidx):
         t, i = self.edge_tau_iota[eidx]
         return f"e_{t}^{i}"
-
-    def vertex_with_label(self, k):
-        return self.by_label[k - 1]
 
 
 def order_vertices(g: Graph, root=None) -> OrderedGraph:

@@ -147,7 +147,7 @@ def snf_dense(mat, transforms=False):
 # sparse elimination for a single matrix
 # ---------------------------------------------------------------------------
 
-def _sparse_from_triplets(nrows, ncols, rows, cols, vals):
+def _sparse_from_triplets(rows, cols, vals):
     colmap = {}
     rowmap = {}
     for r, c, v in zip(rows, cols, vals):
@@ -249,7 +249,7 @@ def smith_normal_form(matrix, shape=None) -> SnfResult:
     ((rows, cols, vals) with shape=(m, n)) integer matrix."""
     if shape is not None:
         rows, cols, vals = matrix
-        colmap, rowmap = _sparse_from_triplets(shape[0], shape[1], rows, cols, vals)
+        colmap, rowmap = _sparse_from_triplets(rows, cols, vals)
     else:
         m = len(matrix)
         n = len(matrix[0]) if m else 0
@@ -262,7 +262,7 @@ def smith_normal_form(matrix, shape=None) -> SnfResult:
                     rows.append(i)
                     cols.append(j)
                     vals.append(matrix[i][j])
-        colmap, rowmap = _sparse_from_triplets(m, n, rows, cols, vals)
+        colmap, rowmap = _sparse_from_triplets(rows, cols, vals)
     unit_rank = _sparse_unit_eliminate(colmap, rowmap)
     divisors, _, _, _ = snf_dense(_leftover_dense(colmap))
     if any(d == 0 for d in divisors):

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from . import formulas, tables
 from .abrams import build_abrams
-from .cycles import (RELATIONS, CycleSpec, _spec_support, make_cycle,
-                     product_cycle, span_rank, verify_chain_identity)
+from .cycles import (RELATIONS, CycleSpec, _spec_particles, _spec_support,
+                     make_cycle, product_cycle, span_rank,
+                     verify_chain_identity)
 from .graph import Graph, build_family, order_vertices, subdivide_for
 from .homology import homology, solve_boundary
 from .swiatkowski import build_swiatkowski
@@ -305,25 +306,20 @@ def _net_row(m, n):
 
 # -- generation (product classes span the homology) -----------------------------
 
-def _subdivide_edges(g: Graph, edge_ids):
-    vertices = list(g.vertices)
-    edges = []
-    for eid, u, v in g.edges:
-        if eid in edge_ids:
-            mid = f"{eid}.m"
-            vertices.append(mid)
-            edges.append((f"{eid}:0", u, mid))
-            edges.append((f"{eid}:1", mid, v))
-        else:
-            edges.append((eid, u, v))
-    return Graph(vertices, edges, name=f"{g.name}+mid")
-
-
 def _regions(g: Graph, used_edges, used_vertices):
-    """Free-particle regions of the complement: non-carrier edges, joined
-    only through non-carrier vertices.  Returns one representative edge per
-    region; an edge whose endpoints are both on the carrier is its own
-    pocket."""
+    """Free-particle regions of the complement: edges outside `used_edges`,
+    joined only through vertices outside `used_vertices`.  Returns one
+    representative edge per region; an edge whose endpoints are both
+    carrier vertices is its own pocket.
+
+    The generation rows block only circle edges.  A junction's branch edge
+    stays in the region at its far end, or is its own pocket when that end
+    is a carrier too: in the half-edge model edge occupation is module
+    multiplication, so a free particle on a branch still multiplies a
+    cycle.  On a once-subdivided graph the branch's far half lies in that
+    region, and merging each edge's two halves carries its dressing to this
+    one.  Blocking branch edges loses classes: wheel:5 n=5 then spans 22 of
+    beta_2 = 34."""
     alive_e = [e for e in g.edges if e[0] not in used_edges]
     adj = {}
     for eid, u, v in alive_e:
@@ -353,12 +349,13 @@ def _regions(g: Graph, used_edges, used_vertices):
 
 
 def _distributions(total, bins):
-    if not bins:
+    """Every placement of `total` free particles in the bins; none when
+    `total` is negative."""
+    if len(bins) <= 1:
         if total == 0:
             yield {}
-        return
-    if len(bins) == 1:
-        yield {bins[0]: total} if total else {}
+        elif total > 0 and bins:
+            yield {bins[0]: total}
         return
     for first in range(total + 1):
         for rest in _distributions(total - first, bins[1:]):
@@ -368,64 +365,65 @@ def _distributions(total, bins):
             yield out
 
 
-def _dressed_span(cx, part_lists, d, expected):
-    g = cx.meta["graph"]
-    n = cx.meta["n"]
+def _disjoint_products(g: Graph, parts, count):
+    """Tuples of `count` parts whose carrier vertices (hubs and circle
+    routes) are pairwise disjoint, with at most one circle."""
+    carriers = [(p, _spec_support(g, p)[1]) for p in parts]
+    out = []
+    for combo in itertools.combinations(carriers, count):
+        verts = [vs for _, vs in combo]
+        if (len(set().union(*verts)) == sum(map(len, verts))
+                and sum(p.kind == "O" for p, _ in combo) <= 1):
+            out.append([p for p, _ in combo])
+    return out
+
+
+def _product_span(family, n, d, parts_of):
+    """Span in H_d of the all-reduced half-edge complex of the family graph
+    by the products of d carrier-disjoint parts, each dressed once per
+    distribution of the free particles over the regions."""
+    g = build_family(family)
+    cx = build_swiatkowski(g, n, reduce_vertices="all")
     cycles = []
-    for parts in part_lists:
-        used_e, used_v = set(), set()
+    for parts in _disjoint_products(g, parts_of(g), d):
+        circle_e, used_v = set(), set()
         for p in parts:
             es, vs = _spec_support(g, p)
-            used_e |= es
+            if p.kind == "O":
+                circle_e |= es
             used_v |= vs
-        free = n - sum({"O": 1, "Y": 2, "Theta": 3}[p.kind] for p in parts)
-        if free < 0:
-            continue
-        reps = _regions(g, used_e, used_v)
-        for dist in _distributions(free, reps):
+        free = n - sum(map(_spec_particles, parts))
+        for dist in _distributions(free, _regions(g, circle_e, used_v)):
             cycles.append(product_cycle(cx, parts, dressing={"edges": dist}))
-    got = span_rank(cx, cycles, d)
-    return got, len(cycles)
+    return cx, span_rank(cx, cycles, d), len(cycles)
 
 
-def _wheel_product_parts(subdivided: Graph, m, count):
-    """All support-disjoint tuples of `count` one-cycles in a once-subdivided
-    wheel: junction cycles on rim and hub (hub-side spoke halves keep them
-    disjoint from rim ones along the same spoke) plus triangle/rim circles."""
-    rim = [f"r{i}" for i in range(m - 1)]
+def _wheel_parts(g: Graph):
+    """Junction cycles at the rim vertices and the hub, the triangles, and
+    the rim circle of a wheel."""
+    k = len(g.vertices) - 1
+    rim_ys = [CycleSpec(kind="Y", hub=f"r{i}",
+                        branches=(f"c{(i - 1) % k}", f"c{i}", f"s{i}"))
+              for i in range(k)]
+    hub_ys = [CycleSpec(kind="Y", hub="h",
+                        branches=tuple(f"s{i}" for i in triple))
+              for triple in itertools.combinations(range(k), 3)]
+    triangles = [CycleSpec(kind="O", cycle=(f"s{i}", f"c{i}",
+                                            f"s{(i + 1) % k}"))
+                 for i in range(k)]
+    rim = CycleSpec(kind="O", cycle=tuple(f"c{i}" for i in range(k)))
+    return rim_ys + hub_ys + triangles + [rim]
 
-    def rim_y(i):
-        left = f"c{(i - 1) % (m - 1)}:1"
-        right = f"c{i}:0"
-        return CycleSpec(kind="Y", hub=rim[i], branches=(left, right, f"s{i}:1"))
 
-    def hub_y(triple):
-        return CycleSpec(kind="Y", hub="h",
-                         branches=tuple(f"s{i}:0" for i in triple))
-
-    def triangle(i):
-        j = (i + 1) % (m - 1)
-        return CycleSpec(kind="O", cycle=(f"s{i}:0", f"s{i}:1", f"c{i}:0",
-                                          f"c{i}:1", f"s{j}:1", f"s{j}:0"))
-
-    rim_cycle = CycleSpec(kind="O", cycle=tuple(
-        seg for i in range(m - 1) for seg in (f"c{i}:0", f"c{i}:1")))
-
-    parts = ([rim_y(i) for i in range(m - 1)]
-             + [hub_y(t) for t in itertools.combinations(range(m - 1), 3)]
-             + [triangle(i) for i in range(m - 1)]
-             + [rim_cycle])
-    out = []
-    for combo in itertools.combinations(parts, count):
-        supp = [_spec_support(subdivided, p) for p in combo]
-        ok = True
-        for i in range(count):
-            for j in range(i + 1, count):
-                if (supp[i][0] & supp[j][0]) or (supp[i][1] & supp[j][1]):
-                    ok = False
-        if ok and sum(1 for p in combo if p.kind == "O") <= 1:
-            out.append(list(combo))
-    return out
+def _k33_parts(g: Graph):
+    """Junction cycles at the six vertices and the nine squares of K33."""
+    ys = [CycleSpec(kind="Y", hub=v, branches=tuple(
+        g.edges[eidx][0] for eidx, _ in g.half_edges(v))) for v in g.vertices]
+    squares = [CycleSpec(kind="O", cycle=(f"e{i}{k}", f"e{j}{k}",
+                                          f"e{j}{l}", f"e{i}{l}"))
+               for i, j in itertools.combinations(range(3), 2)
+               for k, l in itertools.combinations(range(3), 2)]
+    return ys + squares
 
 
 def _generation_rows(suite, extended=False):
@@ -433,84 +431,27 @@ def _generation_rows(suite, extended=False):
     core_wheels = [(5, 3), (5, 4), (5, 5), (6, 3), (6, 4), (7, 3), (7, 4)]
     ext_wheels = [(m, n) for (m, n) in tables.WHEEL_BETTI
                   if (m, n) not in core_wheels]
-    wheels = ext_wheels if extended else core_wheels
-    for m, n in wheels:
+    for m, n in ext_wheels if extended else core_wheels:
         t0 = time.perf_counter()
-        g = build_family(f"wheel:{m}")
-        sub = _subdivide_edges(g, {e[0] for e in g.edges})
-        cx = build_swiatkowski(sub, n, reduce_vertices="all")
         expected = tables.WHEEL_BETTI[(m, n)][2]
-        part_lists = _wheel_product_parts(sub, m, 2)
-        got, ncyc = _dressed_span(cx, part_lists, 2, expected)
+        _, got, ncyc = _product_span(f"wheel:{m}", n, 2, _wheel_parts)
         rows.append(Row(suite, f"wheel:{m} n={n} product span d=2", expected,
                         got, got == expected, f"{ncyc} product classes",
                         time.perf_counter() - t0))
     if extended:
         return rows
-    rows.append(_k33_span2_row(suite))
-    rows.append(_k33_span3_row(suite))
-    return rows
-
-
-def _k33_parts(g, sub):
-    """Junction and circle specs in once-subdivided K33."""
-    verts = [f"a{i}" for i in range(3)] + [f"b{j}" for j in range(3)]
-
-    def star_edges(v):
-        return tuple(sub.edges[eidx][0] for eidx, _ in sub.half_edges(v))
-
-    ys = {v: CycleSpec(kind="Y", hub=v, branches=star_edges(v)) for v in verts}
-    os_ = {}
-    for (i, j) in itertools.combinations(range(3), 2):
-        for (k, l) in itertools.combinations(range(3), 2):
-            seq = []
-            for (x, y) in ((f"a{i}", f"b{k}"), (f"b{k}", f"a{j}"),
-                           (f"a{j}", f"b{l}"), (f"b{l}", f"a{i}")):
-                a, b = (x, y) if x.startswith("a") else (y, x)
-                base = f"e{a[1]}{b[1]}"
-                first, second = f"{base}:0", f"{base}:1"
-                seq.extend([first, second] if x == a else [second, first])
-            os_[(i, j, k, l)] = CycleSpec(kind="O", cycle=tuple(seq))
-    return ys, os_
-
-
-def _k33_span2_row(suite):
     t0 = time.perf_counter()
-    g = build_family("k33")
-    sub = _subdivide_edges(g, {e[0] for e in g.edges})
-    cx = build_swiatkowski(sub, 4, reduce_vertices="all")
-    ys, os_ = _k33_parts(g, sub)
-    part_lists = [[ys[u], ys[v]] for u, v in itertools.combinations(ys, 2)]
-    for (i, j, k, l), o in os_.items():
-        for v in ys:
-            es, vs = _spec_support(sub, o)
-            es2, vs2 = _spec_support(sub, ys[v])
-            if not (es & es2) and not (vs & vs2):
-                part_lists.append([o, ys[v]])
-    got, ncyc = _dressed_span(cx, part_lists, 2, 19)
-    return Row(suite, "k33 n=4 product span d=2", 19, got, got == 19,
-               f"{ncyc} product classes", time.perf_counter() - t0)
-
-
-def _k33_span3_row(suite):
+    _, got, ncyc = _product_span("k33", 4, 2, _k33_parts)
+    rows.append(Row(suite, "k33 n=4 product span d=2", 19, got, got == 19,
+                    f"{ncyc} product classes", time.perf_counter() - t0))
     t0 = time.perf_counter()
-    g = build_family("k33")
-    sub = _subdivide_edges(g, {e[0] for e in g.edges})
-    cx = build_swiatkowski(sub, 5, reduce_vertices="all")
-    ys, os_ = _k33_parts(g, sub)
-    part_lists = []
-    for i in range(3):
-        for j in range(3):
-            ia, ib = [x for x in range(3) if x != i], [x for x in range(3) if x != j]
-            o = os_[(ia[0], ia[1], ib[0], ib[1])]
-            part_lists.append([ys[f"a{i}"], ys[f"b{j}"], o])
-    got, ncyc = _dressed_span(cx, part_lists, 3, 9)
+    cx, got, ncyc = _product_span("k33", 5, 3, _k33_parts)
     beta3 = homology(cx, dims=3).betti(3)
-    ok = got == 9 and beta3 == 10
-    return Row(suite, "k33 n=5 product span d=3", "span 9 of beta_3 10",
-               f"span {got} of beta_3 {beta3}", ok,
-               f"{ncyc} product classes; one non-product generator",
-               time.perf_counter() - t0)
+    rows.append(Row(suite, "k33 n=5 product span d=3", "span 9 of beta_3 10",
+                    f"span {got} of beta_3 {beta3}", got == 9 and beta3 == 10,
+                    f"{ncyc} product classes; one non-product generator",
+                    time.perf_counter() - t0))
+    return rows
 
 
 def suite_generation():

@@ -145,6 +145,31 @@ def test_criterion_06_k44e_n4_as_stated():
     assert (h.betti(2), h.torsion(2)) == (b2, tor)
 
 
+def test_criterion_06_k44e_n6_engine():
+    # the evidence behind the xfail below
+    h, _ = _engine("k44e", 6)
+    assert (h.betti(3), h.torsion(3)) == (930, (2,) * 13)
+
+
+@pytest.mark.xfail(strict=True, reason="the table's K_{4,4}-e row at n=6 "
+                   "(beta_3 = 1460, H_3 torsion (Z/2)^73) disagrees with the "
+                   "all-reduced half-edge complex, which gives beta_3 = 930 "
+                   "with torsion (Z/2)^13 from its Morse complex and from the "
+                   "generic reduction of all its cells (a 3 GB run recorded "
+                   "in ROADMAP.md)")
+def test_criterion_06_k44e_n6_as_stated():
+    b3, tor = tables.PETERSEN_N6_EXTENDED["k44e"]
+    h, _ = _engine("k44e", 6)
+    assert (h.betti(3), h.torsion(3)) == (b3, tor)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_k5_table_beyond_the_core_tier(n):
+    # the extended tier's K5 rows
+    row = _table_row("paper-tables-extended", "k5", n, dict(tables.K5_BETTI[n]))
+    assert row.ok, f"{row.label}: got {row.got}, {row.note}"
+
+
 @pytest.mark.parametrize("fam", ["petersen:6", "petersen:7", "petersen:8",
                                  "k331"])
 def test_criterion_06_petersen_family_n4(fam):
@@ -158,9 +183,8 @@ def test_criterion_06_petersen_family_n4(fam):
 
 @pytest.mark.extended
 def test_extended_tables():
-    # every extended row holds except the two K_{4,4}-e rows (n=4 above;
-    # at n=6 the engine gives beta_3 = 930 with (Z/2)^13, the table 1460
-    # with (Z/2)^73)
+    # every extended row holds except the two K_{4,4}-e rows, each held by
+    # a strict xfail above
     rows = suite_paper_tables_extended()
     assert {r.label for r in rows if not r.ok} == {"k44e n=4", "k44e n=6"}
 

@@ -420,34 +420,14 @@ class TestTwoPaths:
 
     def test_span_rank_agrees_on_the_subdivided_k33(self):
         # the 69 dressed products of test_transport_replays_the_cached_trail
-        from confhom import verify as V
-        from confhom.cycles import _spec_support, product_cycle, span_rank
-        g = build_family("k33")
-        sub = V._subdivide_edges(g, {e[0] for e in g.edges})
-        ys, os_ = V._k33_parts(g, sub)
-        part_lists = [[ys[u], ys[v]] for u, v in itertools.combinations(ys, 2)]
-        for o in os_.values():
-            for v in ys:
-                es, vs = _spec_support(sub, o)
-                es2, vs2 = _spec_support(sub, ys[v])
-                if not (es & es2) and not (vs & vs2):
-                    part_lists.append([o, ys[v]])
+        from confhom.cycles import span_rank
+        from subdivided import k33_products, split_edges
+        sub = split_edges(build_family("k33"))
         ranks = []
         for cx in (build_swiatkowski(sub, 4, reduce_vertices="all"),
                    _without_morse(build_swiatkowski(sub, 4,
                                                     reduce_vertices="all"))):
-            cycles = []
-            for parts in part_lists:
-                used_e, used_v = set(), set()
-                for p in parts:
-                    es, vs = _spec_support(sub, p)
-                    used_e |= es
-                    used_v |= vs
-                free = 4 - sum({"O": 1, "Y": 2}[p.kind] for p in parts)
-                for dist in V._distributions(free,
-                                             V._regions(sub, used_e, used_v)):
-                    cycles.append(product_cycle(cx, parts,
-                                                dressing={"edges": dist}))
+            cycles = k33_products(cx)
             assert len(cycles) == 69
             ranks.append(span_rank(cx, cycles, 2))
             # fewer cycles span less, by the same amount on both paths

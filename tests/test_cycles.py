@@ -177,6 +177,30 @@ class TestDressingEquivalence:
         assert solve_boundary(cx, c1) is None
 
 
+class TestSubdivision:
+    def test_wheel_products_span_on_the_graph_and_its_subdivision(self):
+        # merging each edge's two halves is a quasi-isomorphism that
+        # carries the subdivided products to the graph's own; both sets
+        # span beta_2 = 22 of wheel:5 n=4
+        from confhom import verify as V
+        from subdivided import dressed_products, split_edges
+        g = build_family("wheel:5")
+        pairs = V._disjoint_products(g, V._wheel_parts(g), 2)
+        cx = build_swiatkowski(split_edges(g), 4, reduce_vertices="all")
+        cycles = dressed_products(cx, g, pairs)
+        _, got, count = V._product_span("wheel:5", 4, 2, V._wheel_parts)
+        assert span_rank(cx, cycles, 2) == got == 22
+        assert len(cycles) == count == 62
+
+    def test_junction_branches_stay_dressable(self):
+        # junctions at r0 and r1 share the rim edge c0, which is its own
+        # pocket; blocking branch edges as well spans only 22 of 34
+        from confhom import verify as V
+        g = build_family("wheel:5")
+        assert V._regions(g, set(), {"r0", "r1"}) == ["c0", "c1"]
+        assert V._product_span("wheel:5", 5, 2, V._wheel_parts)[1:] == (34, 130)
+
+
 class TestSpecJson:
     def test_roundtrip(self):
         text = ('{"kind":"Y","hub":"v2","branches":["e1","e2","e3"],'

@@ -1,8 +1,11 @@
 """Every module-level import in src/confhom, in the tests and in the
 benchmark scripts is used: a name bound by an import must be read somewhere
-in its module, or re-exported via __all__.  The files are only parsed."""
+in its module, or re-exported via __all__.  Every module-level private
+function of src/confhom is named outside its own body, by its module or by
+another of these files.  The files are only parsed."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,8 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "confhom"
 BENCH = TESTS.parent / "perfbench"
+FILES = (sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+         + sorted(BENCH.glob("*.py")))
 
 
 def unused_imports(tree):
@@ -32,8 +37,7 @@ def unused_imports(tree):
 
 
 @pytest.mark.parametrize(
-    "path", (sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
-             + sorted(BENCH.glob("*.py"))),
+    "path", FILES,
     ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
@@ -42,3 +46,51 @@ def test_no_unused_module_imports(path):
 def test_the_scan_finds_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c as d\nprint(b)\n")
     assert unused_imports(tree) == [(1, "os"), (2, "d")]
+
+
+def names(node):
+    """Identifiers a tree names: variables, attributes and string constants,
+    which getattr and monkeypatch use."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def unnamed_private_functions(tree, elsewhere):
+    """Module-level private functions of `tree` named neither in
+    `elsewhere` nor in their module outside their own definition."""
+    tops = [(node, names(node)) for node in tree.body]
+    out = []
+    for f, _ in tops:
+        if (isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and f.name.startswith("_") and not f.name.startswith("__")
+                and f.name not in set(elsewhere).union(
+                    *(ns for node, ns in tops if node is not f))):
+            out.append(f.name)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _names_in(path):
+    return frozenset(names(ast.parse(path.read_text())))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_private_function_is_named(path):
+    elsewhere = set().union(*(_names_in(p) for p in FILES if p != path))
+    assert unnamed_private_functions(ast.parse(path.read_text()),
+                                     elsewhere) == []
+
+
+def test_the_scan_finds_an_unnamed_private_function():
+    tree = ast.parse("def _a():\n    return _a()\n"
+                     "def _b(): pass\ndef _c(): pass\ndef __d__(): pass\n"
+                     "x = _b\n")
+    assert unnamed_private_functions(tree, {"_c"}) == ["_a"]
