@@ -64,12 +64,14 @@ class ChainComplex:
     `cells[d]` lists packed cell keys in canonical order; `describe` and
     `cell_faces` are builder-supplied callbacks used for pretty-printing
     and for evaluating boundaries of sparse chains without materializing
-    column slices.
+    column slices.  Without a `cell_faces` callback, the faces come from
+    the triplets.
 
     A complex is not mutated after it is built, and it keeps two caches.
     `homology.morse_reduce` caches its one reduction (reduced complex and
-    trail) in `_reduction`; generators and lifting always use it, and so
-    do homology and class ranks of any complex without a Morse complex.
+    trail) in `_reduction`; generators, lifting and boundary solving always
+    use it, and so do homology and class ranks of any complex without a
+    Morse complex.
     A builder may attach a `morse_complex` callback returning (Morse
     complex, flow): `build_swiatkowski` does so for the full all-reduced
     complex (see `confhom.critical`).  `morse_complex()` calls it once and
@@ -91,6 +93,7 @@ class ChainComplex:
         self._cell_faces = cell_faces
         self._morse_complex = morse_complex
         self._index = {}
+        self._faces = {}
         self._reduction = None
         self._morse = None
         self._checked = False
@@ -120,10 +123,17 @@ class ChainComplex:
         return self._describe(d, key)
 
     def cell_faces(self, d, key):
-        """Boundary of one cell as [(face_key, coeff), ...]."""
+        """Boundary of one cell as [(face_key, coeff), ...]: from the
+        builder's callback, else from the columns of the complex's own
+        triplets, read once per dimension."""
         if self._cell_faces is not None:
             return self._cell_faces(d, key)
-        raise NotImplementedError("complex has no cell_faces callback")
+        if d not in self._faces:
+            keys = (self.cells[d - 1] if self.cells is not None
+                    else range(self.dims[d - 1]))
+            self._faces[d] = [[(keys[r], v) for r, v in col]
+                              for col in self._columns(d)]
+        return self._faces[d][self.index(d)[key]]
 
     def morse_complex(self):
         """(Morse complex, flow) from the builder's callback, built once and
@@ -306,17 +316,7 @@ class ChainComplex:
             _check_entries((rows, cols, vals), d, dims)
             boundaries[d] = (array("l", rows), array("l", cols),
                              array("l", vals))
-        cx = cls(dims, boundaries, cells=None, meta={"model": "json"})
-
-        columns = {}
-
-        def faces(d, key):
-            if d not in columns:
-                columns[d] = cx._columns(d)
-            return columns[d][key]
-
-        cx._cell_faces = faces
-        return cx
+        return cls(dims, boundaries, cells=None, meta={"model": "json"})
 
     def __repr__(self):
         return f"<ChainComplex dims={self.dims} model={self.meta.get('model')}>"
@@ -554,9 +554,6 @@ class Chain:
         self.complex = cx
         self.dim = dim
         self.data = {k: v for k, v in (data or {}).items() if v}
-
-    def copy(self):
-        return Chain(self.complex, self.dim, dict(self.data))
 
     def __add__(self, other):
         self._compat(other)

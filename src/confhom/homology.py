@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import floordiv, mod, mul
 
 from .complexes import BoundaryError, Chain, ChainComplex, pause_gc
 
@@ -247,22 +248,11 @@ class SnfResult:
 def smith_normal_form(matrix, shape=None) -> SnfResult:
     """Smith normal form data of a dense (list of rows) or sparse
     ((rows, cols, vals) with shape=(m, n)) integer matrix."""
-    if shape is not None:
-        rows, cols, vals = matrix
-        colmap, rowmap = _sparse_from_triplets(rows, cols, vals)
-    else:
-        m = len(matrix)
-        n = len(matrix[0]) if m else 0
-        rows = []
-        cols = []
-        vals = []
-        for i in range(m):
-            for j in range(n):
-                if matrix[i][j]:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(matrix[i][j])
-        colmap, rowmap = _sparse_from_triplets(rows, cols, vals)
+    if shape is None:
+        matrix = ([i for i, row in enumerate(matrix) for _ in row],
+                  [j for row in matrix for j in range(len(row))],
+                  [v for row in matrix for v in row])
+    colmap, rowmap = _sparse_from_triplets(*matrix)
     unit_rank = _sparse_unit_eliminate(colmap, rowmap)
     divisors, _, _, _ = snf_dense(_leftover_dense(colmap))
     if any(d == 0 for d in divisors):
@@ -284,15 +274,15 @@ class ReductionStats:
 
 
 @pause_gc
-def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
+def morse_reduce(cx: ChainComplex, track=()):
     """Shrink a complex by repeated elementary reductions on unit entries.
 
-    Returns (reduced complex, transported chains, trail).  The reduced
+    Returns (reduced complex, transported chains, trail info).  The reduced
     complex has at most as many cells in every dimension and identical
     homology; its boundary is the induced one.  Chains in `track` (cycles
     of positive dimension) are transported to the reduced complex.  The
-    trail, returned when asked for, supports lifting reduced-complex
-    cycles back.
+    trail info (see `_reduce`) supports lifting reduced-complex cycles back
+    and solving boundaries.
 
     The elimination runs once per complex: the reduced complex and the
     trail are cached on `cx`, and every call, with or without `track`,
@@ -305,17 +295,22 @@ def morse_reduce(cx: ChainComplex, track=(), record_trail=False):
     if cx._reduction is None:
         cx._reduction = _reduce(cx)
     rcx, trail_info = cx._reduction
-    moved = _transport(cx, rcx, trail_info, track) if track else []
-    return rcx, moved, trail_info if record_trail else None
+    if any(ch.dim == 0 for ch in track):
+        raise EngineError("cannot transport 0-dimensional classes")
+    moved = _forward(cx, trail_info, track) if track else []
+    return rcx, [_to_chain(cx, rcx, ch.dim, z, trail_info[1])
+                 for ch, z in zip(track, moved)], trail_info
 
 
 def _reduce(cx: ChainComplex):
     """The one elimination behind `morse_reduce`: returns the reduced
-    complex and (trail, offsets, dim_of).  Cells carry global ids, offset
-    by dimension.  Trail entry (a, b, bd_b, cofaces_a) records the pair
-    with b's boundary at elimination time (so the pivot is bd_b[a]) and
-    the coefficients (c_1, lam_1, c_2, lam_2, ...) of a in its other
-    cofaces c_i at that time."""
+    complex and (trail, offsets, dim_of, quotient).  Cells carry global
+    ids, offset by dimension.  Trail entry (a, b, bd_b, cofaces_a) records
+    the pair with b's boundary at elimination time (so the pivot is
+    bd_b[a]) and the coefficients (c_1, lam_1, c_2, lam_2, ...) of a in its
+    other cofaces c_i at that time.  `quotient` holds the protected
+    vertices the elimination quotiented out (one per component, on an
+    augmented complex), else it is empty."""
     dims = cx.dims
     top = cx.top_dim
     offsets = [0]
@@ -570,42 +565,35 @@ def _reduce(cx: ChainComplex):
     rcx = ChainComplex([len(c) for c in out_cells], boundaries,
                        cells=out_cells, meta=meta,
                        describe=cx._describe)
-    columns = {}
-
-    def faces(d, key):
-        if d not in columns:
-            columns[d] = rcx._columns(d)
-        return columns[d][rcx.index(d)[key]]
-
-    rcx._cell_faces = faces
-    return rcx, (trail, offsets, dim_of)
+    return rcx, (trail, offsets, dim_of, protected_set if augmented else set())
 
 
 def _to_chain(cx: ChainComplex, target: ChainComplex, d, z, offsets):
     """Chain of `target` from {global id of a d-cell of cx: coeff}."""
     off = offsets[d]
-    if cx.cells is None:
-        return Chain(target, d, {g - off: v for g, v in z.items()})
-    keys = cx.cells[d]
+    keys = cx.cells[d] if cx.cells is not None else range(cx.dims[d])
     return Chain(target, d, {keys[g - off]: v for g, v in z.items()})
 
 
-def _transport(cx: ChainComplex, rcx: ChainComplex, trail_info, chains):
-    """Carry cycles of cx to its reduced complex rcx by replaying the trail
-    in order: pair (a, b) clears a chain's a-term with a multiple of d(b)
-    and drops its b-term."""
-    trail, offsets, _ = trail_info
+def _to_ids(cx: ChainComplex, ch: Chain, offsets):
+    """{global id: coeff} of a chain of cx."""
+    idx = cx.index(ch.dim)
+    off = offsets[ch.dim]
+    return {off + idx[key]: coeff for key, coeff in ch.data.items()}
+
+
+def _forward(cx: ChainComplex, trail_info, chains, homotopy=None):
+    """The map f of the trail's homotopy equivalence: each chain of cx on
+    the reduced complex as {global id: coeff}, by replaying the trail in
+    order.  Pair (a, b) clears a chain's a-term with z[a]*eps*d(b), eps =
+    d(b)[a], and drops its b-term.  Each clearing adds z[a]*eps at b to the
+    chain's dict in `homotopy`, when given: that collects h(chain)."""
+    trail, offsets = trail_info[:2]
     tracked = []
     where = {}  # cell -> ids of the tracked chains whose support holds it
     for ti, ch in enumerate(chains):
-        if ch.dim == 0:
-            raise EngineError("cannot transport 0-dimensional classes")
-        idx = cx.index(ch.dim)
-        off = offsets[ch.dim]
-        z = {}
-        for key, coeff in ch.data.items():
-            g = off + idx[key]
-            z[g] = coeff
+        z = _to_ids(cx, ch, offsets)
+        for g in z:
             where.setdefault(g, set()).add(ti)
         tracked.append(z)
     for a, b, bb, _ in trail:
@@ -614,11 +602,13 @@ def _transport(cx: ChainComplex, rcx: ChainComplex, trail_info, chains):
             eps = bb[a]
             for ti in touched:
                 z = tracked[ti]
-                q = -z.pop(a) * eps
+                q = z.pop(a) * eps
+                if homotopy is not None:
+                    homotopy[ti][b] = q
                 for f, w in bb.items():
                     if f == a:
                         continue
-                    nv = z.get(f, 0) + q * w
+                    nv = z.get(f, 0) - q * w
                     if nv:
                         if f not in z:
                             where.setdefault(f, set()).add(ti)
@@ -630,20 +620,14 @@ def _transport(cx: ChainComplex, rcx: ChainComplex, trail_info, chains):
         if touched:
             for ti in touched:
                 del tracked[ti][b]
-    return [_to_chain(cx, rcx, ch.dim, z, offsets)
-            for ch, z in zip(chains, tracked)]
+    return tracked
 
 
-def lift_cycle(cx: ChainComplex, reduced_chain: Chain, trail_info):
-    """Lift a cycle of the reduced complex back to the original complex by
-    replaying the reduction trail in reverse."""
-    trail, offsets, dim_of = trail_info
-    d = reduced_chain.dim
-    idx = cx.index(d)
-    off = offsets[d]
-    z = {}
-    for key, coeff in reduced_chain.data.items():
-        z[off + idx[key]] = coeff
+def _backward(trail_info, d, z):
+    """The map g of the trail's homotopy equivalence on a d-chain z as
+    {global id: coeff}, in place: the reverse replay sets each pair's b
+    to clear the a-term of d(z), and adds to b-terms z already holds."""
+    trail, _, dim_of, _ = trail_info
     for a, b, bb, cof in reversed(trail):
         if dim_of[b] != d:
             continue
@@ -656,6 +640,15 @@ def lift_cycle(cx: ChainComplex, reduced_chain: Chain, trail_info):
             z[b] = z.get(b, 0) - bb[a] * s
             if not z[b]:
                 del z[b]
+    return z
+
+
+def lift_cycle(cx: ChainComplex, reduced_chain: Chain, trail_info):
+    """Lift a cycle of the reduced complex back to the original complex by
+    replaying the reduction trail in reverse."""
+    d = reduced_chain.dim
+    offsets = trail_info[1]
+    z = _backward(trail_info, d, _to_ids(cx, reduced_chain, offsets))
     out = _to_chain(cx, cx, d, z, offsets)
     if out.boundary():
         raise EngineError("lifted chain is not a cycle")
@@ -784,45 +777,61 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
 # boundary solving and homology-class ranks
 # ---------------------------------------------------------------------------
 
+def _dense(rcx: ChainComplex, d):
+    """d_d of rcx as a dense list of rows: dims[d-1] rows, none for d < 1,
+    by dims[d] columns, none above the top dimension."""
+    nrows = rcx.dims[d - 1] if 1 <= d <= rcx.top_dim + 1 else 0
+    ncols = rcx.dims[d] if d <= rcx.top_dim else 0
+    out = [[0] * ncols for _ in range(nrows)]
+    for r, c, v in zip(*rcx.boundary_triplets(d)):
+        out[r][c] += v
+    return out
+
+
 def solve_boundary(cx: ChainComplex, b: Chain):
     """A chain x with boundary(x) == b, or None if b is not a boundary.
 
-    Solved exactly over the integers through Smith transforms of the
-    boundary matrix one dimension up.
+    Solved exactly through the generic reduction of cx, after its d^2 check,
+    as for generators.  The trail is a chain homotopy equivalence: f to the
+    reduced complex (`_forward`), g back (`_backward`), and h with
+    id - g.f = d.h + h.d.  For a cycle b, Smith transforms of the reduced
+    d_{dim b + 1} alone give y with d(y) = f(b), and x = g(y) + h(b) has
+    d(x) = b, which is verified.  No matrix spans cx, so no size cap applies.
+    On an augmented complex f(b) is read modulo the quotiented vertices, and
+    a d(x) that differs from b only on them means b bounds nothing.
     """
+    if b.complex is not cx:
+        raise ValueError("chain belongs to another complex")
     d = b.dim + 1
     if d > cx.top_dim:
         return None if b else Chain(cx, d, {})
-    nrows = cx.dims[d - 1]
-    ncols = cx.dims[d]
-    if nrows * ncols > 6_000_000:
-        raise EngineError(
-            "boundary solve needs dense transforms; complex too large "
-            f"({nrows}x{ncols})")
-    rows, cols, vals = cx.boundary_triplets(d)
-    dense = [[0] * ncols for _ in range(nrows)]
-    for r, c, v in zip(rows, cols, vals):
-        dense[r][c] += v
-    divisors, U, _, V = snf_dense(dense, transforms=True)
-    vec = [0] * nrows
-    for key, coeff in b.data.items():
-        vec[cx.index(d - 1)[key]] = coeff
-    ub = [sum(U[i][k] * vec[k] for k in range(nrows)) for i in range(nrows)]
-    r = len(divisors)
-    y = [0] * ncols
-    for i in range(nrows):
-        if i < r:
-            if ub[i] % divisors[i]:
-                return None
-            y[i] = ub[i] // divisors[i]
-        elif ub[i]:
-            return None
-    x = [sum(V[i][k] * y[k] for k in range(min(ncols, len(y)))) for i in range(ncols)]
-    cells = cx.cells[d] if cx.cells is not None else list(range(ncols))
-    out = Chain(cx, d, {cells[i]: x[i] for i in range(ncols) if x[i]})
-    if out.boundary() != b:
-        raise EngineError("boundary solve verification failed")
-    return out
+    if b.boundary():
+        return None
+    _checked_morse(cx, False)
+    rcx, _, trail_info = morse_reduce(cx)
+    offsets, quotient = trail_info[1], trail_info[3]
+    h = {}
+    fb = {g: v for g, v in _forward(cx, trail_info, [b], [h])[0].items()
+          if g not in quotient}
+    divisors, U, _, V = snf_dense(_dense(rcx, d), transforms=True)
+    vec = [0] * len(U)
+    for key, coeff in _to_chain(cx, rcx, d - 1, fb, offsets).data.items():
+        vec[rcx.index(d - 1)[key]] = coeff
+    ub = [sum(map(mul, row, vec)) for row in U]
+    if any(map(mod, ub, divisors)) or any(ub[len(divisors):]):
+        return None
+    w = list(map(floordiv, ub, divisors))
+    y = Chain(rcx, d, {rcx.cells[d][i]: sum(map(mul, row, w))
+                       for i, row in enumerate(V)})
+    # h(b) holds only eliminated cells and y only surviving ones
+    z = _backward(trail_info, d, _to_ids(cx, y, offsets) | h)
+    out = _to_chain(cx, cx, d, z, offsets)
+    miss = out.boundary() - b
+    if not miss:
+        return out
+    if _to_ids(cx, miss, offsets).keys() <= quotient:
+        return None
+    raise EngineError("boundary solve verification failed")
 
 
 def class_span_rank(cx: ChainComplex, cycles, d, reduce=True):
@@ -833,6 +842,8 @@ def class_span_rank(cx: ChainComplex, cycles, d, reduce=True):
     complex, else along the trail of cx.  The complexes the rank is read
     from are d^2-checked first, as by `homology`."""
     for z in cycles:
+        if z.complex is not cx:
+            raise ValueError("cycle belongs to another complex")
         if z.dim != d:
             raise ValueError("cycle of wrong dimension")
         if z.boundary():
@@ -871,21 +882,14 @@ def homology_generators(cx: ChainComplex, d):
     """Explicit cycles generating the free part of d-dimensional homology,
     read from the reduction of cx after its d^2 check, as by `homology`."""
     _checked_morse(cx, False)
-    rcx, _, trail_info = morse_reduce(cx, record_trail=True)
+    rcx, _, trail_info = morse_reduce(cx)
     if d > rcx.top_dim:
         return []
     nd = rcx.dims[d]
-    lo = rcx.boundary_triplets(d)
-    hi = rcx.boundary_triplets(d + 1) if d + 1 <= rcx.top_dim else ([], [], [])
-    m1 = [[0] * nd for _ in range(rcx.dims[d - 1])] if d >= 1 else []
-    for r, c, v in zip(*lo):
-        m1[r][c] += v
-    n_hi = rcx.dims[d + 1] if d + 1 <= rcx.top_dim else 0
-    m2 = [[0] * n_hi for _ in range(nd)]
-    for r, c, v in zip(*hi):
-        m2[r][c] += v
+    m1, m2 = _dense(rcx, d), _dense(rcx, d + 1)
+    n_hi = len(m2[0]) if m2 else 0
     # kernel of m1
-    if d == 0 or not m1:
+    if not m1:
         kernel = [[int(i == j) for j in range(nd)] for i in range(nd)]
     else:
         divisors, _, _, V = snf_dense(m1, transforms=True)
@@ -905,10 +909,8 @@ def homology_generators(cx: ChainComplex, d):
     divisors2, _, Uinv2, _ = snf_dense(X, transforms=True)
     r2 = len(divisors2)
     gens = []
-    cells = rcx.cells[d] if rcx.cells is not None else list(range(nd))
     for j in range(r2, k):
         vec = [sum(kernel[i][t] * Uinv2[t][j] for t in range(k))
                for i in range(nd)]
-        data = {cells[i]: vec[i] for i in range(nd) if vec[i]}
-        gens.append(Chain(rcx, d, data))
+        gens.append(Chain(rcx, d, dict(zip(rcx.cells[d], vec))))
     return [lift_cycle(cx, z, trail_info) for z in gens]

@@ -262,7 +262,6 @@ def test_criterion_11_property_suites():
     ok = True
     detail = ""
     # boundary squares to zero and reduction invariance on the small corpus
-    from confhom import build_abrams, order_vertices, subdivide_for
     corpus = [("star:3", 2), ("theta:3", 3), ("theta:4", 3), ("k4", 3),
               ("lasso", 2), ("net:2", 3)]
     for fam, n in corpus:

@@ -5,13 +5,14 @@ check, and homology and class ranks against the generic reduction."""
 import gc
 import hashlib
 import itertools
+import random
 import tracemalloc
 import weakref
 
 import pytest
 
 from confhom import tables
-from confhom.complexes import BoundaryError, ChainComplex
+from confhom.complexes import BoundaryError, Chain, ChainComplex
 from confhom.critical import (MorseFlow, MorseMatching, _spread,
                               choose_search, critical_counts, half_edge_ends,
                               search)
@@ -400,6 +401,23 @@ class TestTwoPaths:
         generic = homology(_without_morse(cx), check=False)
         assert _nonzero(h) == _nonzero(generic)
         assert h.euler == generic.euler == cx.euler_characteristic()
+
+    def test_morse_complex_chains_have_boundaries(self):
+        # a Morse complex has no faces callback: Chain.boundary reads its
+        # triplets, and the flow is a chain map into it
+        rng = random.Random(3)
+        cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
+        mcx, flow = cx.morse_complex()
+        assert mcx._cell_faces is None
+        for d in range(1, mcx.top_dim + 1):
+            for key in mcx.cells[d]:
+                assert (Chain(mcx, d, {key: 1}).boundary()
+                        == Chain(mcx, d - 1, flow.boundary(key)))
+        for d in range(1, cx.top_dim + 1):
+            z = Chain(cx, d, {k: rng.choice((-1, 2)) for k in
+                              rng.sample(list(cx.cells[d]), 5)})
+            assert (flow.chain(z, mcx).boundary()
+                    == flow.chain(z.boundary(), mcx))
 
     def test_each_component_chooses_its_search(self):
         # wheel:5 and wheel:4 side by side: one search per component, the

@@ -9,6 +9,7 @@ import hashlib
 import importlib
 import itertools
 import multiprocessing.process
+import random
 import re
 import subprocess
 import tracemalloc
@@ -235,7 +236,7 @@ class TestMorseReduce:
     def test_matching_is_pinned(self, build, stats, digest):
         # the statistics and the ordered sequence of eliminated pairs must
         # not drift when the reduction is made cheaper
-        rcx, _, (trail, _, _) = morse_reduce(build(), record_trail=True)
+        rcx, _, (trail, _, _, _) = morse_reduce(build())
         assert rcx.meta["reduction"] == stats
         pairs = repr([(a, b) for a, b, _, _ in trail]).encode()
         assert hashlib.sha256(pairs).hexdigest()[:16] == digest
@@ -285,6 +286,31 @@ class TestMorseReduce:
             gc.enable()
 
 
+SOLVE_CORPUS = {
+    "canonical": lambda: build_swiatkowski(build_family("theta:4"), 3),
+    "essential": lambda: build_swiatkowski(build_family("k4"), 3,
+                                           reduce_vertices="essential"),
+    "all-lasso": lambda: build_swiatkowski(build_family("lasso"), 3,
+                                           reduce_vertices="all"),
+    "cube-k4-n3": lambda: build_abrams(order_vertices(
+        subdivide_for(build_family("k4"), 3)), 3),
+    # a 2-sphere (two discs on a triangle) and a disjoint circle
+    "json": lambda: ChainComplex.from_json_dict({"dims": [5, 5, 2],
+                                                 "boundary": {
+        "1": [[0, 0, -1], [1, 0, 1], [1, 1, -1], [2, 1, 1], [0, 2, -1],
+              [2, 2, 1], [3, 3, -1], [4, 3, 1], [3, 4, 1], [4, 4, -1]],
+        "2": [[0, 0, 1], [1, 0, 1], [2, 0, -1], [0, 1, 1], [1, 1, 1],
+              [2, 1, -1]]}}),
+}
+
+
+def _random_chain(cx, d, rng, size=4):
+    keys = cx.cells[d] if cx.cells is not None else range(cx.dims[d])
+    return Chain(cx, d, {k: rng.choice((-2, -1, 1, 3))
+                         for k in rng.sample(list(keys),
+                                             min(size, cx.dims[d]))})
+
+
 class TestSolveBoundary:
     def test_boundary_of_a_cell_is_solvable(self):
         cx = build_swiatkowski(build_family("theta:3"), 2)
@@ -294,11 +320,8 @@ class TestSolveBoundary:
         assert x is not None and x.boundary() == b
 
     def test_nontrivial_cycle_is_not_a_boundary(self):
+        # the hexagon's single 1-cycle
         cx = build_abrams(order_vertices(build_family("star:3"), "l0"), 2)
-        rows, cols, vals = cx.boundary_triplets(1)
-        # the hexagon's single 1-cycle: alternate signs around the circuit
-        from confhom.cycles import CycleSpec, make_cycle
-        from confhom.homology import homology_generators
         z = homology_generators(cx, 1)[0]
         assert solve_boundary(cx, z) is None
 
@@ -310,6 +333,93 @@ class TestSolveBoundary:
         assert solve_boundary(cx, top) is None
         x = solve_boundary(cx, Chain(cx, cx.top_dim, {}))
         assert x == Chain(cx, cx.top_dim + 1, {})
+
+    @pytest.mark.parametrize("name", sorted(SOLVE_CORPUS))
+    def test_random_boundaries_solve(self, name):
+        rng = random.Random(13)
+        cx = SOLVE_CORPUS[name]()
+        for d in range(1, cx.top_dim + 1):
+            for _ in range(3):
+                b = _random_chain(cx, d, rng).boundary()
+                x = solve_boundary(cx, b)
+                assert x is not None and x.dim == d and x.boundary() == b
+
+    @pytest.mark.parametrize("name", sorted(SOLVE_CORPUS))
+    def test_generators_do_not_bound(self, name):
+        cx = SOLVE_CORPUS[name]()
+        h = homology(cx)
+        found = 0
+        for d in range(1, cx.top_dim + 1):
+            gens = homology_generators(cx, d)
+            assert len(gens) == h.betti(d)
+            found += len(gens)
+            for z in gens:
+                assert solve_boundary(cx, z) is None
+                assert solve_boundary(cx, 2 * z) is None
+        assert found
+
+    @pytest.mark.parametrize("name", ["canonical", "cube-k4-n3", "json"])
+    def test_vertices(self, name):
+        # augmented complexes: a vertex is a boundary only as part of a
+        # 0-chain whose sum on every component is 0
+        cx = SOLVE_CORPUS[name]()
+        quotient = morse_reduce(cx)[2][3]
+        assert len(quotient) == homology(cx).betti(0)
+        e = (cx.cells[1] if cx.cells is not None else range(cx.dims[1]))[0]
+        b = Chain(cx, 1, {e: 1}).boundary()
+        x = solve_boundary(cx, b)
+        assert x is not None and x.boundary() == b
+        v, w = sorted(b.data)
+        for odd in (Chain(cx, 0, {v: 1}), Chain(cx, 0, {v: 2, w: -1})):
+            assert solve_boundary(cx, odd) is None
+
+    def test_vertices_of_two_components(self):
+        cx = SOLVE_CORPUS["json"]()
+        assert solve_boundary(cx, Chain(cx, 0, {0: 1, 2: -1})) is not None
+        assert solve_boundary(cx, Chain(cx, 0, {0: 1, 3: -1})) is None
+        assert solve_boundary(cx, Chain(cx, 0, {0: 1, 1: 1, 3: -2})) is None
+
+    def test_vertex_of_a_non_augmented_complex(self):
+        # d_1 = (2): nothing is quotiented, and 2v bounds while v does not
+        cx = ChainComplex.from_json_dict(
+            {"dims": [1, 1], "boundary": {"1": [[0, 0, 2]]}})
+        assert morse_reduce(cx)[2][3] == set()
+        assert solve_boundary(cx, Chain(cx, 0, {0: 2})) == Chain(cx, 1, {0: 1})
+        assert solve_boundary(cx, Chain(cx, 0, {0: 1})) is None
+
+    def test_torsion_class(self):
+        # the loop of toy_complex(2) has order 2 in H_1
+        cx = toy_complex(2)
+        loop = Chain(cx, 1, {0: 1})
+        assert solve_boundary(cx, loop) is None
+        assert solve_boundary(cx, 2 * loop) == Chain(cx, 2, {0: 1})
+
+    def test_non_cycle_bounds_nothing(self):
+        cx = SOLVE_CORPUS["canonical"]()
+        assert solve_boundary(cx, Chain(cx, 1, {cx.cells[1][0]: 1})) is None
+
+    def test_beyond_the_old_dense_limit(self):
+        # k4 n=5 canonical: d_2 is 4356 x 5616, about 24 M entries, which a
+        # dense solve over the whole complex once refused
+        cx = build_swiatkowski(build_family("k4"), 5)
+        assert cx.dims[1] * cx.dims[2] > 24_000_000
+        b = _random_chain(cx, 2, random.Random(5), size=6).boundary()
+        x = solve_boundary(cx, b)
+        assert x is not None and x.boundary() == b
+        rcx = morse_reduce(cx)[0]
+        assert rcx.dims[1] * rcx.dims[2] < 1000
+
+    def test_chain_of_another_complex_is_refused(self):
+        from confhom.cycles import CycleSpec, make_cycle, span_rank
+        g = build_family("theta:4")
+        cx = build_swiatkowski(g, 2)
+        other = build_swiatkowski(g, 2, reduce_vertices="all")
+        z = make_cycle(cx, CycleSpec(kind="Y", hub="u",
+                                     branches=("e1", "e2", "e3")))
+        with pytest.raises(ValueError, match="another complex"):
+            solve_boundary(other, z)
+        with pytest.raises(ValueError, match="another complex"):
+            span_rank(other, [z], 1)
 
 
 class TestErrors:
@@ -1007,6 +1117,9 @@ class TestSharedReduction:
         assert span_rank(cx, ys, 1) == 3
         gens = homology_generators(cx, 1)
         assert len(gens) == h.betti(1)
+        b = Chain(cx, 2, {cx.cells[2][0]: 1}).boundary()
+        assert solve_boundary(cx, b).boundary() == b
+        assert solve_boundary(cx, gens[0]) is None
         assert calls == [cx]
         homology(cx, reduce=False)
         homology(cx, dims=1)

@@ -1,6 +1,7 @@
-"""Every module-level import in src/confhom, in the tests and in the
-benchmark scripts is used: a name bound by an import must be read somewhere
-in its module, or re-exported via __all__.  Every module-level private
+"""Every import in src/confhom, in the tests and in the benchmark scripts
+is used: a name bound by a module-level import must be read somewhere in
+its module, or re-exported via __all__, and one bound inside a function
+must be read in that function.  Every module-level private
 function of src/confhom is named outside its own body, by its module or by
 another of these files.  The files are only parsed."""
 
@@ -17,23 +18,46 @@ FILES = (sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
          + sorted(BENCH.glob("*.py")))
 
 
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _imports(scope):
+    """Import statements of a module or function, outside nested functions
+    and classes."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, SCOPES + (ast.ClassDef,)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def unused_imports(tree):
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                bound[name] = node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                bound[alias.asname or alias.name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
-            used |= set(ast.literal_eval(node.value))
-    return sorted((line, name) for name, line in bound.items()
-                  if name not in used)
+    """(line, name) of each name an import binds that its scope never
+    reads: the whole module for a module-level import, the function for an
+    import inside a function."""
+    out = []
+    for scope in [tree] + [n for n in ast.walk(tree)
+                           if isinstance(n, SCOPES)]:
+        bound = {}
+        for node in _imports(scope):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+            elif node.module != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = node.lineno
+        used = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name)}
+        for node in scope.body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__"
+                    for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        out += [(line, name) for name, line in bound.items()
+                if name not in used]
+    return sorted(out)
 
 
 @pytest.mark.parametrize(
@@ -46,6 +70,18 @@ def test_no_unused_module_imports(path):
 def test_the_scan_finds_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c as d\nprint(b)\n")
     assert unused_imports(tree) == [(1, "os"), (2, "d")]
+
+
+def test_the_scan_finds_an_unused_import_in_a_function():
+    tree = ast.parse("import os\n"
+                     "def f():\n"
+                     "    from a import b, c\n"
+                     "    if os:\n"
+                     "        import sys\n"
+                     "    def g():\n"
+                     "        import re\n"
+                     "        return b\n")
+    assert unused_imports(tree) == [(3, "c"), (5, "sys"), (7, "re")]
 
 
 def names(node):
