@@ -59,6 +59,9 @@ class AbramsEncoding:
         raise GraphError(f"unknown item {x!r}")
 
     def encode(self, items):
+        """Packed cell of n pairwise disjoint items (see `item_for`).  The
+        keys this accepts are exactly the cells of the complex built with
+        this encoding; anything else raises GraphError."""
         key = 0
         vmask = 0
         count = 0
@@ -124,8 +127,7 @@ def abrams_boundary(items, og: OrderedGraph, n=None):
     return out
 
 
-def build_abrams(og: OrderedGraph, n: int, max_dim=None,
-                 max_cells=None) -> ChainComplex:
+def build_abrams(og: OrderedGraph, n: int, max_cells=None) -> ChainComplex:
     """Cube complex of n-point disjoint configurations on an ordered graph.
 
     The graph must be simple and sufficiently subdivided for n; violations
@@ -138,7 +140,6 @@ def build_abrams(og: OrderedGraph, n: int, max_dim=None,
     enc = AbramsEncoding(og, n)
     nv, n_items = enc.nv, enc.n_items
     vsets = enc.vsets
-    dim_cap = (max_dim + 1) if max_dim is not None else n
 
     by_dim = {}
     total = 0
@@ -156,8 +157,6 @@ def build_abrams(og: OrderedGraph, n: int, max_dim=None,
             vs = vsets[k]
             if vs & vmask:
                 continue
-            if k >= nv and edges + 1 > dim_cap:
-                break  # items are vertices-then-edges; all later items are edges
             rec(k + 1, left - 1, vmask | vs,
                 edges + (1 if k >= nv else 0), key | 1 << k)
 
@@ -206,7 +205,4 @@ def cell(cx: ChainComplex, items) -> Chain:
     (tau, iota) pairs)."""
     enc = cx.meta["encoding"]
     key = enc.encode(items)
-    d = enc.dim_of(key)
-    if key not in cx.index(d):
-        raise GraphError("cell not present in this complex")
-    return Chain(cx, d, {key: 1})
+    return Chain(cx, enc.dim_of(key), {key: 1})

@@ -198,7 +198,6 @@ def build_parser():
     p = sub.add_parser("compute", help="Betti numbers and torsion")
     common(p)
     p.add_argument("--dims", default=None, help="single dim or lo-hi range")
-    p.add_argument("--reduce", dest="reduce", action="store_true", default=True)
     p.add_argument("--no-reduce", dest="reduce", action="store_false")
     p.add_argument("--time-budget", type=float, default=None,
                    help="soft limit in seconds")

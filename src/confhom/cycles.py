@@ -2,17 +2,18 @@
 junction exchange classes, the four-edge theta surface class, their
 products, and the named chain-level relations among them.
 
-Cycles are assembled symbolically (per-vertex states plus edge
-multiplicities) and then encoded into a target complex, so the same
-construction works in canonical and reduced bases.  Every constructor
-verifies that the result has zero boundary.
+Every cycle is built by `product_cycle`: a single dressed cycle is the
+product of one part.  In the half-edge model the product is assembled
+symbolically (per-vertex states plus edge multiplicities) and then encoded
+into the target complex, so the same construction works in canonical and
+reduced bases.  The result is verified to have zero boundary.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .abrams import build_abrams, cell as acell
 from .complexes import Chain, ChainComplex
@@ -76,10 +77,6 @@ def _sym_canon(states, edges):
             tuple(sorted((e, m) for e, m in edges.items() if m)))
 
 
-def _sym_single(states, edges):
-    return {_sym_canon(states, edges): 1}
-
-
 def _h_positions(g, cell):
     states, _ = cell
     vorder = g._vindex
@@ -136,18 +133,18 @@ def _sym_add(A, B, coeff=1):
 
 
 def _encode_sym(cx: ChainComplex, sym) -> Chain:
+    """Encode a symbolic chain.  Every key the encoding accepts is a cell of
+    cx, and a cell's dimension is its number of half-edge states."""
     enc = cx.meta["encoding"]
     data = {}
     dim = None
     for (states, edges), v in sym.items():
-        key = enc.encode(dict(states), dict(edges))
-        d = enc.dim_of(key)
+        d = sum(1 for _, spec in states if spec != "v")
         if dim is None:
             dim = d
         elif dim != d:
             raise CycleError("mixed-dimension chain")
-        if key not in cx.index(d):
-            raise CycleError("chain references a cell outside the complex")
+        key = enc.encode(dict(states), dict(edges))
         data[key] = data.get(key, 0) + v
     return Chain(cx, dim if dim is not None else 0, data)
 
@@ -221,8 +218,6 @@ def _sym_y_cycle(g, hub, branches, cx):
 
 def _sym_theta_cycle(g, edge_ids, cx):
     """The two-junction surface class on four parallel edges."""
-    if len(edge_ids) != 4:
-        raise CycleError("theta cycle needs exactly four edges")
     ends = {frozenset(g.endpoints(e)) for e in edge_ids}
     if len(ends) != 1:
         raise CycleError("theta cycle needs parallel edges")
@@ -237,7 +232,7 @@ def _sym_theta_cycle(g, edge_ids, cx):
     return out
 
 
-# -- support and dressing -----------------------------------------------------
+# -- parts ------------------------------------------------------------------
 
 def _spec_support(g, spec: CycleSpec):
     edges, verts = set(), set()
@@ -249,6 +244,8 @@ def _spec_support(g, spec: CycleSpec):
         edges |= set(spec.branches)
         verts.add(spec.hub)
     elif spec.kind == "Theta":
+        if len(spec.edges) != 4:
+            raise CycleError("theta cycle needs exactly four edges")
         edges |= set(spec.edges)
         u, v = g.endpoints(spec.edges[0])
         verts |= {u, v}
@@ -263,71 +260,35 @@ def _spec_particles(spec: CycleSpec):
             + sum(m for _, m in spec.dressing_edges))
 
 
-def _check_dressing(g, spec, edges, verts, strict_edges=False):
-    for v in spec.dressing_vertices:
-        if v in verts:
-            raise CycleError(f"dressing vertex {v!r} overlaps the carrier")
-    if strict_edges:
-        for e, _ in spec.dressing_edges:
-            if e in edges:
-                raise CycleError(f"dressing edge {e!r} overlaps the carrier")
-
-
 def _sym_spec(cx, spec: CycleSpec):
+    """Symbolic chain of one undressed part, after `_spec_support` has
+    checked it."""
     g = cx.meta["graph"]
-    edges, verts = _spec_support(g, spec)
-    _check_dressing(g, spec, edges, verts)
     if spec.kind == "O":
-        sym = _sym_o_cycle(g, spec.cycle, cx)
-    elif spec.kind == "Y":
-        sym = _sym_y_cycle(g, spec.hub, spec.branches, cx)
-    else:
-        sym = _sym_theta_cycle(g, spec.edges, cx)
-    dress_states = {v: "v" for v in spec.dressing_vertices}
-    if dress_states:
-        sym = _sym_mul(g, sym, _sym_single(dress_states, {}))
-    if spec.dressing_edges:
-        sym = _sym_scale_edges(sym, dict(spec.dressing_edges))
-    return sym
+        return _sym_o_cycle(g, spec.cycle, cx)
+    if spec.kind == "Y":
+        return _sym_y_cycle(g, spec.hub, spec.branches, cx)
+    return _sym_theta_cycle(g, spec.edges, cx)
 
 
 # -- public operations ---------------------------------------------------------
 
 def make_cycle(cx: ChainComplex, spec) -> Chain:
-    """Build one distinguished cycle in a complex; the result is verified
-    to have zero boundary."""
+    """One distinguished cycle: the one-part `product_cycle` of the spec's
+    carrier, dressed as the spec says."""
     if isinstance(spec, (str, dict)):
         spec = CycleSpec.from_json(spec)
-    model = cx.meta.get("model")
-    n = cx.meta.get("n")
-    if _spec_particles(spec) != n:
-        raise CycleError(
-            f"cycle carries {_spec_particles(spec)} particles, complex has {n}")
-    if model == "swiatkowski":
-        chain = _encode_sym(cx, _sym_spec(cx, spec))
-    elif model == "abrams":
-        g = cx.meta["graph"]
-        edges, verts = _spec_support(g, spec)
-        _check_dressing(g, spec, edges, verts, strict_edges=True)
-        if spec.kind == "Theta":
-            raise CycleError("theta cycles live in the half-edge model")
-        if spec.dressing_edges:
-            raise CycleError("cube-model dressings place particles on vertices")
-        park = list(spec.dressing_vertices)
-        chain = None
-        for es, vs, sign in make_cycle_part_abrams(cx, spec):
-            term = acell(cx, es + vs + park) * sign
-            chain = term if chain is None else chain + term
-    else:
-        raise CycleError(f"unknown model {model!r}")
-    if chain.boundary():
-        raise CycleError("constructed chain has nonzero boundary")
-    return chain
+    carrier = replace(spec, dressing_vertices=(), dressing_edges=())
+    return product_cycle(cx, [carrier],
+                         {"vertices": spec.dressing_vertices,
+                          "edges": dict(spec.dressing_edges)})
 
 
 def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
-    """Product of pairwise support-disjoint cycles with a disjoint free
-    particle dressing; a d-cycle for d parts."""
+    """Product of pairwise support-disjoint undressed cycles with a disjoint
+    free-particle dressing ({"vertices": [...], "edges": {edge: mult}}); a
+    d-cycle for d parts.  Every distinguished cycle is built here, and the
+    result is verified to have zero boundary."""
     parts = [CycleSpec.from_json(p) if isinstance(p, (str, dict)) else p
              for p in parts]
     g = cx.meta["graph"]
@@ -338,12 +299,12 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
     for p in parts:
         if p.dressing_vertices or p.dressing_edges:
             raise CycleError("dress the product, not its factors")
-    carried = ({"O": 1, "Y": 2, "Theta": 3}[p.kind] for p in parts)
-    total = sum(carried) + len(dress_v) + sum(dress_e.values())
+    supports = [_spec_support(g, p) for p in parts]
+    total = (sum(map(_spec_particles, parts)) + len(dress_v)
+             + sum(dress_e.values()))
     if total != cx.meta.get("n"):
         raise CycleError(
             f"product carries {total} particles, complex has {cx.meta.get('n')}")
-    supports = [_spec_support(g, p) for p in parts]
     # In the half-edge model edge occupation is module multiplication, so
     # only the state-carrying vertices must be disjoint; the cube model
     # needs disjoint closed supports.
@@ -371,7 +332,8 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
             s = _sym_spec(cx, p)
             sym = s if sym is None else _sym_mul(g, sym, s)
         if dress_v:
-            sym = _sym_mul(g, sym, _sym_single({v: "v" for v in dress_v}, {}))
+            parked = _sym_canon({v: "v" for v in dress_v}, {})
+            sym = _sym_mul(g, sym, {parked: 1})
         if dress_e:
             sym = _sym_scale_edges(sym, dress_e)
         chain = _encode_sym(cx, sym)
@@ -441,9 +403,9 @@ def _abrams_product_terms(cx, factors):
     yield from rec(0, [], [], 1, [])
 
 
-def span_rank(cx: ChainComplex, cycles, d, reduce=True) -> int:
+def span_rank(cx: ChainComplex, cycles, d) -> int:
     """Rank of the classes of the given d-cycles in d-dimensional homology."""
-    return class_span_rank(cx, list(cycles), d, reduce=reduce)
+    return class_span_rank(cx, list(cycles), d)
 
 
 # -- named relation checks ------------------------------------------------------
@@ -465,7 +427,7 @@ def _theta_complex(p, n):
     return g, build_swiatkowski(g, n)
 
 
-def verify_chain_identity(name, **kwargs) -> IdentityReport:
+def verify_chain_identity(name) -> IdentityReport:
     """Evaluate one named relation in its standard context and report
     whether it holds exactly or only up to boundaries."""
     if name not in _RELATION_CHECKS:

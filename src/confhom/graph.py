@@ -74,17 +74,23 @@ class Graph:
     # -- basic queries ----------------------------------------------------
 
     def degree(self, v):
-        return len(self._incidence[v])
+        return len(self.half_edges(v))
 
     def half_edges(self, v):
         """Edge ends at v as (edge_index, end) pairs, in clockwise order."""
-        return self._incidence[v]
+        try:
+            return self._incidence[v]
+        except KeyError:
+            raise GraphError(f"unknown vertex {v!r}") from None
 
     def edge(self, eid):
-        return self.edges[self._eindex[eid]]
+        return self.edges[self.edge_index(eid)]
 
     def edge_index(self, eid):
-        return self._eindex[eid]
+        try:
+            return self._eindex[eid]
+        except KeyError:
+            raise GraphError(f"unknown edge {eid!r}") from None
 
     def endpoints(self, eid):
         _, u, v = self.edge(eid)

@@ -287,10 +287,11 @@ def morse_reduce(cx: ChainComplex, track=()):
     The elimination runs once per complex: the reduced complex and the
     trail are cached on `cx`, and every call, with or without `track`,
     reuses them; transport replays the cached trail.  This relies on a
-    complex not being mutated after it is built.  `homology` and
-    `class_span_rank` with reduce=False never call this, so they bypass
-    the cache; on a complex with a Morse complex they call it on the Morse
-    complex, so that a call on the full complex stays the generic path.
+    complex not being mutated after it is built.  `homology` with
+    reduce=False never calls this, so it bypasses the cache; on a complex
+    with a Morse complex, `homology` and `class_span_rank` call it on the
+    Morse complex, so that a call on the full complex stays the generic
+    path.
     """
     if cx._reduction is None:
         cx._reduction = _reduce(cx)
@@ -834,12 +835,12 @@ def solve_boundary(cx: ChainComplex, b: Chain):
     raise EngineError("boundary solve verification failed")
 
 
-def class_span_rank(cx: ChainComplex, cycles, d, reduce=True):
+def class_span_rank(cx: ChainComplex, cycles, d):
     """Rank of the span of the cycles' classes in d-dimensional homology.
 
-    With reduce, the cycles are carried to a reduced complex: by the flow
-    into the Morse complex and then along its trail when cx has a Morse
-    complex, else along the trail of cx.  The complexes the rank is read
+    The cycles are carried to a reduced complex: by the flow into the
+    Morse complex and then along its trail when cx has a Morse complex,
+    else along the trail of cx.  The complexes the rank is read
     from are d^2-checked first, as by `homology`."""
     for z in cycles:
         if z.complex is not cx:
@@ -850,15 +851,13 @@ def class_span_rank(cx: ChainComplex, cycles, d, reduce=True):
             raise ValueError("input chain is not a cycle")
     if not cycles:
         return 0
-    morse = _checked_morse(cx, reduce)
+    morse = _checked_morse(cx, True)
     if morse is not None:
         mcx, flow = morse
         rcx, moved, _ = morse_reduce(
             mcx, track=[flow.chain(z, mcx) for z in cycles])
-    elif reduce:
-        rcx, moved, _ = morse_reduce(cx, track=cycles)
     else:
-        rcx, moved = cx, cycles
+        rcx, moved, _ = morse_reduce(cx, track=cycles)
     if d > rcx.top_dim:
         return 0
     # rank of [d_{d+1} | cycles] minus rank of d_{d+1}

@@ -10,9 +10,9 @@ the alternating-sign rule in a fixed global vertex order.
 
 Reduced sites replace {occupied, h_0..h_{d-1}} by differences h_k - h_0
 against the site's first half-edge; reduced and unreduced complexes have
-the same homology.  A complex with every site reduced and no dimension cap
-carries the builder of its algebraic Morse complex (`confhom.critical`),
-which `homology` and class ranks use in place of reducing it cell by cell.
+the same homology.  A complex with every site reduced carries the builder
+of its algebraic Morse complex (`confhom.critical`), which `homology` and
+class ranks use in place of reducing it cell by cell.
 """
 
 from __future__ import annotations
@@ -110,12 +110,16 @@ class SwEncoding:
         """Build a packed cell from {vertex: state} and {edge_id: mult}.
 
         State specs: "v" (occupied), ("h", edge_id), ("d", edge_id) for the
-        difference generator h(edge_id) - h(reference).
+        difference generator h(edge_id) - h(reference).  The keys this
+        accepts are exactly the cells of the complex built with this
+        encoding; anything else raises GraphError.
         """
         g = self.graph
         key = 0
         total = 0
         for v, spec in (states or {}).items():
+            if v not in self.site_of:
+                raise GraphError(f"{v!r} is not a vertex of degree >= 2")
             i = self.site_of[v]
             table = self.state_tables[i]
             code = None
@@ -136,6 +140,8 @@ class SwEncoding:
             total += table[code][0]
         for eid, m in (edges or {}).items():
             j = g.edge_index(eid)
+            if not isinstance(m, int) or m < 0:
+                raise GraphError(f"edge {eid!r} has multiplicity {m!r}")
             key += m * self.eplace[j]
             total += m
         if total != self.n:
@@ -200,7 +206,7 @@ def _resolve_reduced(g: Graph, reduce_vertices):
     return frozenset(reduce_vertices)
 
 
-def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
+def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
                       max_cells=None) -> ChainComplex:
     """Particle-number-n slice of the half-edge complex of g.
 
@@ -217,7 +223,6 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
     enc = SwEncoding(g, n, reduced)
     nsites = len(enc.sites)
     nedges = len(g.edges)
-    dim_cap = (max_dim + 1) if max_dim is not None else nsites
 
     # edge-distribution packings, cached per remaining particle count
     comp_cache = {}
@@ -258,8 +263,6 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
             if used + w > n:
                 continue
             if is_h:
-                if hcount + 1 > dim_cap:
-                    continue
                 sign = 1 if hcount % 2 == 0 else -1
                 faces.append(((EMPTY - code) * place, info[1], sign))
                 if info[0] == "h":
@@ -286,13 +289,11 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
             raise ResourceLimitExceeded(
                 f"complex has {total} cells, over max_cells={max_cells}")
 
-    top = min(dim_cap, max((h for _, _, h, _ in combos), default=0))
+    top = max((h for _, _, h, _ in combos), default=0)
     cells = [[] for _ in range(top + 1)]
     runs = [[] for _ in range(top + 1)]  # (pack, used, faces, start, stop)
     run_start = {}  # state pack -> first index of its run in its dimension
     for pack, used, hcount, faces in combos:
-        if hcount > top:
-            continue
         dist = compositions(n - used)
         if dist:
             lst = cells[hcount]
@@ -367,8 +368,7 @@ def build_swiatkowski(g: Graph, n: int, max_dim=None, reduce_vertices=None,
                       meta=meta,
                       describe=lambda d, key: enc.describe(key),
                       cell_faces=lambda d, key: enc.cell_faces(key),
-                      morse_complex=(morse if max_dim is None
-                                     and reduced.issuperset(enc.sites)
+                      morse_complex=(morse if reduced.issuperset(enc.sites)
                                      else None))
     return cx
 
@@ -396,10 +396,8 @@ def support(chain: Chain):
 
 
 def cell(cx: ChainComplex, states=None, edges=None) -> Chain:
-    """Single-cell chain helper for tests and cycle construction."""
+    """Single-cell chain of the cell `SwEncoding.encode` makes of the
+    states and edges."""
     enc = cx.meta["encoding"]
     key = enc.encode(states, edges)
-    d = enc.dim_of(key)
-    if key not in cx.index(d):
-        raise GraphError("cell not present in this complex")
-    return Chain(cx, d, {key: 1})
+    return Chain(cx, enc.dim_of(key), {key: 1})

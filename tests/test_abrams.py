@@ -2,6 +2,7 @@
 formula, subdivision guards, and an independent rational-rank oracle for
 the two-particle complete-graph space."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -154,3 +155,17 @@ class TestCellHelper:
             cell(cx, [(2, 3), 2])  # vertex on the chosen edge
         with pytest.raises(GraphError):
             cell(cx, [(2, 3), (3, 4)])  # edges sharing an endpoint
+
+    def test_every_disjoint_item_set_is_a_cell(self):
+        # the keys `AbramsEncoding.encode` accepts are exactly the cells
+        g = subdivide_for(build_family("k4"), 3)
+        cx = build_abrams(order_vertices(g), 3)
+        enc = cx.meta["encoding"]
+        items = list(g.vertices) + [e[0] for e in g.edges]
+        accepted = set()
+        for triple in itertools.combinations(items, 3):
+            try:
+                accepted.add(enc.encode(triple))
+            except GraphError:
+                pass
+        assert accepted == {key for keys in cx.cells for key in keys}

@@ -138,6 +138,27 @@ class TestCycles:
         data = json.loads(out)
         assert data["boundary_zero"] is True
 
+    @pytest.mark.parametrize("dressing,name", [
+        ({"vertices": ["v1"]}, "'v1'"),
+        ({"edges": {"zz": 1}}, "'zz'"),
+        ({"edges": {"t": -1, "a": 2}}, "'t'"),
+        ({"edges": {"t": 0.5, "a": 0.5}}, "multiplicity 0.5"),
+    ], ids=["leaf-vertex", "unknown-edge", "negative-multiplicity",
+            "fractional-multiplicity"])
+    def test_bad_dressing_is_a_usage_error(self, capsys, dressing, name):
+        spec = json.dumps({"kind": "O", "cycle": ["a", "b", "c"],
+                           "dressing": dressing})
+        code = main(["cycles", "--graph", "lasso", "-n", "2", "--spec", spec])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+
+    def test_theta_without_edges_is_a_usage_error(self, capsys):
+        code = main(["cycles", "--graph", "theta:4", "-n", "3",
+                     "--spec", '{"kind": "Theta"}'])
+        assert code == 64 and "four edges" in capsys.readouterr().err
+
 
 class TestDump:
     def test_schema(self, capsys, tmp_path):

@@ -454,10 +454,9 @@ class TestTwoPaths:
         assert cx._reduction is not None  # the generic path's trail
 
     @pytest.mark.parametrize("build", [
-        lambda g: build_swiatkowski(g, 3, reduce_vertices="all", max_dim=1),
         lambda g: build_swiatkowski(g, 3, reduce_vertices="essential"),
         lambda g: build_swiatkowski(g, 3)],
-        ids=["truncated", "partly-reduced", "canonical"])
+        ids=["partly-reduced", "canonical"])
     def test_other_complexes_take_the_generic_path(self, monkeypatch, build):
         import importlib
         hom = importlib.import_module("confhom.homology")

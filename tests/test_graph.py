@@ -81,6 +81,12 @@ class TestFamilies:
         with pytest.raises(GraphError):
             Graph(["a"], [("e", "a", "b")])  # unknown endpoint
 
+    @pytest.mark.parametrize("query", ["degree", "half_edges", "edge",
+                                       "edge_index", "endpoints"])
+    def test_unknown_ids_are_named(self, query):
+        with pytest.raises(GraphError, match="'zz'"):
+            getattr(build_family("lasso"), query)("zz")
+
 
 class TestJson:
     def test_roundtrip(self):

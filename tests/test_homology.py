@@ -617,6 +617,13 @@ class TestCheckBeforeEveryResult:
             homology_generators(cx, 1)
         assert cx._reduction is None
 
+    def test_solve_boundary(self):
+        cx = self._flipped()
+        b = Chain(cx, 2, {cx.cells[2][0]: 1}).boundary()
+        with pytest.raises(BoundaryError, match="dimension 2"):
+            solve_boundary(cx, b)
+        assert cx._reduction is None
+
 
 class TestCheckWorker:
     """`homology` called from a caller's worker process, and beside a
@@ -821,16 +828,11 @@ class TestSlotProof:
                                   reduce_vertices="essential"),
         lambda: build_swiatkowski(build_family("lasso"), 3,
                                   reduce_vertices="all"),
-        lambda: build_swiatkowski(build_family("theta:4"), 3,
-                                  reduce_vertices="all", max_dim=1),
         lambda: build_swiatkowski(build_family("k33"), 3,
                                   reduce_vertices=("a0",)),
         lambda: build_abrams(order_vertices(
             subdivide_for(build_family("theta:3"), 3)), 3),
-        lambda: build_abrams(order_vertices(
-            subdivide_for(build_family("k4"), 3)), 3, max_dim=1),
-    ], ids=["canonical", "essential", "all-lasso", "truncated", "one-site",
-            "cube", "cube-truncated"])
+    ], ids=["canonical", "essential", "all-lasso", "one-site", "cube"])
     def test_builder_complexes_never_fall_back(self, monkeypatch, build):
         def refuse(cx, d):
             raise AssertionError(f"column check reached at dimension {d}")
@@ -864,8 +866,6 @@ RUN_BUILDERS = {
     "essential": lambda: build_swiatkowski(build_family("lasso"), 3,
                                            reduce_vertices="essential"),
     "reduced-at": lambda: build_reduced_at(build_family("k33"), 3, "a0"),
-    "truncated": lambda: build_swiatkowski(build_family("k4"), 4,
-                                           reduce_vertices="all", max_dim=1),
     "disconnected": lambda: build_swiatkowski(_two_pieces(), 3),
     "disconnected-all": lambda: build_swiatkowski(_two_pieces(), 3,
                                                   reduce_vertices="all"),
@@ -1146,6 +1146,19 @@ class TestSharedReduction:
         assert all(z.complex is rcx and not z.boundary() for z in moved)
         assert span_rank(cx, cycles, 2) == 19
 
+    def test_the_cycle_layer_indexes_no_cell(self):
+        # the encoding alone decides what a cell is, and the Morse path
+        # reads classes from the Morse complex: nothing looks a key of the
+        # full complex up
+        from confhom.cycles import span_rank
+        from subdivided import k33_products, split_edges
+        cx = build_swiatkowski(split_edges(build_family("k33")), 4,
+                               reduce_vertices="all")
+        assert homology(cx).betti(2) == 19
+        cycles = k33_products(cx)
+        assert len(cycles) == 69 and span_rank(cx, cycles, 2) == 19
+        assert cx._index == {}
+
     @pytest.mark.parametrize("fam,n,d,count,digest", [
         ("theta:4", 3, 1, 6, "90fc0ea9e72782ca"),
         ("theta:4", 3, 2, 1, "19042a8f4a70b844"),
@@ -1172,4 +1185,3 @@ class TestSharedReduction:
         z = Chain(cx, 2, {0: 1}).boundary()
         assert z and morse_reduce(cx)[0].dims == [1]
         assert span_rank(cx, [z], 1) == 0
-        assert span_rank(cx, [z], 1, reduce=False) == 0

@@ -195,10 +195,49 @@ class TestSupportAndCells:
             cell(cx, {"u": "v"}, {"e1": 3})
 
 
-class TestTruncation:
-    def test_max_dim_keeps_one_extra_dimension(self):
-        g = build_family("theta:4")
-        full = build_swiatkowski(g, 3)
-        trunc = build_swiatkowski(g, 3, max_dim=1)
-        assert trunc.dims == full.dims[:3]
-        assert homology(trunc, dims=1).betti(1) == homology(full, dims=1).betti(1)
+def _theta2_beside_an_edge():
+    """Two parallel edges beside a single edge: disconnected, with
+    parallel edges and leaves."""
+    return Graph(["u", "v", "a", "b"],
+                 [("e1", "u", "v"), ("e2", "u", "v"), ("f", "a", "b")])
+
+
+class TestEncodingIsExact:
+    """The keys `SwEncoding.encode` accepts are exactly the cells of the
+    complex: cycle construction relies on this instead of looking keys up.
+    Every set of up to n+1 vertices is tried in every state, on every edge
+    of the graph, with every multiplicity from -1 to n+1 that gives n
+    particles in all."""
+
+    @pytest.mark.parametrize("g,reduce_vertices", [
+        (build_family("lasso"), None),
+        (build_family("lasso"), "essential"),
+        (build_family("lasso"), "all"),
+        (build_family("theta:3"), None),
+        (build_family("theta:3"), "all"),
+        (_theta2_beside_an_edge(), None),
+        (_theta2_beside_an_edge(), "all"),
+        (build_family("star:3"), None),
+    ], ids=["lasso", "lasso-essential", "lasso-all", "multigraph",
+            "multigraph-all", "disconnected", "disconnected-all", "star"])
+    def test_accepted_keys_are_the_cells(self, g, reduce_vertices):
+        n = 2
+        cx = build_swiatkowski(g, n, reduce_vertices=reduce_vertices)
+        enc = cx.meta["encoding"]
+        eids = [e[0] for e in g.edges]
+        states = {v: ["v"] + [("d" if v in enc.reduced else "h", e)
+                              for e in eids] for v in g.vertices}
+        mults = {}
+        for ms in itertools.product(range(-1, n + 2), repeat=len(eids)):
+            mults.setdefault(sum(ms), []).append(dict(zip(eids, ms)))
+        accepted = set()
+        for k in range(n + 2):
+            for verts in itertools.combinations(g.vertices, k):
+                for specs in itertools.product(*(states[v] for v in verts)):
+                    for edges in mults.get(n - k, ()):
+                        try:
+                            accepted.add(enc.encode(dict(zip(verts, specs)),
+                                                    edges))
+                        except GraphError:
+                            pass
+        assert accepted == {key for keys in cx.cells for key in keys}
