@@ -369,6 +369,8 @@ class MorseMatching:
         self._tables = {}  # state part -> (tests, faces)
         self._followed = {}  # option ident -> faces the flow follows
         self._shared = {}  # one copy of every equal tuple in the tables
+        self._y_terms = {}  # builder state part -> its y terms
+        self._y_base = {}  # builder edge part -> its y key
 
     def _share(self, t):
         return self._shared.setdefault(t, t)
@@ -548,12 +550,26 @@ class MorseMatching:
     # -- bases --------------------------------------------------------------
 
     def from_builder(self, key):
-        """A builder cell (x basis) as [(y key, coeff), ...]."""
-        states, mults = self.enc.digits(key)
-        base = sum(m * u for m, u in zip(mults, self.unit))
-        terms = [(base, 1)]
+        """A builder cell (x basis) as [(y key, coeff), ...]: the y terms of
+        its state part shifted by the y base of its edge part."""
+        st, ep = divmod(key, self.enc.edge_span)
+        terms = self._y_terms.get(st)
+        if terms is None:
+            terms = self._y_terms[st] = self._y_state_terms(st)
+        base = self._y_base.get(ep)
+        if base is None:
+            _, mults = self.enc.digits(ep)
+            base = self._y_base[ep] = sum(m * u for m, u in zip(mults,
+                                                                 self.unit))
+        return [(base + y, x) for y, x in terms]
+
+    def _y_state_terms(self, st):
+        """The builder state part st in the y basis, as ((y state key,
+        coeff), ...): x_c = y_c - y_0 for c != r, x_r = -y_0, and the
+        identity where r = 0."""
+        terms = [(0, 1)]
         for (shift, _, _, _), r, c in zip(self.faces_data, self.ref_code,
-                                           states):
+                                           self.enc.part(st)[0]):
             if not c:
                 continue
             if r == 0:
@@ -563,7 +579,7 @@ class MorseMatching:
             else:
                 opts = ((c << shift, 1), (r << shift, -1))
             terms = [(k + s, x * y) for k, x in terms for s, y in opts]
-        return terms
+        return tuple(terms)
 
 
 class MorseFlow:

@@ -3,10 +3,15 @@ junction exchange classes, the four-edge theta surface class, their
 products, and the named chain-level relations among them.
 
 Every cycle is built by `product_cycle`: a single dressed cycle is the
-product of one part.  In the half-edge model the product is assembled
-symbolically (per-vertex states plus edge multiplicities) and then encoded
-into the target complex, so the same construction works in canonical and
-reduced bases.  The result is verified to have zero boundary.
+product of one part.  In the half-edge model each part is built once as
+packed keys of the target complex's encoding, {key: coeff}, through
+`SwEncoding.encode_part`, in the complex's own basis, canonical or reduced.
+The complex is a module over the edge monomials (An, Drummond-Cole and
+Knudsen, arXiv:1708.02351), so in the packed encoding the product of parts
+with no common site is a sum of keys, signed by the order of their
+half-edge states, and an edge dressing adds one constant key.  The
+particle count is checked on the finished cells, and the result is
+verified to have zero boundary.
 """
 
 from __future__ import annotations
@@ -68,101 +73,95 @@ class CycleSpec:
         return out
 
 
-# -- symbolic half-edge chains ----------------------------------------------
-# cell: (states, edges) with states a tuple of (vertex, spec) sorted by the
-# graph's vertex order and edges a sorted tuple of (edge_id, mult).
+# -- half-edge parts --------------------------------------------------------
 
-def _sym_canon(states, edges):
-    return (tuple(sorted(states.items(), key=lambda kv: kv[0])),
-            tuple(sorted((e, m) for e, m in edges.items() if m)))
+class _Part:
+    """A half-edge chain under construction, {key: coeff}, for the encoding
+    enc.  Its keys pack site states and edge multiplicities as
+    `SwEncoding.encode_part` does, with `particles` particles on every
+    term.  Parts with no common site multiply by key addition, and dressing
+    a part with edges adds one constant key; the digits do not carry while
+    the particles are at most n, as `product_cycle` checks first."""
 
+    __slots__ = ("enc", "terms", "particles")
 
-def _h_positions(g, cell):
-    states, _ = cell
-    vorder = g._vindex
-    return sorted(vorder[v] for v, spec in states if spec != "v")
+    def __init__(self, enc, terms, particles):
+        self.enc = enc
+        self.terms = terms
+        self.particles = particles
 
-
-def _sym_mul(g, A, B):
-    """Product of symbolic chains with the alternating-order sign."""
-    out = {}
-    for ca, va in A.items():
-        pa = _h_positions(g, ca)
-        sa, ea = dict(ca[0]), dict(ca[1])
-        for cb, vb in B.items():
-            sb, eb = dict(cb[0]), dict(cb[1])
-            clash = set(sa) & set(sb)
-            if clash:
-                raise CycleError(f"factors share vertex state at {sorted(clash)}")
-            pb = _h_positions(g, cb)
-            inv = sum(1 for x in pa for y in pb if y < x)
-            sign = -1 if inv % 2 else 1
-            states = dict(sa)
-            states.update(sb)
-            edges = dict(ea)
-            for e, m in eb.items():
-                edges[e] = edges.get(e, 0) + m
-            key = _sym_canon(states, edges)
-            nv = out.get(key, 0) + sign * va * vb
+    def add(self, other, coeff=1):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            nv = out.get(k, 0) + coeff * v
             if nv:
-                out[key] = nv
+                out[k] = nv
             else:
-                del out[key]
-    return out
+                del out[k]
+        return _Part(self.enc, out, self.particles)
 
+    def _sites(self):
+        span = self.enc.edge_span
+        return {i for key in self.terms
+                for i, s in enumerate(self.enc.part(key // span)[0]) if s}
 
-def _sym_scale_edges(chain, edges):
-    out = {}
-    for (states, es), v in chain.items():
-        ed = dict(es)
-        for e, m in edges.items():
-            ed[e] = ed.get(e, 0) + m
-        out[_sym_canon(dict(states), ed)] = v
-    return out
-
-
-def _sym_add(A, B, coeff=1):
-    out = dict(A)
-    for k, v in B.items():
-        nv = out.get(k, 0) + coeff * v
-        if nv:
-            out[k] = nv
-        else:
-            del out[k]
-    return out
-
-
-def _encode_sym(cx: ChainComplex, sym) -> Chain:
-    """Encode a symbolic chain.  Every key the encoding accepts is a cell of
-    cx, and a cell's dimension is its number of half-edge states."""
-    enc = cx.meta["encoding"]
-    data = {}
-    dim = None
-    for (states, edges), v in sym.items():
-        d = sum(1 for _, spec in states if spec != "v")
-        if dim is None:
-            dim = d
-        elif dim != d:
-            raise CycleError("mixed-dimension chain")
-        key = enc.encode(dict(states), dict(edges))
-        data[key] = data.get(key, 0) + v
-    return Chain(cx, dim if dim is not None else 0, data)
-
-
-def _h_diff(cx, v, e_plus, e_minus):
-    """(h at e_plus) - (h at e_minus) at vertex v, in this complex's basis."""
-    reduced = cx.meta["reduced"]
-    if v in reduced:
-        g = cx.meta["graph"]
-        ref = g.edges[g.half_edges(v)[0][0]][0]
+    def __mul__(self, other):
+        """The product, each term signed by the order of the h-sites: -1 to
+        the number of pairs of an h-site of self after one of other."""
+        enc = self.enc
+        shared = self._sites() & other._sites()
+        if shared:
+            raise CycleError(f"factors share vertex state at "
+                             f"{sorted(enc.sites[i] for i in shared)}")
+        span = enc.edge_span
+        right = [(kb, vb, enc.part(kb // span)[1])
+                 for kb, vb in other.terms.items()]
         out = {}
-        if e_plus != ref:
-            out[_sym_canon({v: ("d", e_plus)}, {})] = 1
-        if e_minus != ref:
-            out[_sym_canon({v: ("d", e_minus)}, {})] = -1
-        return out
-    return {_sym_canon({v: ("h", e_plus)}, {}): 1,
-            _sym_canon({v: ("h", e_minus)}, {}): -1}
+        for ka, va in self.terms.items():
+            ha = enc.part(ka // span)[1]
+            for kb, vb, hb in right:
+                inv = sum(1 for x in ha for y in hb if y < x)
+                key = ka + kb
+                nv = out.get(key, 0) + (-va * vb if inv % 2 else va * vb)
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
+        return _Part(enc, out, self.particles + other.particles)
+
+    def dressed(self, edges):
+        """The part times the edge monomial {edge_id: mult}."""
+        offset, k = self.enc.encode_part(edges=edges)
+        return _Part(self.enc, {key + offset: v
+                                for key, v in self.terms.items()},
+                     self.particles + k)
+
+    def chain(self, cx: ChainComplex) -> Chain:
+        """The finished chain in cx, the complex of the encoding: n
+        particles on every cell, and one dimension."""
+        if self.particles != self.enc.n:
+            raise CycleError(f"chain carries {self.particles} particles, "
+                             f"complex has {self.enc.n}")
+        dims = {self.enc.dim_of(key) for key in self.terms}
+        if len(dims) > 1:
+            raise CycleError("mixed-dimension chain")
+        return Chain(cx, dims.pop() if dims else 0, self.terms)
+
+
+def _h_diff(enc, v, e_plus, e_minus):
+    """(h at e_plus) - (h at e_minus) at vertex v, in the encoding's basis.
+    At a reduced site h_k - h_0 is the generator ("d", e_k), so a term at
+    the reference half-edge e_0 drops out."""
+    g = enc.graph
+    if v in enc.reduced:
+        kind, ref = "d", g.edges[g.half_edges(v)[0][0]][0]
+    else:
+        kind, ref = "h", None
+    terms = {}
+    for e, coeff in ((e_plus, 1), (e_minus, -1)):
+        if e != ref:
+            terms[enc.encode_part({v: (kind, e)})[0]] = coeff
+    return _Part(enc, terms, 1)
 
 
 def _cycle_route(g, edge_ids):
@@ -188,47 +187,40 @@ def _cycle_route(g, edge_ids):
     return route
 
 
-def _sym_o_cycle(g, edge_ids, cx):
+def _o_cycle(enc, edge_ids):
     """Sum over cycle vertices of (outgoing - incoming) half-edge states,
     oriented from the least vertex."""
-    route = _cycle_route(g, list(edge_ids))
+    route = _cycle_route(enc.graph, list(edge_ids))
     k = len(edge_ids)
-    out = {}
+    out = _Part(enc, {}, 1)
     for i in range(k):
-        v = route[i]
-        e_in = edge_ids[(i - 1) % k]
-        e_out = edge_ids[i]
-        out = _sym_add(out, _h_diff(cx, v, e_out, e_in))
+        out = out.add(_h_diff(enc, route[i], edge_ids[i],
+                              edge_ids[(i - 1) % k]))
     return out
 
 
-def _sym_y_cycle(g, hub, branches, cx):
+def _y_cycle(enc, hub, branches):
+    """The junction cycle at hub, after `_spec_support` has checked its
+    three branches."""
     ei, ej, ek = branches
-    for e in branches:
-        if hub not in g.endpoints(e):
-            raise CycleError(f"branch {e!r} is not incident to hub {hub!r}")
-    if len(set(branches)) != 3:
-        raise CycleError("a junction cycle needs three distinct branches")
-    out = {}
-    for e, pair in ((ei, (ej, ek)), (ej, (ek, ei)), (ek, (ei, ej))):
-        term = _sym_scale_edges(_h_diff(cx, hub, pair[0], pair[1]), {e: 1})
-        out = _sym_add(out, term)
+    out = _Part(enc, {}, 2)
+    for e, (plus, minus) in ((ei, (ej, ek)), (ej, (ek, ei)), (ek, (ei, ej))):
+        out = out.add(_h_diff(enc, hub, plus, minus).dressed({e: 1}))
     return out
 
 
-def _sym_theta_cycle(g, edge_ids, cx):
+def _theta_cycle(enc, edge_ids):
     """The two-junction surface class on four parallel edges."""
+    g = enc.graph
     ends = {frozenset(g.endpoints(e)) for e in edge_ids}
     if len(ends) != 1:
         raise CycleError("theta cycle needs parallel edges")
     u, v = sorted(next(iter(ends)), key=g._vindex.get)
     i, j, k, l = edge_ids
-    out = {}
+    out = _Part(enc, {}, 3)
     for sign, top, rest in ((-1, j, (i, k, l)), (1, k, (i, j, l)),
                             (-1, l, (i, j, k))):
-        cy = _sym_y_cycle(g, v, rest, cx)
-        diff = _h_diff(cx, u, i, top)
-        out = _sym_add(out, _sym_mul(g, diff, cy), coeff=sign)
+        out = out.add(_h_diff(enc, u, i, top) * _y_cycle(enc, v, rest), sign)
     return out
 
 
@@ -241,6 +233,12 @@ def _spec_support(g, spec: CycleSpec):
         edges |= set(spec.cycle)
         verts |= set(route)
     elif spec.kind == "Y":
+        if len(spec.branches) != 3 or len(set(spec.branches)) != 3:
+            raise CycleError("a junction cycle needs three distinct branches")
+        for e in spec.branches:
+            if spec.hub not in g.endpoints(e):
+                raise CycleError(
+                    f"branch {e!r} is not incident to hub {spec.hub!r}")
         edges |= set(spec.branches)
         verts.add(spec.hub)
     elif spec.kind == "Theta":
@@ -260,15 +258,14 @@ def _spec_particles(spec: CycleSpec):
             + sum(m for _, m in spec.dressing_edges))
 
 
-def _sym_spec(cx, spec: CycleSpec):
-    """Symbolic chain of one undressed part, after `_spec_support` has
+def _half_edge_part(enc, spec: CycleSpec):
+    """The half-edge part of one undressed spec, after `_spec_support` has
     checked it."""
-    g = cx.meta["graph"]
     if spec.kind == "O":
-        return _sym_o_cycle(g, spec.cycle, cx)
+        return _o_cycle(enc, spec.cycle)
     if spec.kind == "Y":
-        return _sym_y_cycle(g, spec.hub, spec.branches, cx)
-    return _sym_theta_cycle(g, spec.edges, cx)
+        return _y_cycle(enc, spec.hub, spec.branches)
+    return _theta_cycle(enc, spec.edges)
 
 
 # -- public operations ---------------------------------------------------------
@@ -296,6 +293,8 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
     dressing = dressing or {}
     dress_v = tuple(dressing.get("vertices", ()))
     dress_e = dict(dressing.get("edges", {}))
+    if not parts:
+        raise CycleError("a product needs at least one part")
     for p in parts:
         if p.dressing_vertices or p.dressing_edges:
             raise CycleError("dress the product, not its factors")
@@ -327,16 +326,16 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
                 raise CycleError(f"dressing edge {e!r} overlaps a carrier")
 
     if model == "swiatkowski":
-        sym = None
-        for p in parts:
-            s = _sym_spec(cx, p)
-            sym = s if sym is None else _sym_mul(g, sym, s)
+        enc = cx.meta["encoding"]
+        prod = _half_edge_part(enc, parts[0])
+        for p in parts[1:]:
+            prod = prod * _half_edge_part(enc, p)
         if dress_v:
-            parked = _sym_canon({v: "v" for v in dress_v}, {})
-            sym = _sym_mul(g, sym, {parked: 1})
+            parked, k = enc.encode_part({v: "v" for v in dress_v})
+            prod = prod * _Part(enc, {parked: 1}, k)
         if dress_e:
-            sym = _sym_scale_edges(sym, dress_e)
-        chain = _encode_sym(cx, sym)
+            prod = prod.dressed(dress_e)
+        chain = prod.chain(cx)
     elif model == "abrams":
         if dress_e:
             raise CycleError("cube-model dressings place particles on vertices")
@@ -482,18 +481,15 @@ def _verify_theta_dist():
         (e[0], e[2], (e[0], e[1], e[2]), (e[0], e[2], e[3])),
         (e[0], e[3], (e[0], e[1], e[3]), (e[0], e[2], e[3])),
     ]
+    enc = cx.meta["encoding"]
+    theta = _theta_cycle(enc, tuple(e))
     # (e_a - e_b) * theta == c_A c'_B - c_B c'_A with the index sets below
     for ea, eb, tri_a, tri_b in cases:
-        theta = _sym_theta_cycle(g, tuple(e), cx)
-        lhs = _sym_add(_sym_scale_edges(theta, {ea: 1}),
-                       _sym_scale_edges(theta, {eb: 1}), coeff=-1)
-        prod1 = _sym_mul(g, _sym_y_cycle(g, "u", tri_a, cx),
-                         _sym_y_cycle(g, "v", tri_b, cx))
-        prod2 = _sym_mul(g, _sym_y_cycle(g, "u", tri_b, cx),
-                         _sym_y_cycle(g, "v", tri_a, cx))
-        rhs = _sym_add(prod1, prod2, coeff=-1)
-        lhs_c = _encode_sym(cx, lhs)
-        rhs_c = _encode_sym(cx, rhs)
+        lhs = theta.dressed({ea: 1}).add(theta.dressed({eb: 1}), -1)
+        rhs = (_y_cycle(enc, "u", tri_a) * _y_cycle(enc, "v", tri_b)).add(
+            _y_cycle(enc, "u", tri_b) * _y_cycle(enc, "v", tri_a), -1)
+        lhs_c = lhs.chain(cx)
+        rhs_c = rhs.chain(cx)
         if lhs_c == rhs_c or lhs_c == -rhs_c:
             details.append(f"({ea}-{eb}): chain")
             continue
@@ -522,12 +518,12 @@ def _verify_prod_rel():
         (t(1, 2, 5), t(1, 3, 4), 1), (t(1, 3, 4), t(1, 2, 5), 1),
         (t(1, 2, 4), t(1, 3, 5), -1), (t(1, 3, 5), t(1, 2, 4), -1),
     ]
-    total = None
+    enc = cx.meta["encoding"]
+    total = _Part(enc, {}, 4)
     for tri_a, tri_b, sgn in terms:
-        prod = _sym_mul(g, _sym_y_cycle(g, "u", tri_a, cx),
-                        _sym_y_cycle(g, "v", tri_b, cx))
-        total = prod if total is None else _sym_add(total, prod, coeff=sgn)
-    chain = _encode_sym(cx, total) if total else Chain(cx, 2, {})
+        prod = _y_cycle(enc, "u", tri_a) * _y_cycle(enc, "v", tri_b)
+        total = total.add(prod, sgn)
+    chain = total.chain(cx)
     if not chain:
         return IdentityReport("prod-rel", True, "chain", ["sum is zero"])
     if chain.boundary():

@@ -27,7 +27,17 @@ OCCUPIED = 1
 
 
 class SwEncoding:
-    """Packed-integer cell encoding for one (graph, n, reduced set) build."""
+    """Packed-integer cell encoding for one (graph, n, reduced set) build.
+
+    A key is its state part times `edge_span` plus its edge part: the edge
+    multiplicities in base n+1 (least significant), then the site state
+    codes.  A cell's dimension and boundary depend on its state part alone,
+    so they are read from a table per state part (`part`), built on first
+    use and cached on the instance: the state codes, the h-sites (the sites
+    with a half-edge state, in site order) and the face deltas with their
+    signs.  Decoding a key digit by digit (`digits`) happens once per state
+    part, not once per cell.
+    """
 
     def __init__(self, g: Graph, n: int, reduced):
         self.graph = g
@@ -41,6 +51,7 @@ class SwEncoding:
         for _ in g.edges:
             self.eplace.append(place)
             place *= n + 1
+        self.edge_span = place
         self.splace = []
         self.nstates = []
         self.state_tables = []  # per site: list of (weight, is_h, face_info)
@@ -61,6 +72,7 @@ class SwEncoding:
             self.nstates.append(len(table))
             self.state_tables.append(table)
             place *= len(table)
+        self._parts = {}  # state part -> (states, h-sites, face deltas)
 
     # -- decoding ---------------------------------------------------------
 
@@ -77,10 +89,34 @@ class SwEncoding:
             states.append(s)
         return states, mults
 
+    def part(self, st):
+        """The table of state part st: (state codes per site, h-sites,
+        ((face key delta, coeff), ...)).  A face of a cell with this state
+        part empties one h-site and puts its particle on an edge or, at an
+        unreduced site, on the vertex; the signs alternate over the h-sites
+        in site order."""
+        got = self._parts.get(st)
+        if got is not None:
+            return got
+        states, _ = self.digits(st * self.edge_span)
+        hsites, faces, sign = [], [], 1
+        for i, s in enumerate(states):
+            _, is_h, info = self.state_tables[i][s]
+            if not is_h:
+                continue
+            hsites.append(i)
+            emptied = (EMPTY - s) * self.splace[i]
+            faces.append((emptied + self.eplace[info[1]], sign))
+            if info[0] == "h":
+                faces.append(((OCCUPIED - s) * self.splace[i], -sign))
+            else:
+                faces.append((emptied + self.eplace[info[2]], -sign))
+            sign = -sign
+        got = self._parts[st] = (tuple(states), tuple(hsites), tuple(faces))
+        return got
+
     def dim_of(self, key):
-        states, _ = self.digits(key)
-        return sum(1 for i, s in enumerate(states)
-                   if self.state_tables[i][s][1])
+        return len(self.part(key // self.edge_span)[1])
 
     def describe(self, key):
         states, mults = self.digits(key)
@@ -106,14 +142,14 @@ class SwEncoding:
 
     # -- encoding ---------------------------------------------------------
 
-    def encode(self, states=None, edges=None):
-        """Build a packed cell from {vertex: state} and {edge_id: mult}.
+    def encode_part(self, states=None, edges=None):
+        """(key, particles) of {vertex: state} and {edge_id: mult}: a part
+        of a cell, whose particle count is not checked.  Keys of parts with
+        no common site add up to the key of their product, up to sign.
 
-        State specs: "v" (occupied), ("h", edge_id), ("d", edge_id) for the
-        difference generator h(edge_id) - h(reference).  The keys this
-        accepts are exactly the cells of the complex built with this
-        encoding; anything else raises GraphError.
-        """
+        State specs: "v" (occupied), ("h", edge_id) at an unreduced site,
+        and ("d", edge_id) at a reduced site for the difference generator
+        h(edge_id) - h(reference); anything else raises GraphError."""
         g = self.graph
         key = 0
         total = 0
@@ -129,6 +165,10 @@ class SwEncoding:
                 code = OCCUPIED
             else:
                 kind, eid = spec
+                basis = "d" if v in self.reduced else "h"
+                if kind != basis:
+                    raise GraphError(f"site {v!r} takes ({basis!r}, edge) "
+                                     f"states, not {kind!r}")
                 eidx = g.edge_index(eid)
                 for c, (_, is_h, info) in enumerate(table):
                     if is_h and info[1] == eidx:
@@ -144,32 +184,22 @@ class SwEncoding:
                 raise GraphError(f"edge {eid!r} has multiplicity {m!r}")
             key += m * self.eplace[j]
             total += m
+        return key, total
+
+    def encode(self, states=None, edges=None):
+        """Build a packed cell from {vertex: state} and {edge_id: mult}, as
+        `encode_part` does, with n particles in all.  The keys this accepts
+        are exactly the cells of the complex built with this encoding;
+        anything else raises GraphError."""
+        key, total = self.encode_part(states, edges)
         if total != self.n:
             raise GraphError(f"cell has {total} particles, expected {self.n}")
         return key
 
     def cell_faces(self, key):
         """Boundary of a single cell as [(face_key, coeff), ...]."""
-        states, _ = self.digits(key)
-        out = []
-        sign = 1
-        for i, s in enumerate(states):
-            w, is_h, info = self.state_tables[i][s]
-            if not is_h:
-                continue
-            if info[0] == "h":
-                eidx = info[1]
-                out.append((key + (EMPTY - s) * self.splace[i]
-                            + self.eplace[eidx], sign))
-                out.append((key + (OCCUPIED - s) * self.splace[i], -sign))
-            else:
-                _, eidx, e0 = info
-                out.append((key + (EMPTY - s) * self.splace[i]
-                            + self.eplace[eidx], sign))
-                out.append((key + (EMPTY - s) * self.splace[i]
-                            + self.eplace[e0], -sign))
-            sign = -sign
-        return out
+        return [(key + delta, w)
+                for delta, w in self.part(key // self.edge_span)[2]]
 
     def support(self, key):
         """Edges and vertices of the graph carried by one cell."""

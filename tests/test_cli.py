@@ -160,6 +160,15 @@ class TestCycles:
         assert code == 64 and "four edges" in capsys.readouterr().err
 
 
+    def test_junction_with_two_branches_is_a_usage_error(self, capsys):
+        spec = ('{"kind":"Y","hub":"u","branches":["e1","e2"],'
+                '"dressing":{"edges":{"e3":1}}}')
+        code = main(["cycles", "--graph", "theta:4", "-n", "3",
+                     "--spec", spec])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err == "error: a junction cycle needs three distinct branches\n"
+
 class TestDump:
     def test_schema(self, capsys, tmp_path):
         out_path = tmp_path / "cx.json"

@@ -194,6 +194,36 @@ class TestRule:
             for key in cx.cells[dim]:
                 assert phi(cx.cell_faces(dim, key)) == d(phi([(key, 1)]))
 
+    @pytest.mark.parametrize("fam,n", BRUTE)
+    def test_basis_change_equals_the_per_cell_conversion(self, fam, n):
+        # the tables per state part and per edge part give each cell's y
+        # terms as its own digits do
+        g = _graph(fam)
+        cx = build_swiatkowski(g, n, reduce_vertices="all")
+        enc = cx.meta["encoding"]
+
+        def convert(m, key):
+            states, mults = enc.digits(key)
+            terms = [(sum(x * u for x, u in zip(mults, m.unit)), 1)]
+            for (shift, _, _, _), r, c in zip(m.faces_data, m.ref_code,
+                                               states):
+                if not c:
+                    continue
+                if r == 0:
+                    opts = ((c << shift, 1),)
+                elif c == r:
+                    opts = ((r << shift, -1),)
+                else:
+                    opts = ((c << shift, 1), (r << shift, -1))
+                terms = [(k + s, x * y) for k, x in terms for s, y in opts]
+            return terms
+
+        _, _, order, refs = _searches(g)[-1]
+        for m in (MorseMatching(enc), MorseMatching(enc, order, refs)):
+            for keys in cx.cells:
+                for key in keys:
+                    assert m.from_builder(key) == convert(m, key)
+
     def test_references_are_parent_edges(self):
         for fam in ("wheel:5", "k44e", "lasso", "2tri", "multi",
                     "linear_tree:3"):
@@ -524,9 +554,17 @@ class TestTwoPaths:
 
     def test_a_dropped_complex_is_freed_at_once(self):
         # nothing the Morse path attaches refers back to cx, so dropping
-        # cx frees it without the cyclic collector
+        # cx frees it without the cyclic collector; nor do the tables the
+        # encoding and the matching cache for the cycle layer
+        from confhom.cycles import CycleSpec, product_cycle, span_rank
         cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
         homology(cx)
+        z = product_cycle(cx, [
+            CycleSpec(kind="Y", hub="a0", branches=("e00", "e01", "e02")),
+            CycleSpec(kind="Y", hub="b0", branches=("e00", "e10", "e20"))])
+        assert span_rank(cx, [z], 2) == 1
+        assert cx.meta["encoding"]._parts and cx._morse[1].matching._y_terms
+        del z
         ref = weakref.ref(cx)
         gc.disable()
         try:

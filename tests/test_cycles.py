@@ -1,6 +1,8 @@
 """Distinguished cycles: exact reference chains, zero boundaries, product
 construction in both models, the named relations, and class-span ranks."""
 
+import hashlib
+import itertools
 from math import gcd
 
 import pytest
@@ -50,6 +52,22 @@ class TestYCycle:
             make_cycle(cx, CycleSpec(kind="Y", hub="u",
                                      branches=("e1", "e2", "e3"),
                                      dressing_vertices=("u",)))
+
+
+    @pytest.mark.parametrize("branches", [
+        ("e1", "e2"), ("e1", "e2", "e3", "e4"), ("e1", "e2", "e2")],
+        ids=["two", "four", "repeated"])
+    def test_a_junction_needs_three_distinct_branches(self, branches):
+        cx = build_swiatkowski(build_family("theta:4"), 3)
+        with pytest.raises(CycleError, match="three distinct branches"):
+            make_cycle(cx, CycleSpec(kind="Y", hub="u", branches=branches,
+                                     dressing_edges=(("e4", 1),)))
+
+    def test_branches_meet_at_the_hub(self):
+        cx = build_swiatkowski(build_family("lasso"), 2)
+        with pytest.raises(CycleError, match="not incident to hub"):
+            make_cycle(cx, CycleSpec(kind="Y", hub="v2",
+                                     branches=("t", "a", "b")))
 
 
 class TestOCycle:
@@ -129,6 +147,24 @@ class TestProducts:
                                CycleSpec(kind="Y", hub="v",
                                          branches=("e1", "e2", "e3"))])
 
+    @pytest.mark.parametrize("model", ["swiatkowski", "abrams"])
+    def test_an_empty_product_is_refused(self, model):
+        g = build_family("theta:3")
+        cx = (build_swiatkowski(g, 1) if model == "swiatkowski"
+              else build_abrams(order_vertices(subdivide_for(g, 1)), 1))
+        with pytest.raises(CycleError, match="at least one part"):
+            product_cycle(cx, [], {"edges": {"e1": 1}})
+
+    def test_factors_with_a_common_site_do_not_multiply(self):
+        # product_cycle refuses shared vertices before it multiplies; the
+        # multiplication of parts refuses them too
+        from confhom.cycles import _y_cycle
+        cx = build_swiatkowski(build_family("theta:3"), 4,
+                               reduce_vertices="all")
+        y = _y_cycle(cx.meta["encoding"], "u", ("e1", "e2", "e3"))
+        with pytest.raises(CycleError, match="share vertex state"):
+            y * y
+
     def test_empty_span(self):
         cx = build_swiatkowski(build_family("theta:3"), 2)
         assert span_rank(cx, [], 1) == 0
@@ -199,6 +235,52 @@ class TestSubdivision:
         g = build_family("wheel:5")
         assert V._regions(g, set(), {"r0", "r1"}) == ["c0", "c1"]
         assert V._product_span("wheel:5", 5, 2, V._wheel_parts)[1:] == (34, 130)
+
+
+def _digest(chains):
+    data = repr([sorted(z.data.items()) for z in chains]).encode()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestProductChainsArePinned:
+    """Digests of the chains taken when products were still assembled as
+    per-vertex states and edge multiplicities and encoded cell by cell:
+    the packed parts give the same keys and coefficients, in the reduced
+    basis, the canonical one and the essential one (reduced hubs,
+    canonical midpoints)."""
+
+    @pytest.mark.parametrize("fam,basis,count,digest", [
+        ("wheel:5", "all", 62, "273ea0f724d740ca"),
+        ("wheel:5", None, 62, "fafcbd4ccbdc7a13"),
+        ("k33", "all", 69, "528a0f4711fae256"),
+        ("k33", "essential", 69, "f8e324f1ee53eea6"),
+    ])
+    def test_products_on_the_subdivided_graph(self, fam, basis, count, digest):
+        from confhom import verify as V
+        from subdivided import dressed_products, k33_products, split_edges
+        g = build_family(fam)
+        cx = build_swiatkowski(split_edges(g), 4, reduce_vertices=basis)
+        cycles = (k33_products(cx) if fam == "k33" else dressed_products(
+            cx, g, V._disjoint_products(g, V._wheel_parts(g), 2)))
+        assert len(cycles) == count
+        assert _digest(cycles) == digest
+
+    @pytest.mark.parametrize("basis,digest", [
+        (None, "61854d17ad3be22a"), ("all", "f4635460b9468464")])
+    def test_theta_surfaces_and_junction_pairs(self, basis, digest):
+        g = build_family("theta:5")
+        cx = build_swiatkowski(g, 4, reduce_vertices=basis)
+        es = [e[0] for e in g.edges]
+        triples = list(itertools.combinations(es, 3))
+        cycles = [make_cycle(cx, CycleSpec(kind="Theta", edges=quad,
+                                           dressing_edges=((es[0], 1),)))
+                  for quad in itertools.combinations(es, 4)]
+        cycles += [product_cycle(cx, [
+            CycleSpec(kind="Y", hub="u", branches=a),
+            CycleSpec(kind="Y", hub="v", branches=b)])
+            for a in triples for b in triples]
+        assert len(cycles) == 105
+        assert _digest(cycles) == digest
 
 
 class TestSpecJson:

@@ -1159,6 +1159,34 @@ class TestSharedReduction:
         assert len(cycles) == 69 and span_rank(cx, cycles, 2) == 19
         assert cx._index == {}
 
+    def test_the_cycle_layer_decodes_each_part_once(self, monkeypatch):
+        # cells are read through tables per state part (dimension, faces,
+        # the factors' signs) and per edge part (the basis change into the
+        # Morse complex): a key is decoded digit by digit once per part
+        # met, not once per cell
+        from confhom.cycles import span_rank
+        from confhom.swiatkowski import SwEncoding
+        from subdivided import k33_products, split_edges
+        cx = build_swiatkowski(split_edges(build_family("k33")), 4,
+                               reduce_vertices="all")
+        assert homology(cx).betti(2) == 19
+        decoded = []
+        real = SwEncoding.digits
+        monkeypatch.setattr(SwEncoding, "digits", lambda self, key:
+                            decoded.append(key) or real(self, key))
+        cycles = k33_products(cx)
+        assert len(cycles) == 69 and span_rank(cx, cycles, 2) == 19
+        span = cx.meta["encoding"].edge_span
+        states = [key // span for key in decoded if key >= span]
+        edges = [key for key in decoded if key < span]
+        assert all(key % span == 0 for key in decoded if key >= span)
+        assert len(set(states)) == len(states)
+        assert len(set(edges)) == len(edges)
+        cells = [key for z in cycles for key in z.data]
+        assert set(edges) == {key % span for key in cells}
+        assert {key // span for key in cells} <= set(states)
+        assert len(decoded) < len(cells) / 5
+
     @pytest.mark.parametrize("fam,n,d,count,digest", [
         ("theta:4", 3, 1, 6, "90fc0ea9e72782ca"),
         ("theta:4", 3, 2, 1, "19042a8f4a70b844"),

@@ -8,8 +8,8 @@ import pytest
 from confhom.complexes import Chain, ResourceLimitExceeded
 from confhom.graph import Graph, GraphError, build_family
 from confhom.homology import homology
-from confhom.swiatkowski import (build_reduced_at, build_swiatkowski, cell,
-                                 support)
+from confhom.swiatkowski import (EMPTY, OCCUPIED, build_reduced_at,
+                                 build_swiatkowski, cell, support)
 
 
 def brute_counts(g, n):
@@ -225,8 +225,10 @@ class TestEncodingIsExact:
         cx = build_swiatkowski(g, n, reduce_vertices=reduce_vertices)
         enc = cx.meta["encoding"]
         eids = [e[0] for e in g.edges]
-        states = {v: ["v"] + [("d" if v in enc.reduced else "h", e)
-                              for e in eids] for v in g.vertices}
+        # both kinds of half-edge state everywhere: the one of the other
+        # basis is refused
+        states = {v: ["v"] + [(kind, e) for kind in "hd" for e in eids]
+                  for v in g.vertices}
         mults = {}
         for ms in itertools.product(range(-1, n + 2), repeat=len(eids)):
             mults.setdefault(sum(ms), []).append(dict(zip(eids, ms)))
@@ -241,3 +243,59 @@ class TestEncodingIsExact:
                         except GraphError:
                             pass
         assert accepted == {key for keys in cx.cells for key in keys}
+
+    @pytest.mark.parametrize("fam,reduce_vertices,site,spec", [
+        ("theta:3", "all", "u", ("h", "e2")),
+        ("lasso", None, "v2", ("d", "a")),
+    ], ids=["h-at-a-reduced-site", "d-at-an-unreduced-site"])
+    def test_a_state_of_the_other_basis_is_refused(self, fam, reduce_vertices,
+                                                    site, spec):
+        # ("h", e2) at a reduced site once gave h(e2) - h(e1), and ("d", a)
+        # at an unreduced one h(a): a cell, but not the one written
+        cx = build_swiatkowski(build_family(fam), 1,
+                               reduce_vertices=reduce_vertices)
+        with pytest.raises(GraphError, match=repr(site)):
+            cx.meta["encoding"].encode({site: spec})
+        with pytest.raises(GraphError, match=repr(site)):
+            cell(cx, {site: spec})
+
+
+def _decoded(enc, key):
+    """(dimension, faces) of one cell read off its digits, one cell at a
+    time: the per-cell rule that the state-part tables replace."""
+    states, _ = enc.digits(key)
+    faces, sign = [], 1
+    for i, s in enumerate(states):
+        _, is_h, info = enc.state_tables[i][s]
+        if not is_h:
+            continue
+        if info[0] == "h":
+            faces.append((key + (EMPTY - s) * enc.splace[i]
+                          + enc.eplace[info[1]], sign))
+            faces.append((key + (OCCUPIED - s) * enc.splace[i], -sign))
+        else:
+            faces.append((key + (EMPTY - s) * enc.splace[i]
+                          + enc.eplace[info[1]], sign))
+            faces.append((key + (EMPTY - s) * enc.splace[i]
+                          + enc.eplace[info[2]], -sign))
+        sign = -sign
+    return sum(1 for i, s in enumerate(states)
+               if enc.state_tables[i][s][1]), faces
+
+
+class TestStatePartTables:
+    @pytest.mark.parametrize("fam", ["theta:3", "lasso", "k4"])
+    @pytest.mark.parametrize("reduce_vertices", [None, "essential", "all"],
+                             ids=["canonical", "essential", "all"])
+    def test_tables_equal_the_per_cell_decode(self, fam, reduce_vertices):
+        cx = build_swiatkowski(build_family(fam), 3,
+                               reduce_vertices=reduce_vertices)
+        enc = cx.meta["encoding"]
+        for d, keys in enumerate(cx.cells):
+            for key in keys:
+                dim, faces = _decoded(enc, key)
+                assert dim == d == enc.dim_of(key)
+                assert enc.cell_faces(key) == cx.cell_faces(d, key) == faces
+        # one table per state part met, not one per cell
+        assert len(enc._parts) == len({key // enc.edge_span
+                                       for keys in cx.cells for key in keys})
