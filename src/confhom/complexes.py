@@ -1,9 +1,9 @@
 """Graded free integer chain complexes with sparse boundary matrices.
 
-Cells are stored as packed integer keys per dimension (the packing is
-model-specific and owned by the builder); boundary matrices are triplet
-arrays mapping d-cells to (d-1)-chains, or runs of columns (`SlotRuns`)
-that expand into such arrays.
+Cells are packed integer keys per dimension (the packing is model-specific
+and owned by the builder), which a builder may leave to be listed on first
+read; boundary matrices are triplet arrays mapping d-cells to (d-1)-chains,
+or runs of columns (`SlotRuns`) that expand into such arrays.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def pause_gc(fn):
 
 
 class ChainComplex:
-    """Indexed cell lists per dimension plus sparse integer boundaries.
+    """Cell keys per dimension plus sparse integer boundaries.
 
     boundaries[d] is (rows, cols, vals) with rows indexing (d-1)-cells,
     cols indexing d-cells.  The triplets may come in any order; entries
@@ -61,11 +61,14 @@ class ChainComplex:
     (`SlotRuns`): `boundary_triplets(d)` expands them on first use and
     puts the triplets in their place, so every reader, the d^2 check
     included, sees one form of each dimension at a time.
-    `cells[d]` lists packed cell keys in canonical order; `describe` and
-    `cell_faces` are builder-supplied callbacks used for pretty-printing
-    and for evaluating boundaries of sparse chains without materializing
-    column slices.  Without a `cell_faces` callback, the faces come from
-    the triplets.
+    `cells[d]` lists packed cell keys in canonical order, and is None when
+    a cell's key is its index.  A builder may pass a function in place of
+    the lists: `cells` calls it on first read and keeps what it returns, so
+    a consumer that needs only the dims and the boundaries (the Morse path
+    of `homology`) never lists a cell.  `describe` and `cell_faces` are
+    builder-supplied callbacks used for pretty-printing and for evaluating
+    boundaries of sparse chains without materializing column slices.
+    Without a `cell_faces` callback, the faces come from the triplets.
 
     A complex is not mutated after it is built, and it keeps two caches.
     `homology.morse_reduce` caches its one reduction (reduced complex and
@@ -87,7 +90,7 @@ class ChainComplex:
                  describe=None, cell_faces=None, morse_complex=None):
         self.dims = list(dims)
         self.boundaries = boundaries
-        self.cells = cells
+        self._cells = cells
         self.meta = meta or {}
         self._describe = describe
         self._cell_faces = cell_faces
@@ -97,6 +100,14 @@ class ChainComplex:
         self._reduction = None
         self._morse = None
         self._checked = False
+
+    @property
+    def cells(self):
+        """Packed cell keys per dimension, listed on first read when the
+        builder passed a function; None when a cell's key is its index."""
+        if callable(self._cells):
+            self._cells = self._cells()
+        return self._cells
 
     @property
     def top_dim(self):

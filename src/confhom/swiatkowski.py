@@ -13,6 +13,11 @@ against the site's first half-edge; reduced and unreduced complexes have
 the same homology.  A complex with every site reduced carries the builder
 of its algebraic Morse complex (`confhom.critical`), which `homology` and
 class ranks use in place of reducing it cell by cell.
+
+The cells sharing one state of the sites form a run, one cell per edge
+part.  The builder counts each run in closed form and writes the
+boundaries as runs (`SlotRuns`); it lists the cell keys only when a
+consumer first reads `cells`, which the Morse path never does.
 """
 
 from __future__ import annotations
@@ -73,6 +78,9 @@ class SwEncoding:
             self.state_tables.append(table)
             place *= len(table)
         self._parts = {}  # state part -> (states, h-sites, face deltas)
+        # one copy of every equal tuple in the tables: a face pair depends
+        # on its site, code and sign only, not on the rest of the part
+        self._shared = {}
 
     # -- decoding ---------------------------------------------------------
 
@@ -98,6 +106,7 @@ class SwEncoding:
         got = self._parts.get(st)
         if got is not None:
             return got
+        share = self._shared.setdefault
         states, _ = self.digits(st * self.edge_span)
         hsites, faces, sign = [], [], 1
         for i, s in enumerate(states):
@@ -106,13 +115,17 @@ class SwEncoding:
                 continue
             hsites.append(i)
             emptied = (EMPTY - s) * self.splace[i]
-            faces.append((emptied + self.eplace[info[1]], sign))
+            face = (emptied + self.eplace[info[1]], sign)
+            faces.append(share(face, face))
             if info[0] == "h":
-                faces.append(((OCCUPIED - s) * self.splace[i], -sign))
+                face = ((OCCUPIED - s) * self.splace[i], -sign)
             else:
-                faces.append((emptied + self.eplace[info[2]], -sign))
+                face = (emptied + self.eplace[info[2]], -sign)
+            faces.append(share(face, face))
             sign = -sign
-        got = self._parts[st] = (tuple(states), tuple(hsites), tuple(faces))
+        hsites, faces = tuple(hsites), tuple(faces)
+        got = self._parts[st] = (tuple(states), share(hsites, hsites),
+                                 share(faces, faces))
         return got
 
     def dim_of(self, key):
@@ -236,6 +249,19 @@ def _resolve_reduced(g: Graph, reduce_vertices):
     return frozenset(reduce_vertices)
 
 
+def _edge_parts(eplace, r):
+    """Edge parts of r particles on the edges whose digits have the places
+    eplace, the first edge's multiplicity varying slowest: the order of the
+    cells in one run."""
+    if not eplace:
+        return [0] if r == 0 else []
+    parts = [(0, r)]  # (edge part so far, particles left)
+    for place in eplace[:-1]:
+        parts = [(acc + m * place, left - m)
+                 for acc, left in parts for m in range(left + 1)]
+    return [acc + left * eplace[-1] for acc, left in parts]
+
+
 def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
                       max_cells=None) -> ChainComplex:
     """Particle-number-n slice of the half-edge complex of g.
@@ -251,86 +277,57 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
         if g.degree(v) < 2:
             raise GraphError(f"cannot reduce degree-{g.degree(v)} vertex {v!r}")
     enc = SwEncoding(g, n, reduced)
-    nsites = len(enc.sites)
     nedges = len(g.edges)
 
-    # edge-distribution packings, cached per remaining particle count
-    comp_cache = {}
-
-    def compositions(r):
-        if r in comp_cache:
-            return comp_cache[r]
-        if nedges == 0:
-            vals = [0] if r == 0 else []
-            comp_cache[r] = vals
-            return vals
-        out = []
-
-        def rec(j, left, acc):
-            if j == nedges - 1:
-                out.append(acc + left * enc.eplace[j])
-                return
-            for m in range(left + 1):
-                rec(j + 1, left - m, acc + m * enc.eplace[j])
-
-        rec(0, r, 0)
-        comp_cache[r] = out
-        return out
-
-    # enumerate state combinations, then splice in edge distributions.
+    # enumerate state combinations site by site, the first site's code
+    # varying slowest; edge distributions are spliced in per run below.
     # faces lists (dstate, edge, sign): a face changes one site's state by
     # dstate and, when edge is not None, moves its particle onto that edge.
-    combos = []  # (state_pack, used, h_count, faces)
-
-    def rec_state(i, pack, used, hcount, faces):
-        if i == nsites:
-            if used <= n:
-                combos.append((pack, used, hcount, tuple(faces)))
-            return
-        table = enc.state_tables[i]
-        place = enc.splace[i]
-        for code, (w, is_h, info) in enumerate(table):
-            if used + w > n:
-                continue
-            if is_h:
-                sign = 1 if hcount % 2 == 0 else -1
-                faces.append(((EMPTY - code) * place, info[1], sign))
+    # A recursive closure would refer to itself, and that cycle would keep
+    # the combinations alive after the build until the cyclic collector
+    # ran, which the d^2 check and the Morse path hold off.
+    combos = [(0, 0, 0, ())]  # (state_pack, used, h_count, faces)
+    for table, place in zip(enc.state_tables, enc.splace):
+        grown = []
+        for pack, used, hcount, faces in combos:
+            sign = -1 if hcount % 2 else 1
+            for code, (w, is_h, info) in enumerate(table):
+                if used + w > n:
+                    continue
+                if not is_h:
+                    grown.append((pack + code * place, used + w, hcount,
+                                  faces))
+                    continue
                 if info[0] == "h":
-                    faces.append(((OCCUPIED - code) * place, None, -sign))
+                    other = ((OCCUPIED - code) * place, None, -sign)
                 else:
-                    faces.append(((EMPTY - code) * place, info[2], -sign))
-                rec_state(i + 1, pack + code * place, used + w,
-                          hcount + 1, faces)
-                del faces[-2:]
-            else:
-                rec_state(i + 1, pack + code * place, used + w, hcount, faces)
+                    other = ((EMPTY - code) * place, info[2], -sign)
+                grown.append((pack + code * place, used + w, hcount + 1,
+                              faces + (((EMPTY - code) * place, info[1], sign),
+                                       other)))
+        combos = grown
 
-    rec_state(0, 0, 0, 0, [])
-
-    if max_cells is not None:
-        # a state combination with `used` particles on its sites takes
-        # len(compositions(n - used)) cells: count them before building any
-        if nedges:
-            total = sum(comb(n - used + nedges - 1, nedges - 1)
-                        for _, used, _, _ in combos)
-        else:
-            total = sum(1 for _, used, _, _ in combos if used == n)
-        if total > max_cells:
-            raise ResourceLimitExceeded(
-                f"complex has {total} cells, over max_cells={max_cells}")
+    # a state combination with `used` particles on its sites takes one cell
+    # per edge part of the other n - used: one count gives the refusal, the
+    # runs and the dims before any cell is listed
+    sizes = [comb(n - used + nedges - 1, nedges - 1) if nedges
+             else int(used == n) for _, used, _, _ in combos]
+    total = sum(sizes)
+    if max_cells is not None and total > max_cells:
+        raise ResourceLimitExceeded(
+            f"complex has {total} cells, over max_cells={max_cells}")
 
     top = max((h for _, _, h, _ in combos), default=0)
-    cells = [[] for _ in range(top + 1)]
+    dims = [0] * (top + 1)
     runs = [[] for _ in range(top + 1)]  # (pack, used, faces, start, stop)
     run_start = {}  # state pack -> first index of its run in its dimension
-    for pack, used, hcount, faces in combos:
-        dist = compositions(n - used)
-        if dist:
-            lst = cells[hcount]
-            start = len(lst)
-            lst += map(pack.__add__, dist)
+    for (pack, used, hcount, faces), size in zip(combos, sizes):
+        if size:
+            start = dims[hcount]
+            dims[hcount] = start + size
             run_start[pack] = start
-            runs[hcount].append((pack, used, faces, start, len(lst)))
+            runs[hcount].append((pack, used, faces, start, start + size))
+    edge_parts = [_edge_parts(enc.eplace, r) for r in range(n + 1)]
 
     # Index maps within a run, in one table shared by every dimension: the
     # identity of each run length, and one more particle on edge j.
@@ -345,17 +342,17 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
         return map_id["id", length]
 
     def shifted(r, j):
-        """Id of the map sending each distribution of compositions(r) to
-        its position in compositions(r + 1) with one more particle on edge
-        j."""
+        """Id of the map sending each edge part of r particles to its
+        position among the edge parts of r + 1 with one more particle on
+        edge j."""
         if (r, j) not in map_id:
             if r + 1 not in positions:
                 positions[r + 1] = {
-                    ep: i for i, ep in enumerate(compositions(r + 1))}
+                    ep: i for i, ep in enumerate(edge_parts[r + 1])}
             pos = positions[r + 1]
             step = enc.eplace[j]
             map_id[r, j] = len(table)
-            table.append([pos[ep + step] for ep in compositions(r)])
+            table.append([pos[ep + step] for ep in edge_parts[r]])
         return map_id[r, j]
 
     # All cells of a run share one state pack, and the i-th cell's face
@@ -366,8 +363,8 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
     # face run's start and the id of the index map, for every run.  No
     # per-entry row is written; `ChainComplex.boundary_triplets` expands
     # the runs into slot-major triplets when a consumer reads them.
-    starts = [[start for _, _, _, start, _ in rs] + [len(c)]
-              for rs, c in zip(runs, cells)]
+    starts = [[start for _, _, _, start, _ in rs] + [size]
+              for rs, size in zip(runs, dims)]
     boundaries = {}
     for d in range(1, top + 1):
         first_faces = runs[d][0][2] if runs[d] else ()
@@ -382,10 +379,22 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
                                  [sign for _, _, sign in first_faces],
                                  offsets, maps, table)
 
-    # the callback holds the Euler characteristic, not cx: a reference
-    # cycle through cx would keep every dropped complex alive until the
-    # cyclic collector runs
-    euler = sum((-1) ** d * len(c) for d, c in enumerate(cells))
+    # The callbacks hold the Euler characteristic and each run's state pack
+    # and edge particles, not cx: a reference cycle through cx would keep
+    # every dropped complex alive until the cyclic collector runs
+    euler = sum((-1) ** d * size for d, size in enumerate(dims))
+    heads = [[(pack, n - used) for pack, used, _, _, _ in rs] for rs in runs]
+    eplace = enc.eplace
+
+    def listing():
+        parts = [_edge_parts(eplace, r) for r in range(n + 1)]
+        cells = []
+        for hs in heads:
+            keys = []
+            for pack, r in hs:
+                keys += map(pack.__add__, parts[r])
+            cells.append(keys)
+        return cells
 
     def morse():
         # imported on first use: importing confhom does not load it
@@ -394,13 +403,11 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
 
     meta = {"model": "swiatkowski", "graph": g, "n": n,
             "reduced": reduced, "encoding": enc}
-    cx = ChainComplex([len(c) for c in cells], boundaries, cells=cells,
-                      meta=meta,
-                      describe=lambda d, key: enc.describe(key),
-                      cell_faces=lambda d, key: enc.cell_faces(key),
-                      morse_complex=(morse if reduced.issuperset(enc.sites)
-                                     else None))
-    return cx
+    return ChainComplex(dims, boundaries, cells=listing, meta=meta,
+                        describe=lambda d, key: enc.describe(key),
+                        cell_faces=lambda d, key: enc.cell_faces(key),
+                        morse_complex=(morse if reduced.issuperset(enc.sites)
+                                       else None))
 
 
 def build_reduced_at(g: Graph, n: int, v) -> ChainComplex:

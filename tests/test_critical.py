@@ -572,6 +572,32 @@ class TestTwoPaths:
             assert ref() is None
         finally:
             gc.enable()
+        # nor does the function that lists the cells, before or after it ran
+        cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
+        homology(cx)
+        assert len(cx.cells[2]) == cx.dims[2] and cx.index(2)
+        ref = weakref.ref(cx)
+        gc.disable()
+        try:
+            del cx
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("basis", [None, "all"])
+    def test_the_build_leaves_no_garbage_cycle(self, basis):
+        # nothing the build makes refers to itself, so its temporaries go
+        # when it returns, not when the collector next runs, which the d^2
+        # check and the Morse path hold off
+        gc.collect()
+        gc.disable()
+        try:
+            cx = build_swiatkowski(build_family("k33"), 4,
+                                   reduce_vertices=basis)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert cx.n_cells()
 
     def test_peak_memory_of_homology(self):
         # k33 n=5 all-reduced: the Morse path never loads the 26,679 cells
@@ -587,6 +613,22 @@ class TestTwoPaths:
             tracemalloc.stop()
         assert h.betti_vector() == (1, 4, 28, 10, 0, 0)
         assert peak < 5_000_000
+
+    def test_peak_memory_of_the_build_and_homology(self):
+        # k33 n=6 all-reduced, traced from before the build: 6.85 MB when
+        # the builder listed all 87,139 cells, 3.00 MB now that the Morse
+        # path lists none
+        tracemalloc.start()
+        try:
+            cx = build_swiatkowski(build_family("k33"), 6,
+                                   reduce_vertices="all")
+            h = homology(cx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cx.n_cells() == 87139
+        assert h.betti_vector() == (1, 4, 37, 39, 0, 0, 0)
+        assert peak < 4_500_000
 
     def test_peak_memory_of_the_checked_homology(self):
         # the same with the d^2 check on: the slot proof gathers about 32k

@@ -1159,6 +1159,19 @@ class TestSharedReduction:
         assert len(cycles) == 69 and span_rank(cx, cycles, 2) == 19
         assert cx._index == {}
 
+    def test_the_morse_path_lists_no_cell(self):
+        # homology, product cycles and class ranks of an all-reduced
+        # complex read its dims, its runs, its encoding and its Morse
+        # complex: the cell list is never built and no key is indexed
+        from confhom.cycles import CycleSpec, product_cycle, span_rank
+        cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
+        assert homology(cx).betti_vector() == (1, 4, 19, 1, 0)
+        z = product_cycle(cx, [
+            CycleSpec(kind="Y", hub="a0", branches=("e00", "e01", "e02")),
+            CycleSpec(kind="Y", hub="b0", branches=("e00", "e10", "e20"))])
+        assert span_rank(cx, [z], 2) == 1
+        assert callable(cx._cells) and cx._index == {}
+
     def test_the_cycle_layer_decodes_each_part_once(self, monkeypatch):
         # cells are read through tables per state part (dimension, faces,
         # the factors' signs) and per edge part (the basis change into the

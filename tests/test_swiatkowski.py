@@ -1,6 +1,7 @@
 """Half-edge complex: cell counts against a brute-force enumeration of the
 canonical basis, boundary squares to zero, reduced variants, and support."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -57,6 +58,22 @@ class TestCellCounts:
         a = build_swiatkowski(g, 3).to_json_dict()
         b = build_swiatkowski(g, 3).to_json_dict()
         assert a == b
+
+    @pytest.mark.parametrize("build,digest", [
+        (lambda: build_swiatkowski(build_family("k33"), 4,
+                                   reduce_vertices="all"), "55949a0e49db169b"),
+        (lambda: build_swiatkowski(build_family("k4"), 3), "e6423f171cbd5e66"),
+        (lambda: build_reduced_at(build_family("k4"), 3, "v0"),
+         "1b019fe314f9d8ad"),
+    ], ids=["k33-n4-all", "k4-n3-canonical", "k4-n3-reduced-at-v0"])
+    def test_cells_are_listed_on_first_read(self, build, digest):
+        # the builder writes the dims and the runs; the keys are listed
+        # once, on first read, and the digests pin their order
+        cx = build()
+        assert callable(cx._cells)
+        cells = cx.cells
+        assert cx.cells is cells and list(map(len, cells)) == cx.dims
+        assert hashlib.sha256(repr(cells).encode()).hexdigest()[:16] == digest
 
     def test_max_cells(self):
         with pytest.raises(ResourceLimitExceeded):
