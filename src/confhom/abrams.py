@@ -21,8 +21,8 @@ class AbramsEncoding:
 
     def __init__(self, og: OrderedGraph, n: int):
         self.og = og
+        self.graph = g = og.graph
         self.n = n
-        g = og.graph
         self.nv = len(g.vertices)
         # item i < nv: vertex with label i+1; item nv+j: j-th edge by (tau, iota)
         self.edge_items = list(og.edge_order)
@@ -112,11 +112,12 @@ class AbramsEncoding:
         return out
 
 
-def abrams_boundary(items, og: OrderedGraph, n=None):
+def abrams_boundary(items, og: OrderedGraph):
     """Boundary of one cell given as an item collection; returns a list of
     (frozenset of item names, coeff) pairs evaluated by the alternating
     face formula."""
-    enc = AbramsEncoding(og, n if n is not None else len(tuple(items)))
+    items = tuple(items)
+    enc = AbramsEncoding(og, len(items))
     key = enc.encode(items)
     out = []
     for fk, coeff in enc.cell_faces(key):
@@ -141,26 +142,32 @@ def build_abrams(og: OrderedGraph, n: int, max_cells=None) -> ChainComplex:
     nv, n_items = enc.nv, enc.n_items
     vsets = enc.vsets
 
+    # depth first over the items of a cell, lowest item first, so the
+    # cells of each dimension come in the order of their sorted items.  A
+    # recursive closure would refer to itself, and that cycle would keep
+    # the cells alive after the build until the cyclic collector ran.
     by_dim = {}
     total = 0
-
-    def rec(start, left, vmask, edges, key):
-        nonlocal total
-        if left == 0:
-            by_dim.setdefault(edges, []).append(key)
-            total += 1
-            if max_cells is not None and total > max_cells:
-                raise ResourceLimitExceeded(
-                    f"cell count exceeded max_cells={max_cells}")
-            return
-        for k in range(start, n_items - left + 1):
-            vs = vsets[k]
-            if vs & vmask:
-                continue
-            rec(k + 1, left - 1, vmask | vs,
-                edges + (1 if k >= nv else 0), key | 1 << k)
-
-    rec(0, n, 0, 0, 0)
+    stack = [(0, n, 0, 0, 0)]  # (first item, items left, vmask, edges, key)
+    while stack:
+        start, left, vmask, edges, key = stack.pop()
+        if left > 1:
+            # pushed highest first, so the lowest item's cells come first
+            for k in range(n_items - left, start - 1, -1):
+                vs = vsets[k]
+                if not vs & vmask:
+                    stack.append((k + 1, left - 1, vmask | vs,
+                                  edges + (1 if k >= nv else 0), key | 1 << k))
+            continue
+        # the last item: every one disjoint from the rest completes a cell
+        for k in range(start, n_items):
+            if not vsets[k] & vmask:
+                by_dim.setdefault(edges + (1 if k >= nv else 0),
+                                  []).append(key | 1 << k)
+                total += 1
+        if max_cells is not None and total > max_cells:
+            raise ResourceLimitExceeded(
+                f"cell count exceeded max_cells={max_cells}")
 
     top = max(by_dim) if by_dim else 0
     cells = [by_dim.get(d, []) for d in range(top + 1)]
@@ -192,17 +199,14 @@ def build_abrams(og: OrderedGraph, n: int, max_cells=None) -> ChainComplex:
             vals.extend(array("b", [w]) * len(lst))
         boundaries[d] = (rows, array("l", range(len(lst))) * len(signs), vals)
 
-    meta = {"model": "abrams", "graph": g, "ordered": og, "n": n,
-            "encoding": enc}
+    meta = {"model": "abrams", "graph": g, "ordered": og, "n": n}
     return ChainComplex([len(c) for c in cells], boundaries, cells=cells,
-                        meta=meta,
-                        describe=lambda d, key: enc.describe(key),
-                        cell_faces=lambda d, key: enc.cell_faces(key))
+                        meta=meta, encoding=enc)
 
 
 def cell(cx: ChainComplex, items) -> Chain:
     """Single-cell chain from item names (vertex labels/ids, edge ids, or
     (tau, iota) pairs)."""
-    enc = cx.meta["encoding"]
+    enc = cx.encoding
     key = enc.encode(items)
     return Chain(cx, enc.dim_of(key), {key: 1})

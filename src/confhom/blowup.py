@@ -5,7 +5,10 @@ bookkeeping on the induced long sequence.
 Blowing up a vertex detaches every incident edge into a leaf edge.  Chains
 of the blown-up graph's complex embed into the complex reduced at that
 vertex; projecting onto the difference-generator components is the reverse
-map, one component per non-reference half-edge.
+map, one component per non-reference half-edge.  Both maps carry a cell
+between complexes through its vertex states and edge multiplicities, which
+the source complex's encoding decodes (`SwEncoding.decode`) and the
+target's encodes; no key is taken apart here.
 """
 
 from __future__ import annotations
@@ -53,37 +56,23 @@ def blowup(g: Graph, v) -> BlowupContext:
                          half_edges=hes, leaf_of=leaf_of)
 
 
-def _recode(chain_data, src_enc, dst_enc, drop_site=None, extra_edges=None):
+def _recode(chain_data, src_enc, dst_enc, extra_edges=None):
+    """{key: coeff} of src_enc carried to dst_enc, cell by cell through
+    the vertex states and edge multiplicities, with extra_edges added."""
     out = {}
     for key, coeff in chain_data.items():
-        states, mults = src_enc.digits(key)
-        sd = {}
-        for i, s in enumerate(states):
-            if s == 0:
-                continue
-            v = src_enc.sites[i]
-            if v == drop_site:
-                raise ValueError("cell still carries a state at the dropped site")
-            w, is_h, info = src_enc.state_tables[i][s]
-            if not is_h:
-                sd[v] = "v"
-            elif info[0] == "h":
-                sd[v] = ("h", src_enc.graph.edges[info[1]][0])
-            else:
-                sd[v] = ("d", src_enc.graph.edges[info[1]][0])
-        ed = {src_enc.graph.edges[j][0]: m for j, m in enumerate(mults) if m}
+        states, edges = src_enc.decode(key)
         for e, m in (extra_edges or {}).items():
-            ed[e] = ed.get(e, 0) + m
-        out[dst_enc.encode(sd, ed)] = coeff
+            edges[e] = edges.get(e, 0) + m
+        out[dst_enc.encode(states, edges)] = coeff
     return out
 
 
 def phi(ctx: BlowupContext, chain: Chain, target: ChainComplex) -> Chain:
     """Embed a chain of the blown-up graph's complex into the complex of the
     original graph reduced at the blown vertex (the vertex site stays empty)."""
-    src_enc = chain.complex.meta["encoding"]
-    dst_enc = target.meta["encoding"]
-    return Chain(target, chain.dim, _recode(chain.data, src_enc, dst_enc))
+    return Chain(target, chain.dim,
+                 _recode(chain.data, chain.complex.encoding, target.encoding))
 
 
 def psi(ctx: BlowupContext, chain: Chain, targets: dict) -> dict:
@@ -91,34 +80,27 @@ def psi(ctx: BlowupContext, chain: Chain, targets: dict) -> dict:
     components: one (n-1)-particle chain of the blown-up graph per
     non-reference half-edge.  targets maps edge ids to the receiving
     complexes; components follow the (h_0 - h) convention."""
-    cx = chain.complex
-    enc = cx.meta["encoding"]
+    enc = chain.complex.encoding
     v = ctx.vertex
     site = enc.site_of[v]
     out = {e: {} for e in ctx.half_edges[1:]}
     for key, coeff in chain.data.items():
-        states, mults = enc.digits(key)
-        s = states[site]
-        if s == 0:
+        states, edges = enc.decode(key)
+        spec = states.pop(v, None)
+        if spec is None:
             continue
-        w, is_h, info = enc.state_tables[site][s]
-        if not is_h or info[0] != "d":
+        if spec == "v" or spec[0] != "d":
             raise ValueError("complex is not reduced at the blown vertex")
-        eid = enc.graph.edges[info[1]][0]
-        # sign from moving the vertex factor to the front
-        before = sum(1 for i in range(site)
-                     if states[i] and enc.state_tables[i][states[i]][1])
-        sign = -1 if before % 2 else 1
-        # the difference generator is h - h_0; the decomposition uses h_0 - h
-        skey = key - s * enc.splace[site]
-        out[eid][skey] = out[eid].get(skey, 0) - sign * coeff
-    result = {}
-    for eid, data in out.items():
-        tgt = targets[eid]
-        dst_enc = tgt.meta["encoding"]
-        result[eid] = Chain(tgt, max(chain.dim - 1, 0),
-                            _recode(data, enc, dst_enc))
-    return result
+        eid = spec[1]
+        # the sign of moving the vertex factor past the h-sites before it,
+        # times -1: the difference generator is h - h_0, the decomposition
+        # uses h_0 - h
+        before = enc.part(key // enc.edge_span)[1].index(site)
+        tkey = targets[eid].encoding.encode(states, edges)
+        out[eid][tkey] = out[eid].get(tkey, 0) + (coeff if before % 2
+                                                  else -coeff)
+    return {eid: Chain(targets[eid], max(chain.dim - 1, 0), data)
+            for eid, data in out.items()}
 
 
 @dataclass
@@ -139,11 +121,11 @@ def _delta_columns(ctx, gens, cx_n, e_ref):
     """Cycles (e(h_0) - e(h)) * z in the n-particle complex for each
     homology generator z of the (n-1)-particle complex."""
     cols = {}
-    dst_enc = cx_n.meta["encoding"]
+    dst_enc = cx_n.encoding
     for eid in ctx.half_edges[1:]:
         cols[eid] = []
         for z in gens:
-            src_enc = z.complex.meta["encoding"]
+            src_enc = z.complex.encoding
             plus = _recode(z.data, src_enc, dst_enc, extra_edges={e_ref: 1})
             minus = _recode(z.data, src_enc, dst_enc, extra_edges={eid: 1})
             data = dict(plus)

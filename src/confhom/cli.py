@@ -149,6 +149,10 @@ def cmd_cycles(args):
                          "ok": rep.holds, "note": "; ".join(rep.details)})
         _emit(rows, args.format)
         return 0 if ok_all else 1
+    for flag, value in (("--graph", args.graph), ("-n", args.n),
+                        ("--spec", args.spec)):
+        if value is None:
+            raise ValueError(f"cycles needs {flag} when no --relation is given")
     g = _load_graph(args.graph)
     spec = CycleSpec.from_json(args.spec)
     if args.model == "abrams":

@@ -1,9 +1,12 @@
 """Graded free integer chain complexes with sparse boundary matrices.
 
-Cells are packed integer keys per dimension (the packing is model-specific
-and owned by the builder), which a builder may leave to be listed on first
-read; boundary matrices are triplet arrays mapping d-cells to (d-1)-chains,
-or runs of columns (`SlotRuns`) that expand into such arrays.
+Cells are integer keys per dimension, which a builder may leave to be
+listed on first read; a complex without keys lists range(dims[d]).  A
+builder's complex holds its encoding, the one owner of the model's cell
+format: it packs and decodes the keys, describes a cell and gives its
+faces.  Boundary matrices are triplet arrays mapping d-cells to
+(d-1)-chains, or runs of columns (`SlotRuns`) that expand into such
+arrays.
 """
 
 from __future__ import annotations
@@ -61,14 +64,18 @@ class ChainComplex:
     (`SlotRuns`): `boundary_triplets(d)` expands them on first use and
     puts the triplets in their place, so every reader, the d^2 check
     included, sees one form of each dimension at a time.
-    `cells[d]` lists packed cell keys in canonical order, and is None when
-    a cell's key is its index.  A builder may pass a function in place of
-    the lists: `cells` calls it on first read and keeps what it returns, so
-    a consumer that needs only the dims and the boundaries (the Morse path
-    of `homology`) never lists a cell.  `describe` and `cell_faces` are
-    builder-supplied callbacks used for pretty-printing and for evaluating
-    boundaries of sparse chains without materializing column slices.
-    Without a `cell_faces` callback, the faces come from the triplets.
+    `cells[d]` lists the cell keys in canonical order, and is never None:
+    a complex given no keys (JSON and explicit complexes) lists
+    range(dims[d]), so a cell's key is its index.  A builder may pass a
+    function in place of the lists: `cells` calls it on first read and
+    keeps what it returns, so a consumer that needs only the dims and the
+    boundaries (the Morse path of `homology`) never lists a cell.
+
+    `encoding` is the builder's cell encoding (`SwEncoding`,
+    `AbramsEncoding`), which alone knows what a key means: `describe` and
+    `cell_faces` read it, and cycles and cells are built through it.
+    Reduced, Morse and JSON complexes have none; their cells are described
+    by index and their faces come from the triplets.
 
     A complex is not mutated after it is built, and it keeps two caches.
     `homology.morse_reduce` caches its one reduction (reduced complex and
@@ -87,13 +94,13 @@ class ChainComplex:
     """
 
     def __init__(self, dims, boundaries, cells=None, meta=None,
-                 describe=None, cell_faces=None, morse_complex=None):
+                 encoding=None, morse_complex=None):
         self.dims = list(dims)
         self.boundaries = boundaries
-        self._cells = cells
+        self._cells = (cells if cells is not None
+                       else [range(size) for size in self.dims])
         self.meta = meta or {}
-        self._describe = describe
-        self._cell_faces = cell_faces
+        self.encoding = encoding
         self._morse_complex = morse_complex
         self._index = {}
         self._faces = {}
@@ -103,8 +110,8 @@ class ChainComplex:
 
     @property
     def cells(self):
-        """Packed cell keys per dimension, listed on first read when the
-        builder passed a function; None when a cell's key is its index."""
+        """Cell keys per dimension, listed on first read when the builder
+        passed a function."""
         if callable(self._cells):
             self._cells = self._cells()
         return self._cells
@@ -122,26 +129,22 @@ class ChainComplex:
     def index(self, d):
         """Packed key -> local index for dimension d (cached)."""
         if d not in self._index:
-            if self.cells is None:
-                self._index[d] = {i: i for i in range(self.dims[d])}
-            else:
-                self._index[d] = {key: i for i, key in enumerate(self.cells[d])}
+            self._index[d] = {key: i for i, key in enumerate(self.cells[d])}
         return self._index[d]
 
     def describe(self, d, key):
-        if self._describe is None:
+        if self.encoding is None:
             return f"cell[{d}][{key}]"
-        return self._describe(d, key)
+        return self.encoding.describe(key)
 
     def cell_faces(self, d, key):
         """Boundary of one cell as [(face_key, coeff), ...]: from the
-        builder's callback, else from the columns of the complex's own
-        triplets, read once per dimension."""
-        if self._cell_faces is not None:
-            return self._cell_faces(d, key)
+        encoding, else from the columns of the complex's own triplets, read
+        once per dimension."""
+        if self.encoding is not None:
+            return self.encoding.cell_faces(key)
         if d not in self._faces:
-            keys = (self.cells[d - 1] if self.cells is not None
-                    else range(self.dims[d - 1]))
+            keys = self.cells[d - 1]
             self._faces[d] = [[(keys[r], v) for r, v in col]
                               for col in self._columns(d)]
         return self._faces[d][self.index(d)[key]]
@@ -327,7 +330,7 @@ class ChainComplex:
             _check_entries((rows, cols, vals), d, dims)
             boundaries[d] = (array("l", rows), array("l", cols),
                              array("l", vals))
-        return cls(dims, boundaries, cells=None, meta={"model": "json"})
+        return cls(dims, boundaries, meta={"model": "json"})
 
     def __repr__(self):
         return f"<ChainComplex dims={self.dims} model={self.meta.get('model')}>"

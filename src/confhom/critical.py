@@ -307,14 +307,12 @@ class MorseMatching:
 
     A y key packs each edge's multiplicity into n.bit_length() bits, then
     each site's generator code (0 = empty) above them, sites in the
-    builder's order, which fixes the signs.  `order` and `refs` default to
-    `choose_search`.
+    builder's order, which fixes the signs.  `order` and `refs` are a
+    search, as `choose_search` gives them.
     """
 
-    def __init__(self, enc, order=None, refs=None):
+    def __init__(self, enc, order, refs):
         g = enc.graph
-        if order is None:
-            order, refs = choose_search(enc)[:2]
         rank = {v: i for i, v in enumerate(order)}
         ends = half_edge_ends(g)
         self.enc = enc

@@ -3,9 +3,11 @@ junction exchange classes, the four-edge theta surface class, their
 products, and the named chain-level relations among them.
 
 Every cycle is built by `product_cycle`: a single dressed cycle is the
-product of one part.  In the half-edge model each part is built once as
-packed keys of the target complex's encoding, {key: coeff}, through
-`SwEncoding.encode_part`, in the complex's own basis, canonical or reduced.
+product of one part.  The complex's encoding decides the model, and a
+complex without one (reduced, Morse, JSON) is refused.  In the half-edge
+model each part is built once as packed keys of the complex's encoding,
+{key: coeff}, through `SwEncoding.encode_part`, in the complex's own
+basis, canonical or reduced.
 The complex is a module over the edge monomials (An, Drummond-Cole and
 Knudsen, arXiv:1708.02351), so in the packed encoding the product of parts
 with no common site is a sum of keys, signed by the order of their
@@ -24,7 +26,7 @@ from .abrams import build_abrams, cell as acell
 from .complexes import Chain, ChainComplex
 from .graph import build_family, order_vertices
 from .homology import class_span_rank, solve_boundary
-from .swiatkowski import build_swiatkowski
+from .swiatkowski import SwEncoding, build_swiatkowski
 
 
 class CycleError(ValueError):
@@ -152,9 +154,8 @@ def _h_diff(enc, v, e_plus, e_minus):
     """(h at e_plus) - (h at e_minus) at vertex v, in the encoding's basis.
     At a reduced site h_k - h_0 is the generator ("d", e_k), so a term at
     the reference half-edge e_0 drops out."""
-    g = enc.graph
     if v in enc.reduced:
-        kind, ref = "d", g.edges[g.half_edges(v)[0][0]][0]
+        kind, ref = "d", enc.reference(v)
     else:
         kind, ref = "h", None
     terms = {}
@@ -288,8 +289,12 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
     result is verified to have zero boundary."""
     parts = [CycleSpec.from_json(p) if isinstance(p, (str, dict)) else p
              for p in parts]
-    g = cx.meta["graph"]
-    model = cx.meta.get("model")
+    enc = cx.encoding
+    if enc is None:
+        raise CycleError("cycles are built in a half-edge or cube complex; "
+                         "this complex has no cell encoding")
+    half_edge = isinstance(enc, SwEncoding)
+    g = enc.graph
     dressing = dressing or {}
     dress_v = tuple(dressing.get("vertices", ()))
     dress_e = dict(dressing.get("edges", {}))
@@ -301,13 +306,13 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
     supports = [_spec_support(g, p) for p in parts]
     total = (sum(map(_spec_particles, parts)) + len(dress_v)
              + sum(dress_e.values()))
-    if total != cx.meta.get("n"):
+    if total != enc.n:
         raise CycleError(
-            f"product carries {total} particles, complex has {cx.meta.get('n')}")
+            f"product carries {total} particles, complex has {enc.n}")
     # In the half-edge model edge occupation is module multiplication, so
     # only the state-carrying vertices must be disjoint; the cube model
     # needs disjoint closed supports.
-    strict = model == "abrams"
+    strict = not half_edge
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             shared = supports[i][1] & supports[j][1]
@@ -325,8 +330,7 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
             if e in all_e:
                 raise CycleError(f"dressing edge {e!r} overlaps a carrier")
 
-    if model == "swiatkowski":
-        enc = cx.meta["encoding"]
+    if half_edge:
         prod = _half_edge_part(enc, parts[0])
         for p in parts[1:]:
             prod = prod * _half_edge_part(enc, p)
@@ -336,7 +340,7 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
         if dress_e:
             prod = prod.dressed(dress_e)
         chain = prod.chain(cx)
-    elif model == "abrams":
+    else:
         if dress_e:
             raise CycleError("cube-model dressings place particles on vertices")
         factors = [make_cycle_part_abrams(cx, p) for p in parts]
@@ -344,8 +348,6 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
         for combo, coeff in _abrams_product_terms(cx, factors):
             term = acell(cx, combo + list(dress_v)) * coeff
             chain = term if chain is None else chain + term
-    else:
-        raise CycleError(f"unknown model {model!r}")
     if chain.boundary():
         raise CycleError("product chain has nonzero boundary")
     return chain
@@ -353,8 +355,8 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
 
 def make_cycle_part_abrams(cx, spec):
     """Undressed one-part cycle as [(edge items, vertex items, coeff)]."""
-    g = cx.meta["graph"]
-    og = cx.meta["ordered"]
+    og = cx.encoding.og
+    g = og.graph
     if spec.kind == "O":
         route = _cycle_route(g, list(spec.cycle))
         out = []
@@ -382,8 +384,8 @@ def make_cycle_part_abrams(cx, spec):
 
 
 def _abrams_product_terms(cx, factors):
-    og = cx.meta["ordered"]
-    g = cx.meta["graph"]
+    og = cx.encoding.og
+    g = og.graph
 
     def tau_of(eid):
         return og.tau(g.edge_index(eid))
@@ -481,7 +483,7 @@ def _verify_theta_dist():
         (e[0], e[2], (e[0], e[1], e[2]), (e[0], e[2], e[3])),
         (e[0], e[3], (e[0], e[1], e[3]), (e[0], e[2], e[3])),
     ]
-    enc = cx.meta["encoding"]
+    enc = cx.encoding
     theta = _theta_cycle(enc, tuple(e))
     # (e_a - e_b) * theta == c_A c'_B - c_B c'_A with the index sets below
     for ea, eb, tri_a, tri_b in cases:
@@ -518,7 +520,7 @@ def _verify_prod_rel():
         (t(1, 2, 5), t(1, 3, 4), 1), (t(1, 3, 4), t(1, 2, 5), 1),
         (t(1, 2, 4), t(1, 3, 5), -1), (t(1, 3, 5), t(1, 2, 4), -1),
     ]
-    enc = cx.meta["encoding"]
+    enc = cx.encoding
     total = _Part(enc, {}, 4)
     for tri_a, tri_b, sgn in terms:
         prod = _y_cycle(enc, "u", tri_a) * _y_cycle(enc, "v", tri_b)

@@ -533,12 +533,12 @@ def _reduce(cx: ChainComplex):
     new_index = {}
     out_cells = [[] for _ in range(top + 1)]
     for d in range(top + 1):
-        src = cx.cells[d] if cx.cells is not None else range(dims[d])
+        src = cx.cells[d]
         for i in range(dims[d]):
             g = offsets[d] + i
             if alive[g]:
                 new_index[g] = len(out_cells[d])
-                out_cells[d].append(src[i] if cx.cells is not None else i)
+                out_cells[d].append(src[i])
     boundaries = {}
     for d in range(1, top + 1):
         rows, cols, vals = [], [], []
@@ -564,15 +564,14 @@ def _reduce(cx: ChainComplex):
         original=list(dims), reduced=[len(c) for c in out_cells],
         pairs=len(trail), protected=len(protected))
     rcx = ChainComplex([len(c) for c in out_cells], boundaries,
-                       cells=out_cells, meta=meta,
-                       describe=cx._describe)
+                       cells=out_cells, meta=meta)
     return rcx, (trail, offsets, dim_of, protected_set if augmented else set())
 
 
 def _to_chain(cx: ChainComplex, target: ChainComplex, d, z, offsets):
     """Chain of `target` from {global id of a d-cell of cx: coeff}."""
     off = offsets[d]
-    keys = cx.cells[d] if cx.cells is not None else range(cx.dims[d])
+    keys = cx.cells[d]
     return Chain(target, d, {keys[g - off]: v for g, v in z.items()})
 
 
@@ -709,7 +708,8 @@ def _checked_morse(cx: ChainComplex, reduce, check=True):
 def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyResult:
     """Betti numbers and torsion coefficients of a chain complex.
 
-    dims: None for all dimensions, an int, or an inclusive (lo, hi) range.
+    dims: None for all dimensions, an int, or an inclusive (lo, hi) range;
+    a dimension below 0 or above the top has the zero group.
 
     reduce: take Smith normal forms of a reduced complex, by one of two
     paths.  A complex with a Morse complex (`cx.morse_complex()`, the full
@@ -754,7 +754,7 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
 
     out = {}
     for d in wanted:
-        cd = rcx.dims[d] if d <= rcx.top_dim else 0
+        cd = rcx.dims[d] if 0 <= d <= rcx.top_dim else 0
         lower = snf_of(d)
         upper = snf_of(d + 1)
         betti = cd - lower.rank - upper.rank

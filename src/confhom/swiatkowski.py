@@ -14,6 +14,13 @@ the same homology.  A complex with every site reduced carries the builder
 of its algebraic Morse complex (`confhom.critical`), which `homology` and
 class ranks use in place of reducing it cell by cell.
 
+The encoding (`SwEncoding`) is the one owner of this cell format, and the
+complex holds it (`ChainComplex.encoding`).  It packs cells (`encode`),
+unpacks them into vertex states and edge multiplicities (`decode`), and
+gives each site's two faces per state once (`face_rule`), which both the
+builder's runs and the per-state-part tables read.  Other modules build,
+describe and carry cells through these, never through the key's digits.
+
 The cells sharing one state of the sites form a run, one cell per edge
 part.  The builder counts each run in closed form and writes the
 boundaries as runs (`SlotRuns`); it lists the cell keys only when a
@@ -41,7 +48,8 @@ class SwEncoding:
     use and cached on the instance: the state codes, the h-sites (the sites
     with a half-edge state, in site order) and the face deltas with their
     signs.  Decoding a key digit by digit (`digits`) happens once per state
-    part, not once per cell.
+    part, not once per cell, except in `decode`, which gives a cell as the
+    vertex states and edge multiplicities `encode` takes.
     """
 
     def __init__(self, g: Graph, n: int, reduced):
@@ -77,6 +85,28 @@ class SwEncoding:
             self.nstates.append(len(table))
             self.state_tables.append(table)
             place *= len(table)
+        # per site and code: the state spec `decode` gives, and the face
+        # rule, None for a code without a half-edge or else the two faces
+        # as (state key delta, edge index or None, sign relative to the
+        # cell's sign at this site): a face empties the site and puts its
+        # particle on an edge or, at an unreduced site, on the vertex
+        self.edge_ids = [eid for eid, _, _ in g.edges]
+        self.specs = []
+        self.face_rule = []
+        for table, place in zip(self.state_tables, self.splace):
+            specs, rules = [], []
+            for code, (_, is_h, info) in enumerate(table):
+                if not is_h:
+                    specs.append("v" if code == OCCUPIED else None)
+                    rules.append(None)
+                    continue
+                emptied = (EMPTY - code) * place
+                specs.append((info[0], self.edge_ids[info[1]]))
+                rules.append(((emptied, info[1], 1),
+                              ((OCCUPIED - code) * place, None, -1)
+                              if info[0] == "h" else (emptied, info[2], -1)))
+            self.specs.append(specs)
+            self.face_rule.append(rules)
         self._parts = {}  # state part -> (states, h-sites, face deltas)
         # one copy of every equal tuple in the tables: a face pair depends
         # on its site, code and sign only, not on the rest of the part
@@ -99,10 +129,8 @@ class SwEncoding:
 
     def part(self, st):
         """The table of state part st: (state codes per site, h-sites,
-        ((face key delta, coeff), ...)).  A face of a cell with this state
-        part empties one h-site and puts its particle on an edge or, at an
-        unreduced site, on the vertex; the signs alternate over the h-sites
-        in site order."""
+        ((face key delta, coeff), ...)), from the face rule of each h-site;
+        the signs alternate over the h-sites in site order."""
         got = self._parts.get(st)
         if got is not None:
             return got
@@ -110,18 +138,14 @@ class SwEncoding:
         states, _ = self.digits(st * self.edge_span)
         hsites, faces, sign = [], [], 1
         for i, s in enumerate(states):
-            _, is_h, info = self.state_tables[i][s]
-            if not is_h:
+            rule = self.face_rule[i][s]
+            if rule is None:
                 continue
             hsites.append(i)
-            emptied = (EMPTY - s) * self.splace[i]
-            face = (emptied + self.eplace[info[1]], sign)
-            faces.append(share(face, face))
-            if info[0] == "h":
-                face = ((OCCUPIED - s) * self.splace[i], -sign)
-            else:
-                face = (emptied + self.eplace[info[2]], -sign)
-            faces.append(share(face, face))
+            for delta, edge, rel in rule:
+                face = (delta if edge is None else delta + self.eplace[edge],
+                        rel * sign)
+                faces.append(share(face, face))
             sign = -sign
         hsites, faces = tuple(hsites), tuple(faces)
         got = self._parts[st] = (tuple(states), share(hsites, hsites),
@@ -131,26 +155,31 @@ class SwEncoding:
     def dim_of(self, key):
         return len(self.part(key // self.edge_span)[1])
 
-    def describe(self, key):
+    def decode(self, key):
+        """({vertex: state spec}, {edge_id: mult}) of a key, the inverse of
+        `encode`: the sites and edges in order, empty sites and edges left
+        out.  The specs are those `encode_part` takes."""
         states, mults = self.digits(key)
+        return ({self.sites[i]: self.specs[i][s]
+                 for i, s in enumerate(states) if s},
+                {self.edge_ids[j]: m for j, m in enumerate(mults) if m})
+
+    def reference(self, v):
+        """The edge id of v's first half-edge, h_0 of a reduced site."""
+        return self.edge_ids[self.graph.half_edges(v)[0][0]]
+
+    def describe(self, key):
+        states, edges = self.decode(key)
         parts = []
-        for i, s in enumerate(states):
-            v = self.sites[i]
-            w, is_h, info = self.state_tables[i][s]
-            if s == EMPTY:
-                continue
-            if not is_h:
+        for v, spec in states.items():
+            if spec == "v":
                 parts.append(f"{v}")
-            elif info[0] == "h":
-                parts.append(f"h({v},{self.graph.edges[info[1]][0]})")
+            elif spec[0] == "h":
+                parts.append(f"h({v},{spec[1]})")
             else:
-                e1 = self.graph.edges[info[1]][0]
-                e0 = self.graph.edges[info[2]][0]
-                parts.append(f"(h({v},{e1})-h({v},{e0}))")
-        for j, m in enumerate(mults):
-            if m:
-                eid = self.graph.edges[j][0]
-                parts.append(eid if m == 1 else f"{eid}^{m}")
+                parts.append(f"(h({v},{spec[1]})-h({v},{self.reference(v)}))")
+        for eid, m in edges.items():
+            parts.append(eid if m == 1 else f"{eid}^{m}")
         return "|".join(parts) if parts else "1"
 
     # -- encoding ---------------------------------------------------------
@@ -170,27 +199,22 @@ class SwEncoding:
             if v not in self.site_of:
                 raise GraphError(f"{v!r} is not a vertex of degree >= 2")
             i = self.site_of[v]
-            table = self.state_tables[i]
-            code = None
             if spec == "v":
                 if v in self.reduced:
                     raise GraphError(f"site {v!r} is reduced; no occupied state")
-                code = OCCUPIED
             else:
                 kind, eid = spec
                 basis = "d" if v in self.reduced else "h"
                 if kind != basis:
                     raise GraphError(f"site {v!r} takes ({basis!r}, edge) "
                                      f"states, not {kind!r}")
-                eidx = g.edge_index(eid)
-                for c, (_, is_h, info) in enumerate(table):
-                    if is_h and info[1] == eidx:
-                        code = c
-                        break
-                if code is None:
+                g.edge_index(eid)  # an unknown edge raises GraphError
+                spec = (kind, eid)
+                if spec not in self.specs[i]:
                     raise GraphError(f"no half-edge of {eid!r} at {v!r}")
-            key += code * self.splace[i]
-            total += table[code][0]
+            # every state but the empty one holds one particle
+            key += self.specs[i].index(spec) * self.splace[i]
+            total += 1
         for eid, m in (edges or {}).items():
             j = g.edge_index(eid)
             if not isinstance(m, int) or m < 0:
@@ -216,34 +240,19 @@ class SwEncoding:
 
     def support(self, key):
         """Edges and vertices of the graph carried by one cell."""
-        g = self.graph
-        states, mults = self.digits(key)
-        edges, verts = set(), set()
-        for i, s in enumerate(states):
-            v = self.sites[i]
-            _, is_h, info = self.state_tables[i][s]
-            if s == EMPTY:
-                continue
-            if not is_h:
-                verts.add(v)
-            elif info[0] == "h":
-                edges.add(g.edges[info[1]][0])
-                verts.add(v)
-            else:
-                edges.add(g.edges[info[1]][0])
-                edges.add(g.edges[info[2]][0])
-                verts.add(v)
-        for j, m in enumerate(mults):
-            if m:
-                edges.add(g.edges[j][0])
-        return edges, verts
+        states, edges = self.decode(key)
+        edges = set(edges)
+        for v, spec in states.items():
+            if spec != "v":
+                edges.add(spec[1])
+                if spec[0] == "d":
+                    edges.add(self.reference(v))
+        return edges, set(states)
 
 
 def _resolve_reduced(g: Graph, reduce_vertices):
     if reduce_vertices is None:
         return frozenset()
-    if reduce_vertices == "essential":
-        return frozenset(g.essential_vertices())
     if reduce_vertices == "all":
         return frozenset(v for v in g.vertices if g.degree(v) >= 2)
     return frozenset(reduce_vertices)
@@ -267,8 +276,8 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
     """Particle-number-n slice of the half-edge complex of g.
 
     reduce_vertices: None for the canonical basis (degree-1 vertices are
-    always reduced away), "essential"/"all", or an iterable of vertices to
-    present by difference generators.
+    always reduced away), "all", or an iterable of vertices to present by
+    difference generators.
     """
     if n < 0:
         raise GraphError("n must be >= 0")
@@ -281,30 +290,29 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
 
     # enumerate state combinations site by site, the first site's code
     # varying slowest; edge distributions are spliced in per run below.
-    # faces lists (dstate, edge, sign): a face changes one site's state by
-    # dstate and, when edge is not None, moves its particle onto that edge.
-    # A recursive closure would refer to itself, and that cycle would keep
-    # the combinations alive after the build until the cyclic collector
-    # ran, which the d^2 check and the Morse path hold off.
+    # faces lists (dstate, edge, sign), the face rule of each h-site with
+    # the cell's sign there.  A recursive closure would refer to itself,
+    # and that cycle would keep the combinations alive after the build
+    # until the cyclic collector ran, which the d^2 check and the Morse
+    # path hold off.
     combos = [(0, 0, 0, ())]  # (state_pack, used, h_count, faces)
-    for table, place in zip(enc.state_tables, enc.splace):
+    for table, place, rules in zip(enc.state_tables, enc.splace,
+                                   enc.face_rule):
         grown = []
         for pack, used, hcount, faces in combos:
             sign = -1 if hcount % 2 else 1
-            for code, (w, is_h, info) in enumerate(table):
+            for code, (w, _, _) in enumerate(table):
                 if used + w > n:
                     continue
-                if not is_h:
+                rule = rules[code]
+                if rule is None:
                     grown.append((pack + code * place, used + w, hcount,
                                   faces))
                     continue
-                if info[0] == "h":
-                    other = ((OCCUPIED - code) * place, None, -sign)
-                else:
-                    other = ((EMPTY - code) * place, info[2], -sign)
+                (da, ea, sa), (db, eb, sb) = rule
                 grown.append((pack + code * place, used + w, hcount + 1,
-                              faces + (((EMPTY - code) * place, info[1], sign),
-                                       other)))
+                              faces + ((da, ea, sa * sign),
+                                       (db, eb, sb * sign))))
         combos = grown
 
     # a state combination with `used` particles on its sites takes one cell
@@ -401,11 +409,9 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
         from .critical import morse_complex
         return morse_complex(enc, euler)
 
-    meta = {"model": "swiatkowski", "graph": g, "n": n,
-            "reduced": reduced, "encoding": enc}
+    meta = {"model": "swiatkowski", "graph": g, "n": n, "reduced": reduced}
     return ChainComplex(dims, boundaries, cells=listing, meta=meta,
-                        describe=lambda d, key: enc.describe(key),
-                        cell_faces=lambda d, key: enc.cell_faces(key),
+                        encoding=enc,
                         morse_complex=(morse if reduced.issuperset(enc.sites)
                                        else None))
 
@@ -421,8 +427,8 @@ def build_reduced_at(g: Graph, n: int, v) -> ChainComplex:
 
 def support(chain: Chain):
     """Union of member-cell supports: a set of edge ids and vertex ids."""
-    enc = chain.complex.meta.get("encoding")
-    if enc is None:
+    enc = chain.complex.encoding
+    if not isinstance(enc, SwEncoding):
         raise ValueError("support is defined for half-edge model chains")
     edges, verts = set(), set()
     for key in chain.data:
@@ -435,6 +441,6 @@ def support(chain: Chain):
 def cell(cx: ChainComplex, states=None, edges=None) -> Chain:
     """Single-cell chain of the cell `SwEncoding.encode` makes of the
     states and edges."""
-    enc = cx.meta["encoding"]
+    enc = cx.encoding
     key = enc.encode(states, edges)
     return Chain(cx, enc.dim_of(key), {key: 1})

@@ -2,12 +2,14 @@
 formula, subdivision guards, and an independent rational-rank oracle for
 the two-particle complete-graph space."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from confhom.abrams import abrams_boundary, build_abrams, cell
+from confhom.complexes import ResourceLimitExceeded
 from confhom.graph import (Graph, GraphError, InsufficientSubdivision,
                            build_family, order_vertices, subdivide_for)
 from confhom.homology import homology
@@ -81,6 +83,19 @@ class TestGuards:
     def test_multigraph_rejected(self):
         with pytest.raises(GraphError):
             order_vertices(build_family("theta:3"))
+
+    def test_max_cells_and_the_listing_order(self):
+        # the cells come in the order of their sorted items (the digest was
+        # taken when the builder still recursed); one over the limit is
+        # refused, and the count itself builds
+        og = ordered("k4", 3)
+        cx = build_abrams(og, 3, max_cells=816)
+        assert cx.dims == [120, 336, 288, 72]
+        assert hashlib.sha256(repr(cx.cells).encode()).hexdigest()[:16] == (
+            "49ba868f4d2760a5")
+        with pytest.raises(ResourceLimitExceeded,
+                           match=r"cell count exceeded max_cells=815$"):
+            build_abrams(og, 3, max_cells=815)
 
 
 def rational_rank(rows, ncols, triplets):
@@ -160,7 +175,7 @@ class TestCellHelper:
         # the keys `AbramsEncoding.encode` accepts are exactly the cells
         g = subdivide_for(build_family("k4"), 3)
         cx = build_abrams(order_vertices(g), 3)
-        enc = cx.meta["encoding"]
+        enc = cx.encoding
         items = list(g.vertices) + [e[0] for e in g.edges]
         accepted = set()
         for triple in itertools.combinations(items, 3):

@@ -160,6 +160,17 @@ class TestCycles:
         assert code == 64 and "four edges" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("args,flag", [
+        (["-n", "2", "--spec", '{"kind": "O"}'], "--graph"),
+        (["--graph", "theta:3", "--spec", '{"kind": "O"}'], "-n"),
+        (["--graph", "theta:3", "-n", "2"], "--spec"),
+    ], ids=["no-graph", "no-n", "no-spec"])
+    def test_a_missing_input_is_a_usage_error(self, capsys, args, flag):
+        code = main(["cycles"] + args)
+        err = capsys.readouterr().err
+        assert code == 64
+        assert err == f"error: cycles needs {flag} when no --relation is given\n"
+
     def test_junction_with_two_branches_is_a_usage_error(self, capsys):
         spec = ('{"kind":"Y","hub":"u","branches":["e1","e2"],'
                 '"dressing":{"edges":{"e3":1}}}')

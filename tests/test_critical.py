@@ -12,11 +12,12 @@ import weakref
 import pytest
 
 from confhom import tables
+from confhom.abrams import build_abrams
 from confhom.complexes import BoundaryError, Chain, ChainComplex
 from confhom.critical import (MorseFlow, MorseMatching, _spread,
                               choose_search, critical_counts, half_edge_ends,
                               search)
-from confhom.graph import Graph, build_family
+from confhom.graph import Graph, build_family, order_vertices, subdivide_for
 from confhom.homology import EngineError, homology, morse_reduce
 from confhom.swiatkowski import SwEncoding, build_swiatkowski
 
@@ -137,7 +138,7 @@ class TestRule:
     def test_matching_against_brute_force(self, fam, n):
         g = _graph(fam)
         enc = _encoding(g, n)
-        every = _every_y_cell(MorseMatching(enc))
+        every = _every_y_cell(MorseMatching(enc, *choose_search(enc)[:2]))
         for _, _, order, refs in _searches(g):
             m = MorseMatching(enc, order, refs)
             critical = set()
@@ -174,7 +175,7 @@ class TestRule:
     def test_basis_change_is_a_chain_map(self, fam, n):
         g = _graph(fam)
         cx = build_swiatkowski(g, n, reduce_vertices="all")
-        m = MorseMatching(cx.meta["encoding"])
+        m = MorseMatching(cx.encoding, *choose_search(cx.encoding)[:2])
 
         def phi(terms):
             acc = {}
@@ -200,7 +201,7 @@ class TestRule:
         # terms as its own digits do
         g = _graph(fam)
         cx = build_swiatkowski(g, n, reduce_vertices="all")
-        enc = cx.meta["encoding"]
+        enc = cx.encoding
 
         def convert(m, key):
             states, mults = enc.digits(key)
@@ -219,7 +220,8 @@ class TestRule:
             return terms
 
         _, _, order, refs = _searches(g)[-1]
-        for m in (MorseMatching(enc), MorseMatching(enc, order, refs)):
+        for m in (MorseMatching(enc, *choose_search(enc)[:2]),
+                  MorseMatching(enc, order, refs)):
             for keys in cx.cells:
                 for key in keys:
                     assert m.from_builder(key) == convert(m, key)
@@ -311,9 +313,10 @@ class TestRule:
         ("k44e", 6, "bfs", "a0", 11561)])
     def test_chosen_counts_are_pinned(self, fam, n, kind, root, count):
         enc = _encoding(build_family(fam), n)
-        _, _, searches, counts = choose_search(enc)
+        order, refs, searches, counts = choose_search(enc)
         assert searches == [(kind, root)] and sum(counts) == count
-        assert list(map(len, MorseMatching(enc).critical_cells())) == counts
+        assert list(map(len, MorseMatching(enc, order, refs)
+                        .critical_cells())) == counts
 
     @pytest.mark.parametrize("fam,n", BRUTE + [("cyclic", 1)])
     def test_pruned_faces_are_upper(self, fam, n):
@@ -322,7 +325,8 @@ class TestRule:
         if fam == "cyclic":
             _, m = _cyclic_triangle()
         else:
-            m = MorseMatching(_encoding(_graph(fam), n))
+            enc = _encoding(_graph(fam), n)
+            m = MorseMatching(enc, *choose_search(enc)[:2])
         for key in _every_y_cell(m):
             got = m.classify(key)
             if got is None or not got[2]:
@@ -340,7 +344,7 @@ class TestRule:
     def test_flow_equals_the_unpruned_flow(self, fam, n):
         g = _graph(fam)
         enc = _encoding(g, n)
-        every = _every_y_cell(MorseMatching(enc))
+        every = _every_y_cell(MorseMatching(enc, *choose_search(enc)[:2]))
         for _, _, order, refs in _searches(g):
             m = MorseMatching(enc, order, refs)
             flow = MorseFlow(m, m.critical_cells())
@@ -438,7 +442,7 @@ class TestTwoPaths:
         rng = random.Random(3)
         cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
         mcx, flow = cx.morse_complex()
-        assert mcx._cell_faces is None
+        assert mcx.encoding is None
         for d in range(1, mcx.top_dim + 1):
             for key in mcx.cells[d]:
                 assert (Chain(mcx, d, {key: 1}).boundary()
@@ -460,7 +464,7 @@ class TestTwoPaths:
         assert mcx.meta["critical_cells"] == mcx.dims == [4, 47, 81, 17]
         ends = half_edge_ends(TWO_WHEELS)
         (o1, r1), (o2, r2) = [search(ends, f"{p}.h", "bfs") for p in "ab"]
-        from_hubs = critical_counts(cx.meta["encoding"], o1 + o2, {**r1, **r2})
+        from_hubs = critical_counts(cx.encoding, o1 + o2, {**r1, **r2})
         assert sum(from_hubs) > sum(mcx.dims)
         generic = homology(_without_morse(cx), check=False)
         assert _nonzero(h) == _nonzero(generic)
@@ -484,7 +488,8 @@ class TestTwoPaths:
         assert cx._reduction is not None  # the generic path's trail
 
     @pytest.mark.parametrize("build", [
-        lambda g: build_swiatkowski(g, 3, reduce_vertices="essential"),
+        lambda g: build_swiatkowski(g, 3,
+                                    reduce_vertices=g.essential_vertices()),
         lambda g: build_swiatkowski(g, 3)],
         ids=["partly-reduced", "canonical"])
     def test_other_complexes_take_the_generic_path(self, monkeypatch, build):
@@ -563,7 +568,7 @@ class TestTwoPaths:
             CycleSpec(kind="Y", hub="a0", branches=("e00", "e01", "e02")),
             CycleSpec(kind="Y", hub="b0", branches=("e00", "e10", "e20"))])
         assert span_rank(cx, [z], 2) == 1
-        assert cx.meta["encoding"]._parts and cx._morse[1].matching._y_terms
+        assert cx.encoding._parts and cx._morse[1].matching._y_terms
         del z
         ref = weakref.ref(cx)
         gc.disable()
@@ -584,16 +589,21 @@ class TestTwoPaths:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("basis", [None, "all"])
-    def test_the_build_leaves_no_garbage_cycle(self, basis):
+    @pytest.mark.parametrize("build", [
+        lambda: build_swiatkowski(build_family("k33"), 4),
+        lambda: build_swiatkowski(build_family("k33"), 4,
+                                  reduce_vertices="all"),
+        lambda: build_abrams(order_vertices(subdivide_for(
+            build_family("k4"), 3)), 3),
+    ], ids=["None", "all", "cube"])
+    def test_the_build_leaves_no_garbage_cycle(self, build):
         # nothing the build makes refers to itself, so its temporaries go
         # when it returns, not when the collector next runs, which the d^2
         # check and the Morse path hold off
         gc.collect()
         gc.disable()
         try:
-            cx = build_swiatkowski(build_family("k33"), 4,
-                                   reduce_vertices=basis)
+            cx = build()
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -10,7 +10,7 @@ import pytest
 from confhom.cycles import (CycleError, CycleSpec, make_cycle, product_cycle,
                             span_rank, verify_chain_identity)
 from confhom.graph import build_family, order_vertices, subdivide_for
-from confhom.homology import homology, solve_boundary
+from confhom.homology import homology, morse_reduce, solve_boundary
 from confhom.swiatkowski import build_swiatkowski, cell as scell
 from confhom.abrams import build_abrams, cell as acell
 
@@ -155,13 +155,23 @@ class TestProducts:
         with pytest.raises(CycleError, match="at least one part"):
             product_cycle(cx, [], {"edges": {"e1": 1}})
 
+    def test_a_complex_without_an_encoding_is_refused(self):
+        # a reduced complex keeps its builder's meta but not its cells: it
+        # was once taken for a half-edge complex and gave a bare KeyError
+        cx = build_swiatkowski(build_family("theta:3"), 2)
+        rcx = morse_reduce(cx)[0]
+        assert rcx.encoding is None
+        with pytest.raises(CycleError, match="no cell encoding"):
+            make_cycle(rcx, CycleSpec(kind="Y", hub="u",
+                                      branches=("e1", "e2", "e3")))
+
     def test_factors_with_a_common_site_do_not_multiply(self):
         # product_cycle refuses shared vertices before it multiplies; the
         # multiplication of parts refuses them too
         from confhom.cycles import _y_cycle
         cx = build_swiatkowski(build_family("theta:3"), 4,
                                reduce_vertices="all")
-        y = _y_cycle(cx.meta["encoding"], "u", ("e1", "e2", "e3"))
+        y = _y_cycle(cx.encoding, "u", ("e1", "e2", "e3"))
         with pytest.raises(CycleError, match="share vertex state"):
             y * y
 
@@ -259,7 +269,10 @@ class TestProductChainsArePinned:
         from confhom import verify as V
         from subdivided import dressed_products, k33_products, split_edges
         g = build_family(fam)
-        cx = build_swiatkowski(split_edges(g), 4, reduce_vertices=basis)
+        sub = split_edges(g)
+        if basis == "essential":
+            basis = sub.essential_vertices()
+        cx = build_swiatkowski(sub, 4, reduce_vertices=basis)
         cycles = (k33_products(cx) if fam == "k33" else dressed_products(
             cx, g, V._disjoint_products(g, V._wheel_parts(g), 2)))
         assert len(cycles) == count

@@ -157,6 +157,13 @@ class TestSmithNormalForm:
             assert b % a == 0
 
 
+def _essential(fam, n):
+    """The half-edge complex of a family reduced at its essential
+    vertices."""
+    g = build_family(fam)
+    return build_swiatkowski(g, n, reduce_vertices=g.essential_vertices())
+
+
 def toy_complex(d2_entry=2):
     """One vertex, one loop edge, one disc attached d2_entry times."""
     boundaries = {
@@ -288,8 +295,7 @@ class TestMorseReduce:
 
 SOLVE_CORPUS = {
     "canonical": lambda: build_swiatkowski(build_family("theta:4"), 3),
-    "essential": lambda: build_swiatkowski(build_family("k4"), 3,
-                                           reduce_vertices="essential"),
+    "essential": lambda: _essential("k4", 3),
     "all-lasso": lambda: build_swiatkowski(build_family("lasso"), 3,
                                            reduce_vertices="all"),
     "cube-k4-n3": lambda: build_abrams(order_vertices(
@@ -527,6 +533,10 @@ class TestCheckOnce:
         homology(cx)
         homology(cx, dims=1)
         assert calls == [cx] and cx._checked
+        # a dimension below 0 has the zero group, as one above the top
+        assert homology(cx, dims=-1).dims == {-1: (0, ())}
+        assert homology(cx, dims=(-2, 0)).dims == {-2: (0, ()), -1: (0, ()),
+                                                   0: (1, ())}
         homology(cx, check=False)
         assert calls == [cx]
         bad = toy_complex(2)
@@ -824,8 +834,7 @@ class TestSlotProof:
 
     @pytest.mark.parametrize("build", [
         lambda: build_swiatkowski(build_family("k4"), 3),
-        lambda: build_swiatkowski(build_family("k33"), 3,
-                                  reduce_vertices="essential"),
+        lambda: _essential("k33", 3),
         lambda: build_swiatkowski(build_family("lasso"), 3,
                                   reduce_vertices="all"),
         lambda: build_swiatkowski(build_family("k33"), 3,
@@ -863,8 +872,7 @@ def _two_pieces():
 RUN_BUILDERS = {
     "all-reduced": lambda: _k33_all(3),
     "canonical": lambda: build_swiatkowski(build_family("k4"), 3),
-    "essential": lambda: build_swiatkowski(build_family("lasso"), 3,
-                                           reduce_vertices="essential"),
+    "essential": lambda: _essential("lasso", 3),
     "reduced-at": lambda: build_reduced_at(build_family("k33"), 3, "a0"),
     "disconnected": lambda: build_swiatkowski(_two_pieces(), 3),
     "disconnected-all": lambda: build_swiatkowski(_two_pieces(), 3,
@@ -977,7 +985,7 @@ class TestRunProof:
                              ids=RUN_BUILDERS.keys())
     def test_expansion_gives_each_cells_faces(self, build):
         cx = build()
-        enc = cx.meta["encoding"]
+        enc = cx.encoding
         assert all(isinstance(b, SlotRuns) for b in cx.boundaries.values())
         for d in range(1, cx.top_dim + 1):
             n, index = cx.dims[d], cx.index(d - 1)
@@ -1189,7 +1197,7 @@ class TestSharedReduction:
                             decoded.append(key) or real(self, key))
         cycles = k33_products(cx)
         assert len(cycles) == 69 and span_rank(cx, cycles, 2) == 19
-        span = cx.meta["encoding"].edge_span
+        span = cx.encoding.edge_span
         states = [key // span for key in decoded if key >= span]
         edges = [key for key in decoded if key < span]
         assert all(key % span == 0 for key in decoded if key >= span)

@@ -3,7 +3,8 @@ is used: a name bound by a module-level import must be read somewhere in
 its module, or re-exported via __all__, and one bound inside a function
 must be read in that function.  Every module-level private
 function of src/confhom is named outside its own body, by its module or by
-another of these files.  The files are only parsed."""
+another of these files.  No module but swiatkowski.py reads the digit
+layout of a half-edge key.  The files are only parsed."""
 
 import ast
 import functools
@@ -130,3 +131,30 @@ def test_the_scan_finds_an_unnamed_private_function():
                      "def _b(): pass\ndef _c(): pass\ndef __d__(): pass\n"
                      "x = _b\n")
     assert unnamed_private_functions(tree, {"_c"}) == ["_a"]
+
+
+# the digit layout of a half-edge key, which only `SwEncoding` reads:
+# every other module goes through `decode`, `encode` and `part`
+CELL_FORMAT = frozenset({"state_tables", "splace"})
+
+
+def cell_format_reads(tree):
+    """(line, attribute) of each attribute of the half-edge cell format a
+    tree names."""
+    return sorted((n.lineno, n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in CELL_FORMAT)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "swiatkowski.py"],
+    ids=lambda p: p.name)
+def test_only_the_encoding_reads_the_cell_format(path):
+    assert cell_format_reads(ast.parse(path.read_text())) == []
+
+
+def test_the_scan_finds_a_read_of_the_cell_format():
+    tree = ast.parse("s = enc.state_tables[i][c]\n"
+                     "e = enc.eplace\n"
+                     "def f(enc):\n"
+                     "    return enc.splace[0] + state_tables\n")
+    assert cell_format_reads(tree) == [(1, "state_tables"), (4, "splace")]

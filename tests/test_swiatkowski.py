@@ -38,6 +38,14 @@ def brute_counts(g, n):
     return [counts.get(d, 0) for d in range(max(counts) + 1)]
 
 
+def _basis(g, reduce_vertices):
+    """The reduce_vertices argument for a basis name: "essential" names the
+    graph's essential vertices."""
+    if reduce_vertices == "essential":
+        return g.essential_vertices()
+    return reduce_vertices
+
+
 CORPUS = [("star:3", 2), ("star:3", 3), ("theta:3", 2), ("theta:3", 3),
           ("k4", 2), ("net:2", 2), ("lasso", 2)]
 
@@ -116,8 +124,9 @@ class TestBoundary:
 
     @pytest.mark.parametrize("reduce_vertices", [None, "essential", "all"])
     def test_reduced_variants_square_to_zero(self, reduce_vertices):
-        cx = build_swiatkowski(build_family("k4"), 3,
-                               reduce_vertices=reduce_vertices)
+        g = build_family("k4")
+        cx = build_swiatkowski(g, 3,
+                               reduce_vertices=_basis(g, reduce_vertices))
         cx.check_boundary_squared()
 
     def test_top_dimension_bounded_by_stateful_sites(self):
@@ -148,7 +157,7 @@ class TestHomology:
     def test_reduction_options_agree(self, fam, n):
         g = build_family(fam)
         hs = [homology(build_swiatkowski(g, n, reduce_vertices=rv))
-              for rv in (None, "essential", "all")]
+              for rv in (None, g.essential_vertices(), "all")]
         tops = max(max(h.dims) for h in hs)
         for d in range(tops + 1):
             assert len({h.betti(d) for h in hs}) == 1
@@ -239,8 +248,9 @@ class TestEncodingIsExact:
             "multigraph-all", "disconnected", "disconnected-all", "star"])
     def test_accepted_keys_are_the_cells(self, g, reduce_vertices):
         n = 2
-        cx = build_swiatkowski(g, n, reduce_vertices=reduce_vertices)
-        enc = cx.meta["encoding"]
+        cx = build_swiatkowski(g, n,
+                               reduce_vertices=_basis(g, reduce_vertices))
+        enc = cx.encoding
         eids = [e[0] for e in g.edges]
         # both kinds of half-edge state everywhere: the one of the other
         # basis is refused
@@ -260,6 +270,8 @@ class TestEncodingIsExact:
                         except GraphError:
                             pass
         assert accepted == {key for keys in cx.cells for key in keys}
+        # decode is the inverse of encode on every cell
+        assert all(enc.encode(*enc.decode(key)) == key for key in accepted)
 
     @pytest.mark.parametrize("fam,reduce_vertices,site,spec", [
         ("theta:3", "all", "u", ("h", "e2")),
@@ -272,9 +284,35 @@ class TestEncodingIsExact:
         cx = build_swiatkowski(build_family(fam), 1,
                                reduce_vertices=reduce_vertices)
         with pytest.raises(GraphError, match=repr(site)):
-            cx.meta["encoding"].encode({site: spec})
+            cx.encoding.encode({site: spec})
         with pytest.raises(GraphError, match=repr(site)):
             cell(cx, {site: spec})
+
+
+class TestDecodingIsPinned:
+    """Digests taken when `describe` and `support` still read the state
+    tables digit by digit: the one decoder gives the same words and
+    supports for every cell, in the canonical, one-site and all-reduced
+    bases."""
+
+    @pytest.mark.parametrize("fam,basis,digest", [
+        ("lasso", None, "873d0d86186d9d01"),
+        ("lasso", ("v2",), "e548702970d33235"),
+        ("lasso", "all", "e287effdbc2dcacf"),
+        ("theta:3", None, "2a13227e8eb31a64"),
+        ("theta:3", ("u",), "47c762a250185831"),
+        ("theta:3", "all", "e676d84d4170e1c7"),
+    ], ids=["lasso", "lasso-one-site", "lasso-all", "theta3", "theta3-one-site",
+            "theta3-all"])
+    def test_describe_and_support(self, fam, basis, digest):
+        cx = build_swiatkowski(build_family(fam), 3, reduce_vertices=basis)
+        rows = []
+        for d, keys in enumerate(cx.cells):
+            for key in keys:
+                edges, verts = cx.encoding.support(key)
+                rows.append((d, key, cx.describe(d, key), sorted(edges),
+                             sorted(verts)))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
 
 
 def _decoded(enc, key):
@@ -305,9 +343,10 @@ class TestStatePartTables:
     @pytest.mark.parametrize("reduce_vertices", [None, "essential", "all"],
                              ids=["canonical", "essential", "all"])
     def test_tables_equal_the_per_cell_decode(self, fam, reduce_vertices):
-        cx = build_swiatkowski(build_family(fam), 3,
-                               reduce_vertices=reduce_vertices)
-        enc = cx.meta["encoding"]
+        g = build_family(fam)
+        cx = build_swiatkowski(g, 3,
+                               reduce_vertices=_basis(g, reduce_vertices))
+        enc = cx.encoding
         for d, keys in enumerate(cx.cells):
             for key in keys:
                 dim, faces = _decoded(enc, key)
