@@ -5,6 +5,11 @@ A d-cell is a set of n pairwise disjoint items, d of them edges and n-d
 vertices; disjointness means no listed vertex is an endpoint of a listed
 edge and no two listed edges share an endpoint.  The boundary alternates
 over the cell's edges sorted by their lower-labelled endpoints.
+
+The encoding (`AbramsEncoding`) is the one owner of this item layout.  It
+packs cells and parts of cells (`encode`, `encode_part`) and gives a key's
+covered vertices and edge items (`occupancy`), through which the cycle
+layer multiplies cube parts as it does half-edge ones.
 """
 
 from __future__ import annotations
@@ -25,17 +30,15 @@ class AbramsEncoding:
         self.n = n
         self.nv = len(g.vertices)
         # item i < nv: vertex with label i+1; item nv+j: j-th edge by (tau, iota)
+        self.vertices = sorted(g.vertices, key=og.labels.get)
         self.edge_items = list(og.edge_order)
-        self.vsets = []
-        for i in range(self.nv):
-            self.vsets.append(1 << i)
-        for eidx in self.edge_items:
-            t, j = og.edge_tau_iota[eidx]
-            self.vsets.append((1 << (t - 1)) | (1 << (j - 1)))
         self.n_items = self.nv + len(self.edge_items)
         # per edge item: the bits of its iota and tau endpoints
         self.edge_ends = [(1 << (j - 1), 1 << (t - 1)) for t, j in
                           (og.edge_tau_iota[e] for e in self.edge_items)]
+        # per item: the bits of the vertices its closed cell covers
+        self.vsets = ([1 << i for i in range(self.nv)]
+                      + [iota | tau for iota, tau in self.edge_ends])
         self.edge_item_of = {eidx: self.nv + j
                              for j, eidx in enumerate(self.edge_items)}
 
@@ -58,10 +61,11 @@ class AbramsEncoding:
             return self.edge_item_of[g.edge_index(x)]
         raise GraphError(f"unknown item {x!r}")
 
-    def encode(self, items):
-        """Packed cell of n pairwise disjoint items (see `item_for`).  The
-        keys this accepts are exactly the cells of the complex built with
-        this encoding; anything else raises GraphError."""
+    def encode_part(self, items):
+        """(key, item count) of pairwise disjoint items (see `item_for`): a
+        part of a cell, whose item count is not checked; a repeated or
+        overlapping item raises GraphError.  Keys of parts whose closed
+        cells cover no common vertex add up to the key of their union."""
         key = 0
         vmask = 0
         count = 0
@@ -75,6 +79,13 @@ class AbramsEncoding:
             key |= bit
             vmask |= self.vsets[it]
             count += 1
+        return key, count
+
+    def encode(self, items):
+        """Packed cell of n pairwise disjoint items, as `encode_part` packs
+        them.  The keys this accepts are exactly the cells of the complex
+        built with this encoding; anything else raises GraphError."""
+        key, count = self.encode_part(items)
         if count != self.n:
             raise GraphError(f"cell has {count} items, expected {self.n}")
         return key
@@ -86,6 +97,18 @@ class AbramsEncoding:
             out.append(low.bit_length() - 1)
             key ^= low
         return out
+
+    def occupancy(self, key):
+        """(the vertices the key's closed cells cover, its edge items): the
+        places that factors of a product must not share, and the generators
+        whose order signs it.  The edges of one cell share no endpoint, so
+        their items, sorted by (tau, iota), come in tau order."""
+        items = self.items(key)
+        covered = 0
+        for k in items:
+            covered |= self.vsets[k]
+        return ([self.vertices[i] for i in self.items(covered)],
+                [k for k in items if k >= self.nv])
 
     def dim_of(self, key):
         return sum(1 for k in self.items(key) if k >= self.nv)
@@ -199,9 +222,8 @@ def build_abrams(og: OrderedGraph, n: int, max_cells=None) -> ChainComplex:
             vals.extend(array("b", [w]) * len(lst))
         boundaries[d] = (rows, array("l", range(len(lst))) * len(signs), vals)
 
-    meta = {"model": "abrams", "graph": g, "ordered": og, "n": n}
     return ChainComplex([len(c) for c in cells], boundaries, cells=cells,
-                        meta=meta, encoding=enc)
+                        meta={"model": "abrams"}, encoding=enc)
 
 
 def cell(cx: ChainComplex, items) -> Chain:

@@ -8,7 +8,9 @@ vertex; projecting onto the difference-generator components is the reverse
 map, one component per non-reference half-edge.  Both maps carry a cell
 between complexes through its vertex states and edge multiplicities, which
 the source complex's encoding decodes (`SwEncoding.decode`) and the
-target's encodes; no key is taken apart here.
+target's encodes; no key is taken apart here.  The connecting map carries
+each homology generator once into the n-particle encoding, as a part of
+n-1 particles (`cycles._Part`), and dresses it with edges there.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .complexes import Chain, ChainComplex
+from .cycles import _Part
 from .graph import Graph, GraphError
 from .homology import class_span_rank, homology, homology_generators
 from .swiatkowski import build_swiatkowski
@@ -56,23 +59,18 @@ def blowup(g: Graph, v) -> BlowupContext:
                          half_edges=hes, leaf_of=leaf_of)
 
 
-def _recode(chain_data, src_enc, dst_enc, extra_edges=None):
-    """{key: coeff} of src_enc carried to dst_enc, cell by cell through
-    the vertex states and edge multiplicities, with extra_edges added."""
-    out = {}
-    for key, coeff in chain_data.items():
-        states, edges = src_enc.decode(key)
-        for e, m in (extra_edges or {}).items():
-            edges[e] = edges.get(e, 0) + m
-        out[dst_enc.encode(states, edges)] = coeff
-    return out
+def _recode(chain_data, src_enc, encode):
+    """{key: coeff} of src_enc carried cell by cell through the vertex
+    states and edge multiplicities to the keys `encode` makes of them."""
+    return {encode(*src_enc.decode(key)): coeff
+            for key, coeff in chain_data.items()}
 
 
 def phi(ctx: BlowupContext, chain: Chain, target: ChainComplex) -> Chain:
     """Embed a chain of the blown-up graph's complex into the complex of the
     original graph reduced at the blown vertex (the vertex site stays empty)."""
-    return Chain(target, chain.dim,
-                 _recode(chain.data, chain.complex.encoding, target.encoding))
+    return Chain(target, chain.dim, _recode(chain.data, chain.complex.encoding,
+                                            target.encoding.encode))
 
 
 def psi(ctx: BlowupContext, chain: Chain, targets: dict) -> dict:
@@ -119,22 +117,16 @@ class DeltaReport:
 
 def _delta_columns(ctx, gens, cx_n, e_ref):
     """Cycles (e(h_0) - e(h)) * z in the n-particle complex for each
-    homology generator z of the (n-1)-particle complex."""
-    cols = {}
-    dst_enc = cx_n.encoding
-    for eid in ctx.half_edges[1:]:
-        cols[eid] = []
-        for z in gens:
-            src_enc = z.complex.encoding
-            plus = _recode(z.data, src_enc, dst_enc, extra_edges={e_ref: 1})
-            minus = _recode(z.data, src_enc, dst_enc, extra_edges={eid: 1})
-            data = dict(plus)
-            for k, v in minus.items():
-                data[k] = data.get(k, 0) - v
-                if not data[k]:
-                    del data[k]
-            cols[eid].append(Chain(cx_n, z.dim, data))
-    return cols
+    homology generator z of the (n-1)-particle complex: z is carried once
+    into the n-particle encoding, as a part of n-1 particles, and dressed
+    with each edge."""
+    enc = cx_n.encoding
+    parts = [_Part(enc, _recode(z.data, z.complex.encoding,
+                                lambda *cell: enc.encode_part(*cell)[0]),
+                   enc.n - 1) for z in gens]
+    return {eid: [p.dressed({e_ref: 1}).add(p.dressed({eid: 1}), -1)
+                  .chain(cx_n) for p in parts]
+            for eid in ctx.half_edges[1:]}
 
 
 def sequence_complexes(ctx: BlowupContext, n: int):

@@ -129,6 +129,7 @@ from math import comb
 
 from .complexes import Chain, ChainComplex, pause_gc
 from .homology import EngineError
+from .swiatkowski import _edge_parts
 
 _EMPTY = {}  # the flow of an upper cell; shared, never mutated
 
@@ -289,17 +290,6 @@ def choose_search(enc):
         refs.update(r)
         searches.append((kind, root))
     return order, refs, searches, _dims(product(), n)
-
-
-def _spread(units, t):
-    """Edge parts of the keys that put t particles on the edges with these
-    units, in every way."""
-    if not units:
-        return [0] if t == 0 else []
-    u, rest = units[0], units[1:]
-    if not rest:
-        return [t * u]
-    return [k * u + p for k in range(t + 1) for p in _spread(rest, t - k)]
 
 
 class MorseMatching:
@@ -504,43 +494,49 @@ class MorseMatching:
     # -- all cells ----------------------------------------------------------
 
     def critical_cells(self):
-        """Sorted critical y keys per dimension, listed per state set."""
+        """Sorted critical y keys per dimension, listed per state set.  The
+        search runs on an explicit stack: a recursive closure would refer to
+        itself, and that cycle would keep the lists alive after the listing
+        until the cyclic collector ran."""
         n = self.n
-        always_free = [u for e, u in enumerate(self.unit)
-                       if e not in self.eligible_edges]
+        end = len(self.scan)
         cells = [[] for _ in range(min(n, len(self.rule)) + 1)]
-
-        def monomials(out, acc, left, groups, free):
-            """Every edge part with `left` particles, at least one in each
-            group of units and any number on the free units."""
-            if not groups:
-                out.extend(acc + p for p in _spread(free, left))
-                return
-            for t in range(1, left - len(groups) + 2):
-                for p in _spread(groups[0], t):
-                    monomials(out, acc + p, left - t, groups[1:], free)
-
-        def visit(s, states, k, groups, free):
-            if s == len(self.scan):
-                monomials(cells[k], states, n - k, groups, always_free + free)
-                return
+        # (scan position, state key, generators, groups of units of which
+        # the monomial needs at least one each, units it may use freely)
+        stack = [(0, 0, 0, (), [u for e, u in enumerate(self.unit)
+                                if e not in self.eligible_edges])]
+        while stack:
+            s, states, k, groups, free = stack.pop()
+            if s == end:
+                # every edge part with n - k particles, at least one in each
+                # group and any number on the free units
+                if len(groups) > n - k:
+                    continue
+                accs = [(states, n - k)]
+                later = len(groups)
+                for units in groups:
+                    later -= 1
+                    accs = [(acc + p, left - t) for acc, left in accs
+                            for t in range(1, left - later + 1)
+                            for p in _edge_parts(units, t)]
+                cells[k].extend(acc + p for acc, left in accs
+                                for p in _edge_parts(free, left))
+                continue
+            stack.append((s + 1, states, k, groups, free))  # v not in S
+            if k == n:
+                continue
             i = self.scan[s]
             shift, _, _, up, below = self.rule[i]
             units = [u for _, u, _ in up]
-            visit(s + 1, states, k, groups, free)  # v not in S: E_v forbidden
-            if k == n:
-                return
             for c in range(1, len(self.faces_data[i][2])):
                 if c not in below:  # not eligible: E_v is free
-                    visit(s + 1, states + (c << shift), k + 1, groups,
-                          free + units)
+                    stack.append((s + 1, states + (c << shift), k + 1,
+                                  groups, free + units))
                     continue
                 at = [code for _, _, code in up].index(c)
                 if at:  # m needs an E_v edge below c; the rest are free
-                    visit(s + 1, states + (c << shift), k + 1,
-                          groups + [units[:at]], free + units[at:])
-
-        visit(0, 0, 0, [], [])
+                    stack.append((s + 1, states + (c << shift), k + 1,
+                                  groups + (units[:at],), free + units[at:]))
         while len(cells) > 1 and not cells[-1]:
             cells.pop()
         return [sorted(dim) for dim in cells]
@@ -674,8 +670,8 @@ def morse_complex(enc, euler):
                 cols.append(c)
                 vals.append(x)
         boundaries[d] = (rows, cols, vals)
-    meta = {"model": "swiatkowski-morse", "graph": enc.graph, "n": enc.n,
-            "search": searches, "critical_cells": counts}
+    meta = {"model": "swiatkowski-morse", "search": searches,
+            "critical_cells": counts}
     mcx = ChainComplex([len(c) for c in cells], boundaries, cells=cells,
                        meta=meta)
     return mcx, flow

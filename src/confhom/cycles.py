@@ -4,15 +4,18 @@ products, and the named chain-level relations among them.
 
 Every cycle is built by `product_cycle`: a single dressed cycle is the
 product of one part.  The complex's encoding decides the model, and a
-complex without one (reduced, Morse, JSON) is refused.  In the half-edge
-model each part is built once as packed keys of the complex's encoding,
-{key: coeff}, through `SwEncoding.encode_part`, in the complex's own
-basis, canonical or reduced.
-The complex is a module over the edge monomials (An, Drummond-Cole and
-Knudsen, arXiv:1708.02351), so in the packed encoding the product of parts
-with no common site is a sum of keys, signed by the order of their
-half-edge states, and an edge dressing adds one constant key.  The
-particle count is checked on the finished cells, and the result is
+complex without one (reduced, Morse, JSON) is refused.  Both models share
+one product algebra (An, Drummond-Cole and Knudsen, arXiv:1708.02351): a
+part is {key: coeff} of packed keys from the encoding's `encode_part`
+(`_Part`), and the product of parts that share no place is the sum of
+their keys, signed by the order of their generators, both of which the
+encoding gives (`occupancy`).  In the half-edge model the places are the
+sites with a state and the generators the half-edge states, in the
+complex's own basis, canonical or reduced; the complex is a module over
+the edge monomials, so an edge dressing adds one constant key.  In the
+cube model the places are the vertices the closed cells cover and the
+generators the edges, in tau order; its free particles sit on vertices.
+The particle count is checked on the finished cells, and the result is
 verified to have zero boundary.
 """
 
@@ -75,15 +78,17 @@ class CycleSpec:
         return out
 
 
-# -- half-edge parts --------------------------------------------------------
+# -- parts ------------------------------------------------------------------
 
 class _Part:
-    """A half-edge chain under construction, {key: coeff}, for the encoding
-    enc.  Its keys pack site states and edge multiplicities as
-    `SwEncoding.encode_part` does, with `particles` particles on every
-    term.  Parts with no common site multiply by key addition, and dressing
-    a part with edges adds one constant key; the digits do not carry while
-    the particles are at most n, as `product_cycle` checks first."""
+    """A chain under construction, {key: coeff}, for the encoding enc of
+    either model, with `particles` particles on every term.  The keys are
+    parts of cells, as the encoding's `encode_part` packs them.  Parts that
+    share no place multiply by key addition, signed by the order of their
+    generators (`occupancy`), and dressing a half-edge part with edges adds
+    one constant key.  No key carries: cube parts that share a place are
+    refused, and half-edge digits hold while the particles are at most n,
+    as `product_cycle` checks first."""
 
     __slots__ = ("enc", "terms", "particles")
 
@@ -102,37 +107,30 @@ class _Part:
                 del out[k]
         return _Part(self.enc, out, self.particles)
 
-    def _sites(self):
-        span = self.enc.edge_span
-        return {i for key in self.terms
-                for i, s in enumerate(self.enc.part(key // span)[0]) if s}
-
     def __mul__(self, other):
-        """The product, each term signed by the order of the h-sites: -1 to
-        the number of pairs of an h-site of self after one of other."""
-        enc = self.enc
-        shared = self._sites() & other._sites()
+        """The product, each term signed by the order of the generators: -1
+        to the number of pairs of a generator of self after one of other."""
+        occupancy = self.enc.occupancy
+        left = [(k, v, *occupancy(k)) for k, v in self.terms.items()]
+        right = [(k, v, *occupancy(k)) for k, v in other.terms.items()]
+        shared = ({p for _, _, places, _ in left for p in places}
+                  & {p for _, _, places, _ in right for p in places})
         if shared:
-            raise CycleError(f"factors share vertex state at "
-                             f"{sorted(enc.sites[i] for i in shared)}")
-        span = enc.edge_span
-        right = [(kb, vb, enc.part(kb // span)[1])
-                 for kb, vb in other.terms.items()]
+            raise CycleError(f"factors share vertex state at {sorted(shared)}")
         out = {}
-        for ka, va in self.terms.items():
-            ha = enc.part(ka // span)[1]
-            for kb, vb, hb in right:
-                inv = sum(1 for x in ha for y in hb if y < x)
+        for ka, va, _, ga in left:
+            for kb, vb, _, gb in right:
+                inv = sum(1 for x in ga for y in gb if y < x)
                 key = ka + kb
                 nv = out.get(key, 0) + (-va * vb if inv % 2 else va * vb)
                 if nv:
                     out[key] = nv
                 else:
                     del out[key]
-        return _Part(enc, out, self.particles + other.particles)
+        return _Part(self.enc, out, self.particles + other.particles)
 
     def dressed(self, edges):
-        """The part times the edge monomial {edge_id: mult}."""
+        """The half-edge part times the edge monomial {edge_id: mult}."""
         offset, k = self.enc.encode_part(edges=edges)
         return _Part(self.enc, {key + offset: v
                                 for key, v in self.terms.items()},
@@ -149,6 +147,8 @@ class _Part:
             raise CycleError("mixed-dimension chain")
         return Chain(cx, dims.pop() if dims else 0, self.terms)
 
+
+# -- half-edge parts ---------------------------------------------------------
 
 def _h_diff(enc, v, e_plus, e_minus):
     """(h at e_plus) - (h at e_minus) at vertex v, in the encoding's basis.
@@ -225,7 +225,7 @@ def _theta_cycle(enc, edge_ids):
     return out
 
 
-# -- parts ------------------------------------------------------------------
+# -- specs ------------------------------------------------------------------
 
 def _spec_support(g, spec: CycleSpec):
     edges, verts = set(), set()
@@ -267,6 +267,38 @@ def _half_edge_part(enc, spec: CycleSpec):
     if spec.kind == "Y":
         return _y_cycle(enc, spec.hub, spec.branches)
     return _theta_cycle(enc, spec.edges)
+
+
+def _cube_part(enc, spec: CycleSpec):
+    """The cube part of one undressed O or Y spec, after `_spec_support` has
+    checked it: a circle is its edges, signed by the direction of the route
+    against the labels, and a junction is six terms of one branch edge and
+    the end of another."""
+    og = enc.og
+    g = og.graph
+    lab = og.labels
+    if spec.kind == "O":
+        route = _cycle_route(g, list(spec.cycle))
+        return _Part(enc, {enc.encode_part([eid])[0]:
+                           1 if lab[route[i]] < lab[route[i + 1]] else -1
+                           for i, eid in enumerate(spec.cycle)}, 1)
+    if spec.kind == "Y":
+        ends = {}
+        for e in spec.branches:
+            u, v = g.endpoints(e)
+            ends[e] = v if u == spec.hub else u
+        below = [e for e in spec.branches if lab[ends[e]] < lab[spec.hub]]
+        if len(below) != 1:
+            raise CycleError("junction needs exactly one branch towards the root")
+        e0 = below[0]
+        e1, e2 = sorted((e for e in spec.branches if e != e0),
+                        key=lambda e: lab[ends[e]])
+        u0, u1, u2 = ends[e0], ends[e1], ends[e2]
+        terms = (((e1, u0), 1), ((e0, u1), 1), ((e2, u1), 1),
+                 ((e1, u2), -1), ((e0, u2), -1), ((e2, u0), -1))
+        return _Part(enc, {enc.encode_part(items)[0]: coeff
+                           for items, coeff in terms}, 2)
+    raise CycleError("cube-model products take O and Y parts")
 
 
 # -- public operations ---------------------------------------------------------
@@ -320,88 +352,32 @@ def product_cycle(cx: ChainComplex, parts, dressing=None) -> Chain:
                 shared |= supports[i][0] & supports[j][0]
             if shared:
                 raise CycleError(f"parts {i} and {j} share {sorted(shared)}")
-    all_e = set().union(*(s[0] for s in supports)) if supports else set()
-    all_v = set().union(*(s[1] for s in supports)) if supports else set()
+    all_e = set().union(*(s[0] for s in supports))
+    all_v = set().union(*(s[1] for s in supports))
     for v in dress_v:
         if v in all_v:
             raise CycleError(f"dressing vertex {v!r} overlaps a carrier")
-    if strict:
+    if strict and dress_e:
         for e in dress_e:
             if e in all_e:
                 raise CycleError(f"dressing edge {e!r} overlaps a carrier")
+        raise CycleError("cube-model dressings place particles on vertices")
 
-    if half_edge:
-        prod = _half_edge_part(enc, parts[0])
-        for p in parts[1:]:
-            prod = prod * _half_edge_part(enc, p)
-        if dress_v:
-            parked, k = enc.encode_part({v: "v" for v in dress_v})
-            prod = prod * _Part(enc, {parked: 1}, k)
-        if dress_e:
-            prod = prod.dressed(dress_e)
-        chain = prod.chain(cx)
-    else:
-        if dress_e:
-            raise CycleError("cube-model dressings place particles on vertices")
-        factors = [make_cycle_part_abrams(cx, p) for p in parts]
-        chain = None
-        for combo, coeff in _abrams_product_terms(cx, factors):
-            term = acell(cx, combo + list(dress_v)) * coeff
-            chain = term if chain is None else chain + term
+    part = _half_edge_part if half_edge else _cube_part
+    factors = [part(enc, p) for p in parts]
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = prod * f
+    if dress_v:
+        parked, k = enc.encode_part({v: "v" for v in dress_v} if half_edge
+                                    else dress_v)
+        prod = prod * _Part(enc, {parked: 1}, k)
+    if dress_e:
+        prod = prod.dressed(dress_e)
+    chain = prod.chain(cx)
     if chain.boundary():
         raise CycleError("product chain has nonzero boundary")
     return chain
-
-
-def make_cycle_part_abrams(cx, spec):
-    """Undressed one-part cycle as [(edge items, vertex items, coeff)]."""
-    og = cx.encoding.og
-    g = og.graph
-    if spec.kind == "O":
-        route = _cycle_route(g, list(spec.cycle))
-        out = []
-        for i, eid in enumerate(spec.cycle):
-            u, w = route[i], route[i + 1]
-            sign = 1 if og.labels[u] < og.labels[w] else -1
-            out.append(([eid], [], sign))
-        return out
-    if spec.kind == "Y":
-        lab = og.labels
-        ends = {}
-        for e in spec.branches:
-            u, v = g.endpoints(e)
-            ends[e] = v if u == spec.hub else u
-        below = [e for e in spec.branches if lab[ends[e]] < lab[spec.hub]]
-        if len(below) != 1:
-            raise CycleError("junction needs exactly one branch towards the root")
-        e0 = below[0]
-        e1, e2 = sorted((e for e in spec.branches if e != e0),
-                        key=lambda e: lab[ends[e]])
-        u0, u1, u2 = ends[e0], ends[e1], ends[e2]
-        return [([e1], [u0], 1), ([e0], [u1], 1), ([e2], [u1], 1),
-                ([e1], [u2], -1), ([e0], [u2], -1), ([e2], [u0], -1)]
-    raise CycleError("cube-model products take O and Y parts")
-
-
-def _abrams_product_terms(cx, factors):
-    og = cx.encoding.og
-    g = og.graph
-
-    def tau_of(eid):
-        return og.tau(g.edge_index(eid))
-
-    def rec(i, items_e, items_v, coeff, taus):
-        if i == len(factors):
-            inv = sum(1 for a in range(len(taus)) for b in range(a + 1, len(taus))
-                      if taus[a] > taus[b])
-            sign = -1 if inv % 2 else 1
-            yield (items_e + items_v, coeff * sign)
-            return
-        for es, vs, c in factors[i]:
-            yield from rec(i + 1, items_e + es, items_v + vs,
-                           coeff * c, taus + [tau_of(e) for e in es])
-
-    yield from rec(0, [], [], 1, [])
 
 
 def span_rank(cx: ChainComplex, cycles, d) -> int:

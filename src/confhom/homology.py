@@ -559,12 +559,12 @@ def _reduce(cx: ChainComplex):
         out_cells.pop()
         boundaries.pop(len(out_cells), None)
 
-    meta = dict(cx.meta)
-    meta["reduction"] = ReductionStats(
+    stats = ReductionStats(
         original=list(dims), reduced=[len(c) for c in out_cells],
         pairs=len(trail), protected=len(protected))
     rcx = ChainComplex([len(c) for c in out_cells], boundaries,
-                       cells=out_cells, meta=meta)
+                       cells=out_cells,
+                       meta={"model": "reduced", "reduction": stats})
     return rcx, (trail, offsets, dim_of, protected_set if augmented else set())
 
 

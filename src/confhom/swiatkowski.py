@@ -108,6 +108,7 @@ class SwEncoding:
             self.specs.append(specs)
             self.face_rule.append(rules)
         self._parts = {}  # state part -> (states, h-sites, face deltas)
+        self._occupancy = {}  # state part -> `occupancy`, for the cycles
         # one copy of every equal tuple in the tables: a face pair depends
         # on its site, code and sign only, not on the rest of the part
         self._shared = {}
@@ -150,6 +151,19 @@ class SwEncoding:
         hsites, faces = tuple(hsites), tuple(faces)
         got = self._parts[st] = (tuple(states), share(hsites, hsites),
                                  share(faces, faces))
+        return got
+
+    def occupancy(self, key):
+        """(the vertices whose sites hold a state, the h-sites): the places
+        that factors of a product must not share, and the generators whose
+        order signs it.  Edges are not places: occupying one is module
+        multiplication."""
+        st = key // self.edge_span
+        got = self._occupancy.get(st)
+        if got is None:
+            states, hsites, _ = self.part(st)
+            got = self._occupancy[st] = (
+                [self.sites[i] for i, s in enumerate(states) if s], hsites)
         return got
 
     def dim_of(self, key):
@@ -409,9 +423,8 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
         from .critical import morse_complex
         return morse_complex(enc, euler)
 
-    meta = {"model": "swiatkowski", "graph": g, "n": n, "reduced": reduced}
-    return ChainComplex(dims, boundaries, cells=listing, meta=meta,
-                        encoding=enc,
+    return ChainComplex(dims, boundaries, cells=listing,
+                        meta={"model": "swiatkowski"}, encoding=enc,
                         morse_complex=(morse if reduced.issuperset(enc.sites)
                                        else None))
 

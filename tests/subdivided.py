@@ -46,7 +46,7 @@ def dressed_products(cx, g, part_lists):
     """The products of the lifted part lists in cx, a complex of
     split_edges(g), each dressed once per distribution of the free
     particles over the regions."""
-    sub = cx.meta["graph"]
+    sub = cx.encoding.graph
     cycles = []
     for parts in part_lists:
         parts = [lift(g, p) for p in parts]
@@ -55,7 +55,7 @@ def dressed_products(cx, g, part_lists):
             es, vs = _spec_support(sub, p)
             used_e |= es
             used_v |= vs
-        free = cx.meta["n"] - sum(map(_spec_particles, parts))
+        free = cx.encoding.n - sum(map(_spec_particles, parts))
         for dist in V._distributions(free, V._regions(sub, used_e, used_v)):
             cycles.append(product_cycle(cx, parts, dressing={"edges": dist}))
     return cycles

@@ -7,10 +7,11 @@ import hashlib
 import networkx as nx
 import pytest
 
-from confhom.blowup import blowup, delta_rank_check, phi, psi, sequence_complexes
+from confhom.blowup import (_delta_columns, blowup, delta_rank_check, phi,
+                            psi, sequence_complexes)
 from confhom.complexes import Chain
 from confhom.graph import Graph, GraphError, build_family
-from confhom.homology import homology
+from confhom.homology import homology, homology_generators
 from confhom.swiatkowski import build_swiatkowski, cell as scell
 
 
@@ -151,6 +152,26 @@ def test_phi_and_psi_of_every_cell_are_pinned(fam, v, n, digest):
         for key in keys:
             comp = psi(ctx, Chain(tilde, d, {key: 1}), targets)
             rows.append((d, key, [(e, _pinned(c)) for e, c in comp.items()]))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("fam,v,n,d,digest", [
+    ("wheel:5", "h", 4, 2, "f90e5fcec7096eba"),
+    ("net:4", "w", 3, 1, "94f54ad7d784045b"),
+])
+def test_the_connecting_map_columns_are_pinned(fam, v, n, d, digest):
+    # digests taken when each column recoded its generator twice, once
+    # per added edge, and subtracted the two dicts: the columns of the
+    # blowup cases of the benchmark, at d and d-1 as `delta_rank_check`
+    # takes them
+    ctx = blowup(build_family(fam), v)
+    low = build_swiatkowski(ctx.blown, n - 1)
+    mid = build_swiatkowski(ctx.blown, n)
+    rows = []
+    for dim in range(max(d - 1, 1), d + 1):
+        cols = _delta_columns(ctx, homology_generators(low, dim), mid,
+                              ctx.reference_edge)
+        rows.append([(e, [_pinned(z) for z in cols[e]]) for e in cols])
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == digest
 
 

@@ -14,12 +14,11 @@ import pytest
 from confhom import tables
 from confhom.abrams import build_abrams
 from confhom.complexes import BoundaryError, Chain, ChainComplex
-from confhom.critical import (MorseFlow, MorseMatching, _spread,
-                              choose_search, critical_counts, half_edge_ends,
-                              search)
+from confhom.critical import (MorseFlow, MorseMatching, choose_search,
+                              critical_counts, half_edge_ends, search)
 from confhom.graph import Graph, build_family, order_vertices, subdivide_for
 from confhom.homology import EngineError, homology, morse_reduce
-from confhom.swiatkowski import SwEncoding, build_swiatkowski
+from confhom.swiatkowski import SwEncoding, _edge_parts, build_swiatkowski
 
 TWO_TRIANGLES = Graph(list("abcdef"), [
     ("x1", "a", "b"), ("x2", "b", "c"), ("x3", "c", "a"),
@@ -90,8 +89,13 @@ def _every_y_cell(m):
             continue
         pack = sum(c << shift for c, (shift, _, _, _)
                    in zip(states, m.faces_data))
-        out += [pack + p for p in _spread(m.unit, m.n - k)]
+        out += [pack + p for p in _edge_parts(m.unit, m.n - k)]
     return out
+
+
+def _with_homology(cx):
+    assert homology(cx).betti_vector() == (1, 4, 19, 1, 0)
+    return cx
 
 
 def _nonzero(h):
@@ -595,7 +599,10 @@ class TestTwoPaths:
                                   reduce_vertices="all"),
         lambda: build_abrams(order_vertices(subdivide_for(
             build_family("k4"), 3)), 3),
-    ], ids=["None", "all", "cube"])
+        # the Morse path's listing of the critical cells as well
+        lambda: _with_homology(build_swiatkowski(build_family("k33"), 4,
+                                                 reduce_vertices="all")),
+    ], ids=["None", "all", "cube", "all-homology"])
     def test_the_build_leaves_no_garbage_cycle(self, build):
         # nothing the build makes refers to itself, so its temporaries go
         # when it returns, not when the collector next runs, which the d^2

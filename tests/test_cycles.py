@@ -3,8 +3,10 @@ construction in both models, the named relations, and class-span ranks."""
 
 import hashlib
 import itertools
+from dataclasses import replace
 from math import gcd
 
+import networkx as nx
 import pytest
 
 from confhom.cycles import (CycleError, CycleSpec, make_cycle, product_cycle,
@@ -156,8 +158,9 @@ class TestProducts:
             product_cycle(cx, [], {"edges": {"e1": 1}})
 
     def test_a_complex_without_an_encoding_is_refused(self):
-        # a reduced complex keeps its builder's meta but not its cells: it
-        # was once taken for a half-edge complex and gave a bare KeyError
+        # a reduced complex has neither its builder's cells nor its
+        # encoding: it was once taken for a half-edge complex and gave a
+        # bare KeyError
         cx = build_swiatkowski(build_family("theta:3"), 2)
         rcx = morse_reduce(cx)[0]
         assert rcx.encoding is None
@@ -174,6 +177,34 @@ class TestProducts:
         y = _y_cycle(cx.encoding, "u", ("e1", "e2", "e3"))
         with pytest.raises(CycleError, match="share vertex state"):
             y * y
+
+    @pytest.mark.parametrize("other,dressing", [
+        ("same", []), ("circle", ["e13.1"])])
+    def test_cube_factors_sharing_an_item_are_refused(self, other, dressing):
+        # the junction at v0 and the triangle through it share the vertex
+        # v0 and the edges e01:0 and e02:0
+        g = subdivide_for(build_family("k4"), 4)
+        cx = build_abrams(order_vertices(g), 4)
+        y = CycleSpec(kind="Y", hub="v0",
+                      branches=("e01:0", "e02:0", "e03:0"))
+        o = CycleSpec(kind="O", cycle=(
+            "e01:0", "e01:1", "e01:2", "e12:0", "e12:1", "e12:2",
+            "e02:2", "e02:1", "e02:0"))
+        with pytest.raises(CycleError, match="parts 0 and 1 share"):
+            product_cycle(cx, [y, y if other == "same" else o],
+                          {"vertices": dressing})
+
+    def test_cube_factors_whose_cells_meet_do_not_multiply(self):
+        # a branch end of the junction is no carrier vertex, but some of the
+        # junction's cells cover it, so a particle parked there is refused
+        # before any key is made
+        g = subdivide_for(build_family("k4"), 4)
+        cx = build_abrams(order_vertices(g), 4)
+        y = CycleSpec(kind="Y", hub="v0",
+                      branches=("e01:0", "e02:0", "e03:0"))
+        with pytest.raises(CycleError,
+                           match=r"share vertex state at \['e01.1'\]"):
+            product_cycle(cx, [y], {"vertices": ["e01.1", "e23.1"]})
 
     def test_empty_span(self):
         cx = build_swiatkowski(build_family("theta:3"), 2)
@@ -294,6 +325,97 @@ class TestProductChainsArePinned:
             for a in triples for b in triples]
         assert len(cycles) == 105
         assert _digest(cycles) == digest
+
+
+def _canonical(g, route):
+    """A vertex cycle from its least vertex towards its lesser neighbour,
+    in the order of g's vertices: networkx lists cycles in an order and
+    orientation that vary with the string hash seed."""
+    at = [g.vertices.index(v) for v in route]
+    i = at.index(min(at))
+    at = at[i:] + at[:i]
+    if at[-1] < at[1]:
+        at = at[:1] + at[:0:-1]
+    return [g.vertices[i] for i in at]
+
+
+def _cube_products(fam, n):
+    """Every one- and two-part product of junctions and circles (of up to
+    14 edges) of the cube complex of fam subdivided for n, each dressed on
+    two runs of vertices from either end of the vertex list: (the chains,
+    the number of refused products)."""
+    g = subdivide_for(build_family(fam), n)
+    cx = build_abrams(order_vertices(g), n)
+    ys = [CycleSpec(kind="Y", hub=v, branches=tri) for v in g.vertices
+          for tri in itertools.combinations(
+              [g.edges[e][0] for e, _ in g.half_edges(v)], 3)]
+    simple = nx.Graph((u, v) for _, u, v in g.edges)
+    eid = {frozenset((u, v)): e for e, u, v in g.edges}
+    os_ = [CycleSpec(kind="O", cycle=tuple(
+        eid[frozenset(uv)] for uv in zip(c, c[1:] + c[:1])))
+        for c in sorted(_canonical(g, c) for c in
+                        nx.simple_cycles(simple, length_bound=14))]
+    products = ([[p] for p in ys + os_]
+                + [list(p) for p in itertools.combinations(ys, 2)]
+                + [[o, y] for o in os_ for y in ys]
+                + [list(p) for p in itertools.combinations(os_, 2)])
+    chains, refused = [], 0
+    for parts in products:
+        free = n - sum(2 if p.kind == "Y" else 1 for p in parts)
+        for vs in (g.vertices, g.vertices[::-1]):
+            for dv in itertools.islice(itertools.combinations(vs, free), 2):
+                try:
+                    chains.append(product_cycle(cx, parts,
+                                                {"vertices": list(dv)}))
+                except ValueError:
+                    refused += 1
+    return chains, refused
+
+
+class TestCubeChainsArePinned:
+    """Digests of the cube chains taken when the cube model still multiplied
+    lists of (edge items, vertex items, coeff) and added one cell per term:
+    the packed parts give the same keys and coefficients."""
+
+    def test_the_cube_cycles_of_the_tests_and_relations(self):
+        # the chains of the cube tests above, of the y-ab relation and of
+        # the verify suite's construction and circle-dressing rows
+        from confhom.graph import Graph
+        lasso = build_abrams(order_vertices(build_family("lasso"), "v1"), 2)
+        pocket = build_abrams(order_vertices(Graph(
+            ["v0", "v1", "v2", "v3", "v4"],
+            [("t0", "v0", "v1"), ("t1", "v1", "v2"), ("a", "v2", "v3"),
+             ("b", "v3", "v4"), ("c", "v2", "v4")]), "v0"), 2)
+        g = subdivide_for(build_family("k4"), 4)
+        k4 = build_abrams(order_vertices(g), 4)
+
+        def junction(v):
+            return CycleSpec(kind="Y", hub=v, branches=tuple(
+                g.edges[eidx][0] for eidx, _ in g.half_edges(v)))
+
+        circle = CycleSpec(kind="O", cycle=("a", "b", "c"))
+        chains = [
+            make_cycle(lasso, CycleSpec(kind="Y", hub="v2",
+                                        branches=("t", "a", "c"))),
+            make_cycle(lasso, replace(circle, dressing_vertices=("v1",))),
+            make_cycle(pocket, replace(circle, dressing_vertices=("v0",))),
+            make_cycle(pocket, replace(circle, dressing_vertices=("v1",))),
+            product_cycle(k4, [junction("v0"), junction("v3")]),
+        ]
+        assert [z.dim for z in chains] == [1, 1, 1, 1, 2]
+        assert _digest(chains) == "bc89eb0087651fa9"
+
+    @pytest.mark.parametrize("fam,count,refused,digest", [
+        ("k4", 25, 227, "cc7be050a44b9c25"),
+        ("theta:4", 28, 336, "5d7b175ee567b056"),
+        ("theta:3", 4, 54, "480b59ec709de7e2"),
+        ("wheel:5", 74, 482, "bd1a3e99ed3505ad"),
+    ])
+    def test_products_of_junctions_and_circles(self, fam, count, refused,
+                                                digest):
+        chains, got_refused = _cube_products(fam, 4)
+        assert (len(chains), got_refused) == (count, refused)
+        assert _digest(chains) == digest
 
 
 class TestSpecJson:

@@ -248,6 +248,18 @@ class TestMorseReduce:
         pairs = repr([(a, b) for a, b, _, _ in trail]).encode()
         assert hashlib.sha256(pairs).hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("morse", [False, True],
+                             ids=["canonical", "morse"])
+    def test_a_reduced_complex_carries_only_its_reduction(self, morse):
+        # its cells are neither the builder's nor the Morse complex's, so
+        # it keeps none of their meta; the encoding holds the graph and n
+        cx = build_swiatkowski(build_family("theta:3"), 2,
+                               reduce_vertices="all" if morse else None)
+        assert cx.meta == {"model": "swiatkowski"}
+        rcx = morse_reduce(cx.morse_complex()[0] if morse else cx)[0]
+        assert sorted(rcx.meta) == ["model", "reduction"]
+        assert repr(rcx) == f"<ChainComplex dims={rcx.dims} model=reduced>"
+
     def test_peak_memory_of_the_reduction(self):
         # k33 n=5 all-reduced, 26,679 cells: the per-cell containers and the
         # trail the reduction keeps peak at about 15 MB under tracemalloc

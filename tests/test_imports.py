@@ -4,7 +4,8 @@ its module, or re-exported via __all__, and one bound inside a function
 must be read in that function.  Every module-level private
 function of src/confhom is named outside its own body, by its module or by
 another of these files.  No module but swiatkowski.py reads the digit
-layout of a half-edge key.  The files are only parsed."""
+layout of a half-edge key, and none but abrams.py the item layout of a
+cube key.  The files are only parsed."""
 
 import ast
 import functools
@@ -136,6 +137,9 @@ def test_the_scan_finds_an_unnamed_private_function():
 # the digit layout of a half-edge key, which only `SwEncoding` reads:
 # every other module goes through `decode`, `encode` and `part`
 CELL_FORMAT = frozenset({"state_tables", "splace"})
+# the item layout of a cube key, which only `AbramsEncoding` reads: every
+# other module goes through `encode_part`, `occupancy` and `items`
+CUBE_FORMAT = frozenset({"vsets", "edge_ends", "edge_items", "nv"})
 
 
 def cell_format_reads(tree):
@@ -143,6 +147,13 @@ def cell_format_reads(tree):
     tree names."""
     return sorted((n.lineno, n.attr) for n in ast.walk(tree)
                   if isinstance(n, ast.Attribute) and n.attr in CELL_FORMAT)
+
+
+def cube_format_reads(tree):
+    """(line, attribute) of each attribute of the cube item layout a tree
+    names."""
+    return sorted((n.lineno, n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in CUBE_FORMAT)
 
 
 @pytest.mark.parametrize(
@@ -158,3 +169,19 @@ def test_the_scan_finds_a_read_of_the_cell_format():
                      "def f(enc):\n"
                      "    return enc.splace[0] + state_tables\n")
     assert cell_format_reads(tree) == [(1, "state_tables"), (4, "splace")]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "abrams.py"],
+    ids=lambda p: p.name)
+def test_only_the_cube_encoding_reads_the_cube_format(path):
+    assert cube_format_reads(ast.parse(path.read_text())) == []
+
+
+def test_the_scan_finds_a_read_of_the_cube_format():
+    tree = ast.parse("b = enc.vsets[k] | enc.edge_ends[j][0]\n"
+                     "nv = enc.n_items - len(edge_items)\n"
+                     "def f(enc):\n"
+                     "    return enc.edge_items[enc.nv]\n")
+    assert cube_format_reads(tree) == [
+        (1, "edge_ends"), (1, "vsets"), (4, "edge_items"), (4, "nv")]
