@@ -6,7 +6,7 @@ builder's complex holds its encoding, the one owner of the model's cell
 format: it packs and decodes the keys, describes a cell and gives its
 faces.  Boundary matrices are triplet arrays mapping d-cells to
 (d-1)-chains, or runs of columns (`SlotRuns`) that expand into such
-arrays.
+arrays; a builder may leave them to be written on first read too.
 """
 
 from __future__ import annotations
@@ -63,7 +63,12 @@ class ChainComplex:
     A builder may instead give boundaries[d] as runs of columns
     (`SlotRuns`): `boundary_triplets(d)` expands them on first use and
     puts the triplets in their place, so every reader, the d^2 check
-    included, sees one form of each dimension at a time.
+    included, sees one form of each dimension at a time.  It may also
+    pass a function in place of the dict: `boundaries` calls it on first
+    read (by `boundary_triplets`, `check_boundary_squared`, `to_json_dict`
+    or a reader of the dict) and keeps what it returns, so the Morse path
+    of `homology`, which reads no boundary of the full complex, never has
+    them written.
     `cells[d]` lists the cell keys in canonical order, and is never None:
     a complex given no keys (JSON and explicit complexes) lists
     range(dims[d]), so a cell's key is its index.  A builder may pass a
@@ -88,15 +93,18 @@ class ChainComplex:
     caches the pair in `_morse`; homology and class ranks then reduce the
     small Morse complex instead, carrying cycles into it by the flow.
     `homology(cx, reduce=False)` bypasses both caches.  A failed d^2 check
-    drops both.  `_checked` records that the d^2 check passed, so
-    `homology`, class ranks and generators run it once per complex, in
-    the calling process.
+    drops both.  `_checked` records that the d^2 check of the boundaries
+    (triplets or runs) passed, so `homology` off the Morse path, class
+    ranks without a Morse complex, generators, boundary solving and
+    `to_json_dict` run it once per complex, in the calling process.  The
+    Morse path neither writes nor checks them, and leaves `_checked`
+    unset: it proves the tables it reads instead (see `confhom.critical`).
     """
 
     def __init__(self, dims, boundaries, cells=None, meta=None,
                  encoding=None, morse_complex=None):
         self.dims = list(dims)
-        self.boundaries = boundaries
+        self._boundaries = boundaries
         self._cells = (cells if cells is not None
                        else [range(size) for size in self.dims])
         self.meta = meta or {}
@@ -115,6 +123,14 @@ class ChainComplex:
         if callable(self._cells):
             self._cells = self._cells()
         return self._cells
+
+    @property
+    def boundaries(self):
+        """{d: triplets or runs}, written on first read when the builder
+        passed a function."""
+        if callable(self._boundaries):
+            self._boundaries = self._boundaries()
+        return self._boundaries
 
     @property
     def top_dim(self):
@@ -231,7 +247,8 @@ class ChainComplex:
         the check is exact whichever proof passes, and only the column
         check and the validation reject a complex.
 
-        The check runs every time it is called.  A pass is recorded on the
+        The check runs every time it is called, on boundaries a builder
+        left unwritten once they are written.  A pass is recorded on the
         complex, and `homology` then does not check it again; a failure
         drops any cached reduction and Morse complex, so that no consumer
         reuses either for an invalid complex.
@@ -301,6 +318,11 @@ class ChainComplex:
     # -- shared dump format -------------------------------------------------
 
     def to_json_dict(self):
+        """{"dims", "boundary"} with the triplets of every dimension, after
+        the d^2 check (once per complex), so no unproved boundary leaves
+        the program."""
+        if not self._checked:
+            self.check_boundary_squared()
         return {
             "dims": list(self.dims),
             "boundary": {

@@ -101,6 +101,25 @@ the up moves' deltas), the sign of each test (the parity of the sites of S
 before it in builder order), and the key deltas and coefficients of the
 faces.  Classifying a cell is then one table lookup and a few mask tests.
 
+Proof.  The Morse path proves d^2 = 0 on the tables it reads, not on the
+builder's runs, which it never writes.  d is Z[E]-linear and a face's key
+delta does not depend on m, so d^2(m * y_S) is m times the sum of the
+terms (delta_1 + delta_2, w_1 * w_2) over the faces of S's table and the
+faces of each face's table (S - v); d^2 = 0 on every cell of S exactly
+when these terms cancel in classes of equal delta.  Each table is proved
+so when it compiles, its faces' tables compiled and proved first, and a
+table that fails raises BoundaryError naming its dimension and state
+part.  The faces of a table with one occupied site have no faces, so its
+own proof is empty: its signs are constrained only through the two-site
+tables that cite it.  The cycle layer reads the builder's tables
+(`SwEncoding.part`) and carries its chains over by `from_builder`, which
+checks, when it first converts a builder state part, that d_y .
+from_builder = from_builder . d_x on it, an identity of polynomials in
+the edges; the faces' state parts are converted, and so checked, first.
+from_builder is invertible, so the builder's tables it converts satisfy
+d^2 = 0 as well.  The Morse complex's own differential comes from the
+flow, and `homology` checks it as it checks any complex.
+
 Pruning.  Let a = m * y_S be a lower cell, matched up at v with code k,
 and b = (m / e_{v,k}) * y_{S+v:k} its partner.  A face of b at a site u of
 S scanned after v, adding the edge e (e_{u,c_u} or e_{r(u)}), is upper,
@@ -127,7 +146,7 @@ from __future__ import annotations
 from array import array
 from math import comb
 
-from .complexes import Chain, ChainComplex, pause_gc
+from .complexes import BoundaryError, Chain, ChainComplex, pause_gc
 from .homology import EngineError
 from .swiatkowski import _edge_parts
 
@@ -359,6 +378,10 @@ class MorseMatching:
         self._shared = {}  # one copy of every equal tuple in the tables
         self._y_terms = {}  # builder state part -> its y terms
         self._y_base = {}  # builder edge part -> its y key
+        # a face's builder edge part (one particle on one edge, or none)
+        # -> its y key
+        self._edge_unit = dict(zip(enc.eplace, self.unit))
+        self._edge_unit[0] = 0
 
     def _share(self, t):
         return self._shared.setdefault(t, t)
@@ -377,14 +400,32 @@ class MorseMatching:
         return codes, signs
 
     def _table(self, st):
-        """The compiled table of state part st, built on first use:
-        (tests, faces).  tests are the scan's (mask, up moves, partner
+        """The compiled table of state part st, built and proved on first
+        use: (tests, faces).  tests are the scan's (mask, up moves, partner
         delta, sign) in order: a down test (up moves None) fires when the
         key has no bit of mask, an up test when it has one.  faces are the
         (key delta, coeff) of the boundary terms."""
         got = self._tables.get(st)
-        if got is not None:
-            return got
+        if got is None:
+            got = self._compile(st)
+            self._prove(st, got[1])
+            self._tables[st] = got
+        return got
+
+    def _prove(self, st, faces):
+        """Raise BoundaryError unless d^2 = 0 on every cell of state part
+        st (see Proof): the terms of the faces' faces, read from the face
+        tables, cancel in classes of equal key delta."""
+        sums = {}
+        for delta, w in faces:
+            for delta2, w2 in self._table(st + (delta >> self.state_shift))[1]:
+                sums[delta + delta2] = sums.get(delta + delta2, 0) + w * w2
+        if any(sums.values()):
+            raise BoundaryError(f"dd != 0 at dimension {len(faces) // 2}, "
+                                f"y state part {st}")
+
+    def _compile(self, st):
+        """The table of state part st, unproved."""
         share = self._share
         codes, signs = self._codes_and_signs(st)
         tests = []
@@ -406,8 +447,7 @@ class MorseMatching:
             if c:
                 faces.append(share((units[c] - (c << shift), sign)))
                 faces.append(share((ref_unit - (c << shift), -sign)))
-        got = self._tables[st] = (share(tuple(tests)), share(tuple(faces)))
-        return got
+        return share(tuple(tests)), share(tuple(faces))
 
     def _move(self, key):
         """The first move of the scan on key as (partner delta, sign,
@@ -547,9 +587,7 @@ class MorseMatching:
         """A builder cell (x basis) as [(y key, coeff), ...]: the y terms of
         its state part shifted by the y base of its edge part."""
         st, ep = divmod(key, self.enc.edge_span)
-        terms = self._y_terms.get(st)
-        if terms is None:
-            terms = self._y_terms[st] = self._y_state_terms(st)
+        terms = self._y_state_terms(st)
         base = self._y_base.get(ep)
         if base is None:
             _, mults = self.enc.digits(ep)
@@ -559,8 +597,38 @@ class MorseMatching:
 
     def _y_state_terms(self, st):
         """The builder state part st in the y basis, as ((y state key,
-        coeff), ...): x_c = y_c - y_0 for c != r, x_r = -y_0, and the
-        identity where r = 0."""
+        coeff), ...), converted, checked and cached on first use."""
+        terms = self._y_terms.get(st)
+        if terms is None:
+            terms = self._convert(st)
+            self._check_chain_map(st, terms)
+            self._y_terms[st] = terms
+        return terms
+
+    def _check_chain_map(self, st, terms):
+        """Raise BoundaryError unless d_y . from_builder = from_builder . d_x
+        on the builder state part st, whose y terms are `terms` (see
+        Proof): the faces of its table in `SwEncoding.part`, converted,
+        against the faces of the y terms' tables."""
+        span, shift = self.enc.edge_span, self.state_shift
+        sums = {}
+        for y, x in terms:
+            for delta, w in self._table(y >> shift)[1]:
+                sums[y + delta] = sums.get(y + delta, 0) + x * w
+        faces = self.enc.part(st)[2]
+        for delta, w in faces:
+            face, ep = divmod(st * span + delta, span)
+            base = self._edge_unit[ep]
+            for y, x in self._y_state_terms(face):
+                sums[y + base] = sums.get(y + base, 0) - w * x
+        if any(sums.values()):
+            raise BoundaryError(
+                f"the basis change is not a chain map at dimension "
+                f"{len(faces) // 2}, state part {st}")
+
+    def _convert(self, st):
+        """x_c = y_c - y_0 for c != r, x_r = -y_0, and the identity where
+        r = 0, on each site of the builder state part st."""
         terms = [(0, 1)]
         for (shift, _, _, _), r, c in zip(self.faces_data, self.ref_code,
                                            self.enc.part(st)[0]):

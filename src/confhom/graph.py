@@ -306,12 +306,6 @@ class OrderedGraph:
         self.edge_order = sorted(
             range(len(graph.edges)), key=lambda i: self.edge_tau_iota[i])
 
-    def tau(self, eidx):
-        return self.edge_tau_iota[eidx][0]
-
-    def iota(self, eidx):
-        return self.edge_tau_iota[eidx][1]
-
     def edge_name(self, eidx):
         t, i = self.edge_tau_iota[eidx]
         return f"e_{t}^{i}"

@@ -688,20 +688,23 @@ def _checked_morse(cx: ChainComplex, reduce, check=True):
     `reduce` (`cx.morse_complex()`, None when the builder attached none),
     else None; with `check`, after the d^2 checks that result needs.
 
-    cx is checked once per complex (a complex whose check passed is not
-    checked again).  A Morse complex's differential comes from the flow,
-    not from cx's checked triplets, so it is checked as well, once, when it
-    is used.  A failed check raises BoundaryError and drops the cached
-    reduction and Morse complex of cx."""
-    if check and not cx._checked:
-        cx.check_boundary_squared()
-    morse = cx.morse_complex() if reduce else None
-    if check and morse is not None and not morse[0]._checked:
-        try:
+    A complex read through a Morse complex needs no proof of its runs: the
+    tables the Morse complex is built from are proved as they compile (see
+    `confhom.critical`), and its differential, which comes from the flow,
+    is checked once, when it is first used.  Any other complex has its
+    runs or triplets checked, once per complex (a complex whose check
+    passed is not checked again).  A failed check or table proof raises
+    BoundaryError and drops the cached reduction and Morse complex of cx."""
+    try:
+        morse = cx.morse_complex() if reduce else None
+        if morse is None:
+            if check and not cx._checked:
+                cx.check_boundary_squared()
+        elif check and not morse[0]._checked:
             morse[0].check_boundary_squared()
-        except BoundaryError:
-            cx._drop_caches()
-            raise
+    except BoundaryError:
+        cx._drop_caches()
+        raise
     return morse
 
 
@@ -720,11 +723,14 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
     the reduced complex of the path taken; the Euler identity ties the
     full complex's cell counts to the Betti numbers either way.
 
-    check: run the exact d^2 = 0 check of `cx.check_boundary_squared`
-    before any other work, once per complex, and on the Morse path that of
-    the Morse complex too (see `_checked_morse`).  The check runs in this
-    process; if it fails, BoundaryError is raised and the complex's cached
-    reduction and Morse complex are dropped.
+    check: run the exact d^2 = 0 check before any result is read, in this
+    process (see `_checked_morse`).  On the Morse path the tables the Morse
+    complex is built from are proved as they compile, whatever `check`
+    says, and `check` adds the check of the Morse complex itself; cx's runs
+    are neither written nor proved.  On any other path
+    `cx.check_boundary_squared` runs, once per complex.  If a check fails,
+    BoundaryError is raised and the complex's cached reduction and Morse
+    complex are dropped.
     """
     t0 = time.perf_counter()
     morse = _checked_morse(cx, reduce, check)
@@ -841,7 +847,9 @@ def class_span_rank(cx: ChainComplex, cycles, d):
     The cycles are carried to a reduced complex: by the flow into the
     Morse complex and then along its trail when cx has a Morse complex,
     else along the trail of cx.  The complexes the rank is read
-    from are d^2-checked first, as by `homology`."""
+    from are d^2-checked first, as by `homology`, and the basis change
+    into the Morse complex is checked on each state part it converts; a
+    failure drops the caches of cx."""
     for z in cycles:
         if z.complex is not cx:
             raise ValueError("cycle belongs to another complex")
@@ -854,8 +862,12 @@ def class_span_rank(cx: ChainComplex, cycles, d):
     morse = _checked_morse(cx, True)
     if morse is not None:
         mcx, flow = morse
-        rcx, moved, _ = morse_reduce(
-            mcx, track=[flow.chain(z, mcx) for z in cycles])
+        try:  # the basis change is checked on each state part it converts
+            track = [flow.chain(z, mcx) for z in cycles]
+        except BoundaryError:
+            cx._drop_caches()
+            raise
+        rcx, moved, _ = morse_reduce(mcx, track=track)
     else:
         rcx, moved, _ = morse_reduce(cx, track=cycles)
     if d > rcx.top_dim:

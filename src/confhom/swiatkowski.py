@@ -22,9 +22,13 @@ builder's runs and the per-state-part tables read.  Other modules build,
 describe and carry cells through these, never through the key's digits.
 
 The cells sharing one state of the sites form a run, one cell per edge
-part.  The builder counts each run in closed form and writes the
-boundaries as runs (`SlotRuns`); it lists the cell keys only when a
-consumer first reads `cells`, which the Morse path never does.
+part.  The builder counts the cells in closed form, per number of
+particles and h-sites on the sites, which gives the dims, the Euler
+characteristic and the `max_cells` refusal.  It lists the cell keys when
+a consumer first reads `cells`, and writes the boundaries as runs
+(`SlotRuns`) when one first reads `boundaries`; their readers prove the
+runs (`ChainComplex.check_boundary_squared`).  The Morse path does
+neither: it proves d^2 = 0 on the tables it reads (`confhom.critical`).
 """
 
 from __future__ import annotations
@@ -285,31 +289,15 @@ def _edge_parts(eplace, r):
     return [acc + left * eplace[-1] for acc, left in parts]
 
 
-def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
-                      max_cells=None) -> ChainComplex:
-    """Particle-number-n slice of the half-edge complex of g.
-
-    reduce_vertices: None for the canonical basis (degree-1 vertices are
-    always reduced away), "all", or an iterable of vertices to present by
-    difference generators.
-    """
-    if n < 0:
-        raise GraphError("n must be >= 0")
-    reduced = _resolve_reduced(g, reduce_vertices)
-    for v in reduced:
-        if g.degree(v) < 2:
-            raise GraphError(f"cannot reduce degree-{g.degree(v)} vertex {v!r}")
-    enc = SwEncoding(g, n, reduced)
-    nedges = len(g.edges)
-
-    # enumerate state combinations site by site, the first site's code
-    # varying slowest; edge distributions are spliced in per run below.
-    # faces lists (dstate, edge, sign), the face rule of each h-site with
-    # the cell's sign there.  A recursive closure would refer to itself,
-    # and that cycle would keep the combinations alive after the build
-    # until the cyclic collector ran, which the d^2 check and the Morse
-    # path hold off.
-    combos = [(0, 0, 0, ())]  # (state_pack, used, h_count, faces)
+def _state_combos(enc, n):
+    """Every state combination of the sites with at most n particles on
+    them, the first site's code varying slowest, as (state pack, particles
+    on the sites, h-site count, faces): the order of the runs.  faces lists
+    (state delta, edge or None, sign), the face rule of each h-site with
+    the cell's sign there.  A recursive closure would refer to itself, and
+    that cycle would keep the combinations alive until the cyclic collector
+    ran, which the d^2 check and the reduction hold off."""
+    combos = [(0, 0, 0, ())]
     for table, place, rules in zip(enc.state_tables, enc.splace,
                                    enc.face_rule):
         grown = []
@@ -328,28 +316,57 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
                               faces + ((da, ea, sa * sign),
                                        (db, eb, sb * sign))))
         combos = grown
+    return combos
 
-    # a state combination with `used` particles on its sites takes one cell
-    # per edge part of the other n - used: one count gives the refusal, the
-    # runs and the dims before any cell is listed
-    sizes = [comb(n - used + nedges - 1, nedges - 1) if nedges
-             else int(used == n) for _, used, _, _ in combos]
-    total = sum(sizes)
-    if max_cells is not None and total > max_cells:
-        raise ResourceLimitExceeded(
-            f"complex has {total} cells, over max_cells={max_cells}")
 
-    top = max((h for _, _, h, _ in combos), default=0)
-    dims = [0] * (top + 1)
-    runs = [[] for _ in range(top + 1)]  # (pack, used, faces, start, stop)
+def _cell_counts(enc, n):
+    """Cells per dimension, counted without listing a state combination: a
+    combination with `used` particles on its sites takes one cell per edge
+    part of the other n - used, comb(n - used + E - 1, E - 1) of them (1 or
+    0 without edges), so only the number of combinations per (used, h-site
+    count) matters."""
+    nedges = len(enc.eplace)
+    ways = {(0, 0): 1}  # (used, h-sites) -> state combinations
+    for table in enc.state_tables:
+        grown = {}
+        for (used, hcount), count in ways.items():
+            for w, is_h, _ in table:
+                if used + w <= n:
+                    at = (used + w, hcount + is_h)
+                    grown[at] = grown.get(at, 0) + count
+        ways = grown
+    dims = [0] * (max(h for _, h in ways) + 1)
+    for (used, hcount), count in ways.items():
+        dims[hcount] += count * (comb(n - used + nedges - 1, nedges - 1)
+                                 if nedges else int(used == n))
+    return dims
+
+
+def _list_cells(enc, n, dims):
+    """The cell keys per dimension in canonical order: per run, its state
+    pack plus each edge part."""
+    parts = [_edge_parts(enc.eplace, r) for r in range(n + 1)]
+    cells = [[] for _ in dims]
+    for pack, used, hcount, _ in _state_combos(enc, n):
+        cells[hcount] += map(pack.__add__, parts[n - used])
+    return cells
+
+
+def _write_runs(enc, n, dims):
+    """The boundaries as runs of columns (`SlotRuns`), one run per state
+    combination with a cell."""
+    top = len(dims) - 1
+    edge_parts = [_edge_parts(enc.eplace, r) for r in range(n + 1)]
+    runs = [[] for _ in dims]  # (pack, used, faces, start, stop)
     run_start = {}  # state pack -> first index of its run in its dimension
-    for (pack, used, hcount, faces), size in zip(combos, sizes):
+    filled = [0] * len(dims)
+    for pack, used, hcount, faces in _state_combos(enc, n):
+        size = len(edge_parts[n - used])
         if size:
-            start = dims[hcount]
-            dims[hcount] = start + size
+            start = filled[hcount]
+            filled[hcount] = start + size
             run_start[pack] = start
             runs[hcount].append((pack, used, faces, start, start + size))
-    edge_parts = [_edge_parts(enc.eplace, r) for r in range(n + 1)]
 
     # Index maps within a run, in one table shared by every dimension: the
     # identity of each run length, and one more particle on edge j.
@@ -400,30 +417,47 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
         boundaries[d] = SlotRuns(starts[d], starts[d - 1],
                                  [sign for _, _, sign in first_faces],
                                  offsets, maps, table)
+    return boundaries
 
-    # The callbacks hold the Euler characteristic and each run's state pack
-    # and edge particles, not cx: a reference cycle through cx would keep
-    # every dropped complex alive until the cyclic collector runs
+
+def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
+                      max_cells=None) -> ChainComplex:
+    """Particle-number-n slice of the half-edge complex of g.
+
+    reduce_vertices: None for the canonical basis (degree-1 vertices are
+    always reduced away), "all", or an iterable of vertices to present by
+    difference generators.
+
+    The build counts the cells in closed form, which gives the dims, the
+    Euler characteristic and the `max_cells` refusal; the cell keys and
+    the boundary runs are written when a consumer first reads `cells` and
+    `boundaries`, which the Morse path never does.
+    """
+    if n < 0:
+        raise GraphError("n must be >= 0")
+    reduced = _resolve_reduced(g, reduce_vertices)
+    for v in reduced:
+        if g.degree(v) < 2:
+            raise GraphError(f"cannot reduce degree-{g.degree(v)} vertex {v!r}")
+    enc = SwEncoding(g, n, reduced)
+    dims = _cell_counts(enc, n)
+    total = sum(dims)
+    if max_cells is not None and total > max_cells:
+        raise ResourceLimitExceeded(
+            f"complex has {total} cells, over max_cells={max_cells}")
+
+    # The callbacks hold the encoding, n and the dims, not cx: a reference
+    # cycle through cx would keep every dropped complex alive until the
+    # cyclic collector runs
     euler = sum((-1) ** d * size for d, size in enumerate(dims))
-    heads = [[(pack, n - used) for pack, used, _, _, _ in rs] for rs in runs]
-    eplace = enc.eplace
-
-    def listing():
-        parts = [_edge_parts(eplace, r) for r in range(n + 1)]
-        cells = []
-        for hs in heads:
-            keys = []
-            for pack, r in hs:
-                keys += map(pack.__add__, parts[r])
-            cells.append(keys)
-        return cells
 
     def morse():
         # imported on first use: importing confhom does not load it
         from .critical import morse_complex
         return morse_complex(enc, euler)
 
-    return ChainComplex(dims, boundaries, cells=listing,
+    return ChainComplex(dims, lambda: _write_runs(enc, n, dims),
+                        cells=lambda: _list_cells(enc, n, dims),
                         meta={"model": "swiatkowski"}, encoding=enc,
                         morse_complex=(morse if reduced.issuperset(enc.sites)
                                        else None))

@@ -19,6 +19,7 @@ from confhom.critical import (MorseFlow, MorseMatching, choose_search,
 from confhom.graph import Graph, build_family, order_vertices, subdivide_for
 from confhom.homology import EngineError, homology, morse_reduce
 from confhom.swiatkowski import SwEncoding, _edge_parts, build_swiatkowski
+from flipped import flip_y_table
 
 TWO_TRIANGLES = Graph(list("abcdef"), [
     ("x1", "a", "b"), ("x2", "b", "c"), ("x3", "c", "a"),
@@ -521,16 +522,31 @@ class TestTwoPaths:
         assert calls == [cx.morse_complex()[0]] and cx._reduction is None
 
     def test_flipped_sign_drops_both_caches(self):
+        # a reader of the triplets meets the flipped sign; the Morse path
+        # reads none, so its answer does not change
         cx = build_swiatkowski(build_family("k33"), 5, reduce_vertices="all")
         morse_reduce(cx)
         assert cx.morse_complex() is not None
         vals = cx.boundary_triplets(3)[2]
         vals[len(vals) // 2] *= -1
         with pytest.raises(BoundaryError, match="dimension 3"):
+            homology(cx, reduce=False)
+        assert cx._morse is None and cx._reduction is None
+        assert homology(cx).betti_vector() == (1, 4, 28, 10, 0, 0)
+
+    def test_flipped_y_table_drops_both_caches(self, monkeypatch):
+        cx = build_swiatkowski(build_family("k33"), 5, reduce_vertices="all")
+        morse_reduce(cx)
+        flipped = flip_y_table(monkeypatch.setattr, 3)
+        with pytest.raises(BoundaryError) as info:
             homology(cx)
+        assert str(info.value) == ("dd != 0 at dimension 3, y state part "
+                                   f"{flipped[0]}")
         assert cx._morse is None and cx._reduction is None
 
     def test_the_morse_complex_is_checked_once(self, monkeypatch):
+        # the runs are checked by their readers, once; the Morse path
+        # checks its Morse complex, once
         calls = []
         real = ChainComplex.check_boundary_squared
         monkeypatch.setattr(ChainComplex, "check_boundary_squared",
@@ -539,11 +555,51 @@ class TestTwoPaths:
         homology(cx)
         homology(cx, dims=2)
         mcx = cx.morse_complex()[0]
-        assert calls == [cx, mcx] and mcx._checked
+        assert calls == [mcx] and mcx._checked and not cx._checked
+        homology(cx, reduce=False)
+        homology(cx, reduce=False, dims=2)
+        assert calls == [mcx, cx] and cx._checked
         fresh = build_swiatkowski(build_family("k33"), 4,
                                   reduce_vertices="all")
         homology(fresh, check=False)
-        assert calls == [cx, mcx]
+        assert calls == [mcx, cx]
+
+    def test_each_table_is_proved_once(self, monkeypatch):
+        # a table is proved when it compiles, whatever `check` says; a
+        # table that fails is not kept, so each attempt fails again
+        proved = []
+        real = MorseMatching._prove
+        monkeypatch.setattr(MorseMatching, "_prove", lambda m, st, faces: (
+            proved.append(st) or real(m, st, faces)))
+        cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
+        homology(cx, check=False)
+        homology(cx, dims=2)
+        tables = cx.morse_complex()[1].matching._tables
+        assert sorted(proved) == sorted(tables)
+        flipped = flip_y_table(monkeypatch.setattr, 2)
+        fresh = build_swiatkowski(build_family("k33"), 4,
+                                  reduce_vertices="all")
+        for check in (True, False):
+            with pytest.raises(BoundaryError) as info:
+                homology(fresh, check=check)
+            assert str(info.value) == ("dd != 0 at dimension 2, y state "
+                                       f"part {flipped[0]}")
+            assert fresh._morse is None
+
+    def test_a_one_site_table_is_proved_by_the_tables_citing_it(
+            self, monkeypatch):
+        # the faces of a one-site table have no faces, so its own proof is
+        # empty: a flipped sign there fails the proof of a two-site table
+        # that has it as a face
+        flipped = flip_y_table(monkeypatch.setattr, 1)
+        cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
+        with pytest.raises(BoundaryError, match="dimension 2") as info:
+            homology(cx)
+        monkeypatch.undo()
+        st = int(str(info.value).rsplit(" ", 1)[1])
+        m = MorseMatching(cx.encoding, *choose_search(cx.encoding)[:2])
+        assert flipped[0] in {st + (delta >> m.state_shift)
+                              for delta, _ in m._table(st)[1]}
 
     def test_a_broken_morse_complex_is_caught(self):
         # the Morse complex's differential comes from the flow, not from
@@ -559,7 +615,7 @@ class TestTwoPaths:
         vals[i] = -vals[i]
         with pytest.raises(BoundaryError, match="dimension 3"):
             homology(cx)
-        assert cx._checked and not mcx._checked and cx._morse is None
+        assert not cx._checked and not mcx._checked and cx._morse is None
 
     def test_a_dropped_complex_is_freed_at_once(self):
         # nothing the Morse path attaches refers back to cx, so dropping
@@ -648,12 +704,13 @@ class TestTwoPaths:
         assert peak < 4_500_000
 
     def test_peak_memory_of_the_checked_homology(self):
-        # the same with the d^2 check on: the slot proof gathers about 32k
-        # targets at a time, where the column check held every column's
-        # entries as tuples, at about 9 MB
+        # the same with the runs written and checked: the slot proof
+        # gathers about 32k targets at a time, where the column check held
+        # every column's entries as tuples, at about 9 MB
         cx = build_swiatkowski(build_family("k33"), 5, reduce_vertices="all")
         tracemalloc.start()
         try:
+            cx.check_boundary_squared()
             h = homology(cx)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

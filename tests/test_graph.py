@@ -158,8 +158,9 @@ class TestOrdering:
 
     def test_tau_below_iota(self):
         og = order_vertices(subdivide_for(build_family("k4"), 2))
-        for i in range(len(og.graph.edges)):
-            assert og.tau(i) < og.iota(i)
+        assert len(og.edge_tau_iota) == len(og.graph.edges)
+        for t, i in og.edge_tau_iota:
+            assert t < i
 
     def test_errors(self):
         two = Graph(["a", "b"], [])

@@ -28,6 +28,7 @@ from confhom.homology import (EngineError, ReductionStats, homology,
                               smith_normal_form, solve_boundary)
 from confhom.swiatkowski import build_reduced_at, build_swiatkowski
 from confhom.abrams import build_abrams
+from flipped import flip_y_table
 
 
 def snf_oracle(mat):
@@ -560,22 +561,45 @@ class TestCheckOnce:
         assert calls == [cx, bad, bad] and not bad._checked
 
     def test_failed_check_drops_the_cached_reduction(self):
+        # the triplets are read, and so checked, off the Morse path
         cx = _k33_n6_flipped()
         morse_reduce(cx)
         with pytest.raises(BoundaryError, match="dimension 3"):
-            homology(cx)
+            homology(cx, reduce=False)
         assert cx._reduction is None and not cx._checked
 
-    def test_homology_starts_no_process(self, monkeypatch):
+    def test_failed_table_proof_drops_the_cached_reduction(self,
+                                                           monkeypatch):
+        cx = _k33_all(6)
+        morse_reduce(cx)
+        flip_y_table(monkeypatch.setattr, 3)
+        with pytest.raises(BoundaryError, match="dimension 3, y state"):
+            homology(cx)
+        assert cx._reduction is None and cx._morse is None
+
+    def _refuse_processes(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("homology started a process")
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
                             refuse)
         monkeypatch.setattr(subprocess, "Popen", refuse)
+
+    def test_homology_starts_no_process(self, monkeypatch):
+        # the Morse path proves its tables and checks the Morse complex;
+        # the runs are written and proved, in process, when first read
+        self._refuse_processes(monkeypatch)
         cx = _k33_all(5)
         assert homology(cx).betti_vector() == (1, 4, 28, 10, 0, 0)
-        assert cx._checked and cx.morse_complex()[0]._checked
+        assert not cx._checked and cx.morse_complex()[0]._checked
+        cx.check_boundary_squared()
+        assert cx._checked
+
+    def test_a_failed_table_proof_starts_no_process(self, monkeypatch):
+        self._refuse_processes(monkeypatch)
+        flip_y_table(monkeypatch.setattr, 2)
+        with pytest.raises(BoundaryError, match="dimension 2, y state"):
+            homology(_k33_all(5))
 
 
 def _comparable(h):
@@ -583,14 +607,17 @@ def _comparable(h):
     return h
 
 
-def _homology_in_daemon(queue):
+def _homology_in_daemon(queue, flip=None):
     """Target of a daemonic process, which may start no child of its own:
     homology of k33 n=5, the number of d^2 checks run, and the stats of
     the generic reduction; an error is sent instead, so that the test need
-    not wait it out."""
+    not wait it out.  With `flip`, one y table of that many occupied sites
+    is compiled with a flipped sign."""
     calls = []
     real = ChainComplex.check_boundary_squared
     ChainComplex.check_boundary_squared = lambda cx: calls.append(cx) or real(cx)
+    if flip:
+        flip_y_table(setattr, flip)
     try:
         cx = _k33_all(5)
         h = _comparable(homology(cx))
@@ -600,16 +627,19 @@ def _homology_in_daemon(queue):
         raise
 
 
-def _run_in_daemon():
+def _run_in_daemon(flip=None):
     ctx = multiprocessing.get_context("spawn")
     queue = ctx.Queue()
-    proc = ctx.Process(target=_homology_in_daemon, args=(queue,), daemon=True)
+    proc = ctx.Process(target=_homology_in_daemon, args=(queue, flip),
+                       daemon=True)
     proc.start()
     try:
         got = queue.get(timeout=300)
     finally:
         proc.join(timeout=60)
-    assert not proc.is_alive() and proc.exitcode == 0
+    # an error is sent and raised again, so the process fails
+    assert not proc.is_alive()
+    assert proc.exitcode == (1 if isinstance(got, str) else 0)
     return got
 
 
@@ -624,13 +654,37 @@ class TestCheckBeforeEveryResult:
         return cx
 
     def test_class_rank(self):
+        # class ranks of an all-reduced complex read no triplet: its
+        # readers off the Morse path meet the flipped sign
         from confhom.cycles import CycleSpec, product_cycle, span_rank
         cx = self._flipped(reduce_vertices="all")
         z = product_cycle(cx, [CycleSpec(kind="Y", hub="u",
                                          branches=("e1", "e2", "e3"))],
                           dressing={"edges": {"e4": 1}})
-        with pytest.raises(BoundaryError, match="dimension 2"):
-            span_rank(cx, [z], 1)
+        assert span_rank(cx, [z], 1) == 1
+        for read in (lambda: homology(cx, reduce=False),
+                     lambda: homology_generators(cx, 1)):
+            with pytest.raises(BoundaryError, match="dimension 2"):
+                read()
+            assert cx._morse is None and cx._reduction is None
+
+    def test_class_rank_of_a_flipped_x_table(self):
+        # the basis change into the Morse complex is checked on each state
+        # part it converts and on their faces: one sign flipped in the
+        # table of a face of the product's cells
+        from confhom.cycles import CycleSpec, product_cycle, span_rank
+        cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
+        homology(cx)
+        z = product_cycle(cx, [
+            CycleSpec(kind="Y", hub="a0", branches=("e00", "e01", "e02")),
+            CycleSpec(kind="Y", hub="b0", branches=("e00", "e10", "e20"))])
+        enc = cx.encoding
+        face = enc.cell_faces(next(iter(z.data)))[0][0] // enc.edge_span
+        states, hsites, ((delta, w), *rest) = enc.part(face)
+        enc._parts[face] = (states, hsites, ((delta, -w), *rest))
+        with pytest.raises(BoundaryError, match="not a chain map at dimension "
+                           f"1, state part {face}"):
+            span_rank(cx, [z], 2)
         assert cx._morse is None and cx._reduction is None
 
     def test_generators(self):
@@ -672,17 +726,38 @@ class TestCheckWorker:
                             "morse_reduce", failing)
         cx = _k33_n6_flipped()
         with pytest.raises(BoundaryError, match="dimension 3"):
-            homology(cx)
+            homology_generators(cx, 3)
         assert reductions == [] and not cx._checked
         valid = _k33_all(5)
         with pytest.raises(EngineError, match="reduction failed"):
             homology(valid)
-        assert valid._checked and reductions == [valid.morse_complex()[0]]
+        mcx = valid.morse_complex()[0]
+        assert mcx._checked and reductions == [mcx] and not valid._checked
+
+    def test_table_proof_failure_takes_precedence(self, monkeypatch):
+        reductions = []
+
+        def failing(cx, *args, **kwargs):
+            reductions.append(cx)
+            raise EngineError("reduction failed")
+
+        monkeypatch.setattr(importlib.import_module("confhom.homology"),
+                            "morse_reduce", failing)
+        flip_y_table(monkeypatch.setattr, 3)
+        cx = _k33_all(6)
+        with pytest.raises(BoundaryError, match="dimension 3, y state"):
+            homology(cx)
+        assert reductions == [] and cx._morse is None
 
     def test_daemonic_caller_checks_in_process(self):
-        # the full complex and its Morse complex, each checked once
+        # the Morse complex is checked; the tables it is built from are
+        # proved as they compile, and the runs are not written
         h, checks, _ = _run_in_daemon()
-        assert (h.betti_vector(), checks) == ((1, 4, 28, 10, 0, 0), 2)
+        assert (h.betti_vector(), checks) == ((1, 4, 28, 10, 0, 0), 1)
+
+    def test_daemonic_caller_proves_tables_in_process(self):
+        got = _run_in_daemon(flip=2)
+        assert got.startswith("BoundaryError('dd != 0 at dimension 2, y state")
 
 
 def _verdict(cx):
@@ -1179,11 +1254,18 @@ class TestSharedReduction:
         assert len(cycles) == 69 and span_rank(cx, cycles, 2) == 19
         assert cx._index == {}
 
-    def test_the_morse_path_lists_no_cell(self):
+    def test_the_morse_path_lists_no_cell(self, monkeypatch):
         # homology, product cycles and class ranks of an all-reduced
-        # complex read its dims, its runs, its encoding and its Morse
-        # complex: the cell list is never built and no key is indexed
+        # complex read its dims, its encoding and its Morse complex: the
+        # cell list is never built, no key is indexed and no run is
+        # written
+        from confhom import swiatkowski
         from confhom.cycles import CycleSpec, product_cycle, span_rank
+
+        def refuse(*args):
+            raise AssertionError("the runs were written")
+
+        monkeypatch.setattr(swiatkowski, "_write_runs", refuse)
         cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
         assert homology(cx).betti_vector() == (1, 4, 19, 1, 0)
         z = product_cycle(cx, [
@@ -1191,6 +1273,38 @@ class TestSharedReduction:
             CycleSpec(kind="Y", hub="b0", branches=("e00", "e10", "e20"))])
         assert span_rank(cx, [z], 2) == 1
         assert callable(cx._cells) and cx._index == {}
+        assert callable(cx._boundaries) and not cx._checked
+
+    @pytest.mark.parametrize("read", ["check", "json"])
+    def test_the_generic_readers_write_and_prove_the_runs(self, monkeypatch,
+                                                          read):
+        proved = []
+        real = ChainComplex.check_boundary_squared
+        monkeypatch.setattr(ChainComplex, "check_boundary_squared",
+                            lambda cx: proved.append(cx) or real(cx))
+        cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
+        assert callable(cx._boundaries)
+        if read == "check":
+            cx.check_boundary_squared()
+        else:
+            data = cx.to_json_dict()
+            assert sorted(data["boundary"]) == ["1", "2", "3", "4"]
+        assert proved == [cx] and cx._checked
+        assert sorted(cx.boundaries) == [1, 2, 3, 4]
+        assert all(isinstance(cx.boundaries[d], SlotRuns if read == "check"
+                              else tuple) for d in cx.boundaries)
+        # written once and proved once
+        cx.to_json_dict()
+        assert proved == [cx]
+
+    @pytest.mark.parametrize("fam,n", [("k33", 4), ("petersen:10", 3)])
+    def test_the_json_round_trip_agrees_with_the_morse_path(self, fam, n):
+        cx = build_swiatkowski(build_family(fam), n, reduce_vertices="all")
+        loaded = ChainComplex.from_json_dict(cx.to_json_dict())
+        assert loaded.morse_complex() is None and loaded.dims == cx.dims
+        generic, morse = homology(loaded), homology(cx)
+        assert generic.dims == morse.dims
+        assert loaded._reduction is not None and cx._morse is not None
 
     def test_the_cycle_layer_decodes_each_part_once(self, monkeypatch):
         # cells are read through tables per state part (dimension, faces,
@@ -1209,10 +1323,13 @@ class TestSharedReduction:
                             decoded.append(key) or real(self, key))
         cycles = k33_products(cx)
         assert len(cycles) == 69 and span_rank(cx, cycles, 2) == 19
+        # a state part is decoded as a key with no edge part, so the empty
+        # state part, which the check of the basis change reaches through
+        # the faces, is decoded as key 0
         span = cx.encoding.edge_span
-        states = [key // span for key in decoded if key >= span]
-        edges = [key for key in decoded if key < span]
-        assert all(key % span == 0 for key in decoded if key >= span)
+        states = [key // span for key in decoded if key % span == 0]
+        edges = [key for key in decoded if key % span]
+        assert all(key < span for key in edges)
         assert len(set(states)) == len(states)
         assert len(set(edges)) == len(edges)
         cells = [key for z in cycles for key in z.data]

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from confhom.complexes import Chain, ResourceLimitExceeded
+from confhom.complexes import Chain, ResourceLimitExceeded, SlotRuns
 from confhom.graph import Graph, GraphError, build_family
 from confhom.homology import homology
 from confhom.swiatkowski import (EMPTY, OCCUPIED, build_reduced_at,
@@ -75,13 +75,33 @@ class TestCellCounts:
          "1b019fe314f9d8ad"),
     ], ids=["k33-n4-all", "k4-n3-canonical", "k4-n3-reduced-at-v0"])
     def test_cells_are_listed_on_first_read(self, build, digest):
-        # the builder writes the dims and the runs; the keys are listed
-        # once, on first read, and the digests pin their order
+        # the builder counts the dims; the keys are listed once, on first
+        # read, and the digests pin their order
         cx = build()
         assert callable(cx._cells)
         cells = cx.cells
         assert cx.cells is cells and list(map(len, cells)) == cx.dims
         assert hashlib.sha256(repr(cells).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("build,digest", [
+        (lambda: build_swiatkowski(build_family("k33"), 4,
+                                   reduce_vertices="all"), "12e63569b1e8ce80"),
+        (lambda: build_swiatkowski(build_family("k4"), 3), "8eee2cab6049a300"),
+        (lambda: build_reduced_at(build_family("k4"), 3, "v0"),
+         "85e31f9a22208825"),
+    ], ids=["k33-n4-all", "k4-n3-canonical", "k4-n3-reduced-at-v0"])
+    def test_runs_are_written_on_first_read(self, build, digest):
+        # every basis writes its runs once, on first read; the digests,
+        # taken when the builder wrote them, pin their triplets
+        cx = build()
+        assert callable(cx._boundaries)
+        runs = cx.boundaries
+        assert cx.boundaries is runs and sorted(runs) == list(
+            range(1, cx.top_dim + 1))
+        assert all(isinstance(b, SlotRuns) for b in runs.values())
+        trips = [[list(a) for a in cx.boundary_triplets(d)]
+                 for d in range(1, cx.top_dim + 1)]
+        assert hashlib.sha256(repr(trips).encode()).hexdigest()[:16] == digest
 
     def test_max_cells(self):
         with pytest.raises(ResourceLimitExceeded):
