@@ -88,8 +88,9 @@ class ChainComplex:
     use it, and so do homology and class ranks of any complex without a
     Morse complex.
     A builder may attach a `morse_complex` callback returning (Morse
-    complex, flow): `build_swiatkowski` does so for the full all-reduced
-    complex (see `confhom.critical`).  `morse_complex()` calls it once and
+    complex, flow): `build_swiatkowski` does so for every basis, each
+    reading the Morse complex of the all-reduced basis of its graph and n
+    (see `confhom.critical`).  `morse_complex()` calls it once and
     caches the pair in `_morse`; homology and class ranks then reduce the
     small Morse complex instead, carrying cycles into it by the flow.
     `homology(cx, reduce=False)` bypasses both caches.  A failed d^2 check

@@ -1,4 +1,5 @@
-"""Algebraic Morse complex of the fully reduced half-edge complex.
+"""Algebraic Morse complex of the fully reduced half-edge complex, which
+every basis of the half-edge complex reads.
 
 When every site (vertex of degree >= 2) is reduced, the half-edge complex
 is a free module over the polynomial ring Z[E] of the edges, cut to
@@ -8,6 +9,32 @@ generator, and a cell is m * x_S for a monomial m in the edges.  A matching
 that looks at one cell at a time names the critical cells without building
 anything else, and algebraic Morse theory (Skoldberg, Trans. AMS 358, 2006)
 gives a smaller complex with the same homology.
+
+Bases.  A canonical or partly reduced complex of the same graph and n
+reads the same Morse complex, through a retraction onto the all-reduced
+basis that is per site and keeps the particle count.  At an unreduced site
+v with first half-edge h_0 on edge e_0, pi sends the occupied state v to
+e_0 (the particle moves onto the edge), h_0 to 0 and h_k to x_k = h_k -
+h_0; iota sends x_k to h_k - h_0; and H sends v to h_0 and every other
+state to 0.  At a reduced site pi and iota are the identity and H is 0.
+The tables are the encoding's (`SwEncoding.retract`, `include`,
+`homotopy`), and `_check_retraction` proves at each site and code, on the
+site's face rules in both bases, that pi and iota are chain maps, pi . iota
+= id and iota . pi - id = d H + H d; so the site complexes are homotopy
+equivalent.  The complex is their tensor product over Z[E] with the sign
+rule of `SwEncoding.part`, cut to particle number n, which every map
+keeps; so pi is a homotopy equivalence of the whole complex, with the
+homotopy that applies iota . pi at the sites before one site, H at it and
+the identity after it, summed over the sites and signed by the h-sites
+before it.  Its homology is then that of the Morse complex.
+`morse_complex` checks the critical cells against the Euler
+characteristic of the basis's own closed-form count.  Cycles reach the
+Morse complex through flow . from_builder . pi: when `from_builder` first
+converts a state part it checks that the composite is a chain map there,
+its faces' parts converted first, and proves d^2 = 0 on the part's own
+table, which pi alone does not imply, as pi sends h_0 to 0.  Homology
+reads no state part of such a complex: it reads the site tables and the
+Morse complex only.
 
 Basis.  Each vertex v of nonzero degree gets a reference half-edge r(v)
 from a search of its component (see Order and Choice): the edge the search
@@ -115,10 +142,10 @@ tables that cite it.  The cycle layer reads the builder's tables
 (`SwEncoding.part`) and carries its chains over by `from_builder`, which
 checks, when it first converts a builder state part, that d_y .
 from_builder = from_builder . d_x on it, an identity of polynomials in
-the edges; the faces' state parts are converted, and so checked, first.
-from_builder is invertible, so the builder's tables it converts satisfy
-d^2 = 0 as well.  The Morse complex's own differential comes from the
-flow, and `homology` checks it as it checks any complex.
+the edges, and that the faces of its faces cancel; the faces' state parts
+are converted, and so checked, first (see Bases).  The Morse complex's own
+differential comes from the flow, and `homology` checks it as it checks
+any complex.
 
 Pruning.  Let a = m * y_S be a lower cell, matched up at v with code k,
 and b = (m / e_{v,k}) * y_{S+v:k} its partner.  A face of b at a site u of
@@ -148,7 +175,7 @@ from math import comb
 
 from .complexes import BoundaryError, Chain, ChainComplex, pause_gc
 from .homology import EngineError
-from .swiatkowski import _edge_parts
+from .swiatkowski import SwEncoding, _edge_parts
 
 _EMPTY = {}  # the flow of an upper cell; shared, never mutated
 
@@ -312,7 +339,8 @@ def choose_search(enc):
 
 
 class MorseMatching:
-    """The matching on the y basis of one all-reduced half-edge complex.
+    """The matching on the y basis of the all-reduced half-edge complex of
+    enc's graph and n; enc, of any basis, is the one `from_builder` reads.
 
     A y key packs each edge's multiplicity into n.bit_length() bits, then
     each site's generator code (0 = empty) above them, sites in the
@@ -373,6 +401,28 @@ class MorseMatching:
                 (fmask, (code << shift) - unit, len(self.options) + j)
                 for j, (fmask, unit, code) in enumerate(up)))
             self.options += [(i, code) for _, _, code in up]
+        # per site and builder code: its y terms as ((key delta, coeff),
+        # ...), pi onto the all-reduced x basis and then x to y, checked
+        _check_retraction(enc)
+        self.to_y = []
+        for (shift, _, _, _), r, pis in zip(self.faces_data, self.ref_code,
+                                            enc.retract):
+            row = []
+            for pi in pis:
+                if pi is None:
+                    row.append(())
+                    continue
+                k, edge, sign = pi
+                base = 0 if edge is None else self.unit[edge]
+                if not k or r == 0:
+                    opts = ((base + (k << shift), sign),)
+                elif k == r:
+                    opts = ((base + (r << shift), -sign),)
+                else:
+                    opts = ((base + (k << shift), sign),
+                            (base + (r << shift), -sign))
+                row.append(opts)
+            self.to_y.append(row)
         self._tables = {}  # state part -> (tests, faces)
         self._followed = {}  # option ident -> faces the flow follows
         self._shared = {}  # one copy of every equal tuple in the tables
@@ -584,8 +634,8 @@ class MorseMatching:
     # -- bases --------------------------------------------------------------
 
     def from_builder(self, key):
-        """A builder cell (x basis) as [(y key, coeff), ...]: the y terms of
-        its state part shifted by the y base of its edge part."""
+        """A builder cell, of any basis, as [(y key, coeff), ...]: the y
+        terms of its state part shifted by the y base of its edge part."""
         st, ep = divmod(key, self.enc.edge_span)
         terms = self._y_state_terms(st)
         base = self._y_base.get(ep)
@@ -596,7 +646,7 @@ class MorseMatching:
         return [(base + y, x) for y, x in terms]
 
     def _y_state_terms(self, st):
-        """The builder state part st in the y basis, as ((y state key,
+        """The builder state part st in the y basis, as ((y key delta,
         coeff), ...), converted, checked and cached on first use."""
         terms = self._y_terms.get(st)
         if terms is None:
@@ -607,15 +657,18 @@ class MorseMatching:
 
     def _check_chain_map(self, st, terms):
         """Raise BoundaryError unless d_y . from_builder = from_builder . d_x
-        on the builder state part st, whose y terms are `terms` (see
-        Proof): the faces of its table in `SwEncoding.part`, converted,
-        against the faces of the y terms' tables."""
-        span, shift = self.enc.edge_span, self.state_shift
+        and d^2 = 0 on the builder state part st, whose y terms are `terms`
+        (see Proof): the faces of its table in `SwEncoding.part`, converted
+        (and so checked) first, against the faces of the y terms' tables;
+        then the faces of its faces, which must cancel."""
+        enc = self.enc
+        span, shift = enc.edge_span, self.state_shift
+        faces = enc.part(st)[2]
+        dim = len(faces) // 2
         sums = {}
         for y, x in terms:
             for delta, w in self._table(y >> shift)[1]:
                 sums[y + delta] = sums.get(y + delta, 0) + x * w
-        faces = self.enc.part(st)[2]
         for delta, w in faces:
             face, ep = divmod(st * span + delta, span)
             base = self._edge_unit[ep]
@@ -623,25 +676,90 @@ class MorseMatching:
                 sums[y + base] = sums.get(y + base, 0) - w * x
         if any(sums.values()):
             raise BoundaryError(
-                f"the basis change is not a chain map at dimension "
-                f"{len(faces) // 2}, state part {st}")
+                f"the basis change is not a chain map at dimension {dim}, "
+                f"state part {st}")
+        sums = {}
+        for delta, w in faces:
+            for delta2, w2 in enc.part(st + delta // span)[2]:
+                sums[delta + delta2] = sums.get(delta + delta2, 0) + w * w2
+        if any(sums.values()):
+            raise BoundaryError(f"dd != 0 at dimension {dim}, state part {st}")
 
     def _convert(self, st):
-        """x_c = y_c - y_0 for c != r, x_r = -y_0, and the identity where
-        r = 0, on each site of the builder state part st."""
+        """The product over the sites of the builder state part st of each
+        site's y terms (`to_y`): no term when pi sends a site's state to 0."""
         terms = [(0, 1)]
-        for (shift, _, _, _), r, c in zip(self.faces_data, self.ref_code,
-                                           self.enc.part(st)[0]):
-            if not c:
-                continue
-            if r == 0:
-                opts = ((c << shift, 1),)
-            elif c == r:
-                opts = ((r << shift, -1),)
-            else:
-                opts = ((c << shift, 1), (r << shift, -1))
-            terms = [(k + s, x * y) for k, x in terms for s, y in opts]
+        for row, c in zip(self.to_y, self.enc.part(st)[0]):
+            if c:
+                terms = [(k + s, x * y) for k, x in terms for s, y in row[c]]
         return tuple(terms)
+
+
+def _apply(table, chain):
+    """A map given per code as ((code, edge or None, coeff), ...) applied
+    to a chain of one site, [(code, edges, coeff), ...], edges sorted."""
+    return [(c2, edges if e is None else tuple(sorted(edges + (e,))), x * w)
+            for c, edges, x in chain for c2, e, w in table[c]]
+
+
+def _sum(*chains):
+    """{(code, edges): coeff} of the chains added up, zeros dropped."""
+    out = {}
+    for chain in chains:
+        for c, edges, x in chain:
+            out[c, edges] = out.get((c, edges), 0) + x
+    return {k: x for k, x in out.items() if x}
+
+
+_RETRACTIONS = set()  # the site tables `_check_retraction` has proved
+
+
+def _check_retraction(enc):
+    """Raise BoundaryError unless the retraction tables of enc (`retract`,
+    `include` and `homotopy` of `SwEncoding`) give, at every site and code,
+    chain maps pi and iota with pi . iota = id and iota . pi - id = d H +
+    H d (see Bases); d is the site's face rule in enc and in the
+    all-reduced encoding of the same graph and n.  The error names the
+    dimension and the one-site state part of the failing code.  The
+    identities hold or fail alike when the edges are renamed one to one, so
+    each site's edges are renamed in the order they first appear, and
+    tables equal to ones proved before are not proved again."""
+    red = SwEncoding(enc.graph, enc.n, enc.sites)
+    for i in range(len(enc.sites)):
+        rule = enc.site_rule(i)
+        names = {None: None}
+
+        def renamed(rows):
+            return tuple(tuple((c, names.setdefault(e, len(names) - 1), w)
+                               for c, e, w in row) for row in rows)
+
+        d = renamed(faces for _, faces in rule)
+        d_red = renamed(faces for _, faces in red.site_rule(i))
+        pi = renamed((got,) if got else () for got in enc.retract[i])
+        iota = renamed(tuple((c, None, w) for c, w in got)
+                       for got in enc.include[i])
+        h = renamed(((got[0], None, got[1]),) if got else ()
+                    for got in enc.homotopy[i])
+        tables = (d, d_red, pi, iota, h)
+        if tables in _RETRACTIONS:
+            continue
+        for c, (st, faces) in enumerate(rule):
+            one = [(c, (), 1)]
+            image = _apply(pi, one)
+            checks = [(_apply(d_red, image), _apply(pi, _apply(d, one))),
+                      (_apply(iota, image),
+                       one + _apply(d, _apply(h, one))
+                       + _apply(h, _apply(d, one)))]
+            for k, _, _ in image:
+                back = [(k, (), 1)]
+                checks += [(_apply(pi, _apply(iota, back)), back),
+                           (_apply(d, _apply(iota, back)),
+                            _apply(iota, _apply(d_red, back)))]
+            if any(_sum(a) != _sum(b) for a, b in checks):
+                raise BoundaryError(
+                    f"the retraction is not a homotopy equivalence at "
+                    f"dimension {len(faces) // 2}, state part {st}")
+        _RETRACTIONS.add(tables)
 
 
 class MorseFlow:
@@ -711,12 +829,15 @@ class MorseFlow:
 
 @pause_gc
 def morse_complex(enc, euler):
-    """(Morse complex, flow) of the all-reduced half-edge complex encoded by
-    enc, whose Euler characteristic is euler: one cell per critical cell of
-    the chosen search, in sorted key order per dimension; its meta records
-    the search and the critical cells per dimension.  Raises EngineError
-    when the listed critical cells do not give that Euler characteristic or
-    differ from their count."""
+    """(Morse complex, flow) of the all-reduced half-edge complex of enc's
+    graph and n, for the complex encoded by enc in any basis, whose Euler
+    characteristic is euler: one cell per critical cell of the chosen
+    search, in sorted key order per dimension; its meta records the search
+    and the critical cells per dimension.  The flow carries enc's cells in
+    through pi (see Bases), whose site tables are proved first.  Raises
+    BoundaryError when they fail, and EngineError when the listed critical
+    cells do not give that Euler characteristic or differ from their
+    count."""
     order, refs, searches, counts = choose_search(enc)
     matching = MorseMatching(enc, order, refs)
     cells = matching.critical_cells()

@@ -688,13 +688,16 @@ def _checked_morse(cx: ChainComplex, reduce, check=True):
     `reduce` (`cx.morse_complex()`, None when the builder attached none),
     else None; with `check`, after the d^2 checks that result needs.
 
-    A complex read through a Morse complex needs no proof of its runs: the
-    tables the Morse complex is built from are proved as they compile (see
-    `confhom.critical`), and its differential, which comes from the flow,
-    is checked once, when it is first used.  Any other complex has its
-    runs or triplets checked, once per complex (a complex whose check
-    passed is not checked again).  A failed check or table proof raises
-    BoundaryError and drops the cached reduction and Morse complex of cx."""
+    A half-edge complex, in any basis, is read through a Morse complex
+    and needs no proof of its runs: the tables the Morse complex is built
+    from, and the site tables of the retraction pi from the complex's
+    basis onto the all-reduced one, are proved as they are first read (see
+    `confhom.critical`), and the Morse complex's differential, which comes
+    from the flow, is checked once, when it is first used.  Any other
+    complex (cube, JSON, reduced) has its runs or triplets checked, once
+    per complex (a complex whose check passed is not checked again).  A
+    failed check or table proof raises BoundaryError and drops the cached
+    reduction and Morse complex of cx."""
     try:
         morse = cx.morse_complex() if reduce else None
         if morse is None:
@@ -715,18 +718,21 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
     a dimension below 0 or above the top has the zero group.
 
     reduce: take Smith normal forms of a reduced complex, by one of two
-    paths.  A complex with a Morse complex (`cx.morse_complex()`, the full
-    all-reduced half-edge complex) is not loaded cell by cell: its Morse
-    complex is built from the critical cells, cached in `cx._morse`, and
-    `morse_reduce` finishes it.  Any other complex goes through
+    paths.  A complex with a Morse complex (`cx.morse_complex()`: every
+    half-edge complex, in the canonical, a partly reduced or the
+    all-reduced basis) is not loaded cell by cell: the Morse complex of
+    the all-reduced basis of its graph and n is built from the critical
+    cells, cached in `cx._morse`, and `morse_reduce` finishes it.  Any
+    other complex (cube and JSON complexes) goes through
     `morse_reduce(cx)`, cached in `cx._reduction`.  `reduced_cells` counts
     the reduced complex of the path taken; the Euler identity ties the
     full complex's cell counts to the Betti numbers either way.
 
     check: run the exact d^2 = 0 check before any result is read, in this
     process (see `_checked_morse`).  On the Morse path the tables the Morse
-    complex is built from are proved as they compile, whatever `check`
-    says, and `check` adds the check of the Morse complex itself; cx's runs
+    complex is built from, and the retraction's site tables, are proved as
+    they are first read, whatever `check` says, and `check` adds the check
+    of the Morse complex itself; cx's cells are not listed and its runs
     are neither written nor proved.  On any other path
     `cx.check_boundary_squared` runs, once per complex.  If a check fails,
     BoundaryError is raised and the complex's cached reduction and Morse
@@ -844,12 +850,13 @@ def solve_boundary(cx: ChainComplex, b: Chain):
 def class_span_rank(cx: ChainComplex, cycles, d):
     """Rank of the span of the cycles' classes in d-dimensional homology.
 
-    The cycles are carried to a reduced complex: by the flow into the
-    Morse complex and then along its trail when cx has a Morse complex,
-    else along the trail of cx.  The complexes the rank is read
-    from are d^2-checked first, as by `homology`, and the basis change
-    into the Morse complex is checked on each state part it converts; a
-    failure drops the caches of cx."""
+    The cycles are carried to a reduced complex: by pi onto the
+    all-reduced basis, the basis change and the flow into the Morse
+    complex, and then along its trail, when cx has a Morse complex (every
+    half-edge complex), else along the trail of cx.  The complexes the
+    rank is read from are d^2-checked first, as by `homology`, and the
+    basis change into the Morse complex is checked on each state part it
+    converts; a failure drops the caches of cx."""
     for z in cycles:
         if z.complex is not cx:
             raise ValueError("cycle belongs to another complex")
@@ -891,7 +898,9 @@ def class_span_rank(cx: ChainComplex, cycles, d):
 
 def homology_generators(cx: ChainComplex, d):
     """Explicit cycles generating the free part of d-dimensional homology,
-    read from the reduction of cx after its d^2 check, as by `homology`."""
+    read from the generic reduction of cx after the d^2 check of its runs
+    or triplets, on half-edge complexes too: lifting through the Morse
+    complex needs the map back from it, which does not exist yet."""
     _checked_morse(cx, False)
     rcx, _, trail_info = morse_reduce(cx)
     if d > rcx.top_dim:

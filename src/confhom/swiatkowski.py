@@ -10,9 +10,11 @@ the alternating-sign rule in a fixed global vertex order.
 
 Reduced sites replace {occupied, h_0..h_{d-1}} by differences h_k - h_0
 against the site's first half-edge; reduced and unreduced complexes have
-the same homology.  A complex with every site reduced carries the builder
-of its algebraic Morse complex (`confhom.critical`), which `homology` and
-class ranks use in place of reducing it cell by cell.
+the same homology.  Every complex carries the builder of the algebraic
+Morse complex of the all-reduced basis of its graph and n
+(`confhom.critical`), which `homology` and class ranks use in place of
+reducing it cell by cell; the encoding's retraction tables carry a cell of
+any basis onto the all-reduced one.
 
 The encoding (`SwEncoding`) is the one owner of this cell format, and the
 complex holds it (`ChainComplex.encoding`).  It packs cells (`encode`),
@@ -111,6 +113,29 @@ class SwEncoding:
                               if info[0] == "h" else (emptied, info[2], -1)))
             self.specs.append(specs)
             self.face_rule.append(rules)
+        # per site and code, the retraction onto the all-reduced basis of
+        # the same graph and n (see Bases in `confhom.critical`): pi as None
+        # (pi sends the state to 0) or (reduced code, edge index or None,
+        # sign), iota as ((code, sign), ...) per reduced code, and the
+        # homotopy H as None or (code, sign).  A reduced site keeps its
+        # codes; an unreduced one sends its particle onto the edge e_0 of
+        # h_0, h_0 to 0 and h_k to x_k = h_k - h_0, and H(v) = h_0.
+        self.retract, self.include, self.homotopy = [], [], []
+        h0 = OCCUPIED + 1
+        for v, table in zip(self.sites, self.state_tables):
+            if v in self.reduced:
+                codes = range(len(table))
+                self.retract.append([(c, None, 1) for c in codes])
+                self.include.append([((c, 1),) for c in codes])
+                self.homotopy.append([None] * len(table))
+                continue
+            e0 = table[h0][2][1]
+            ks = range(1, len(table) - h0)
+            self.retract.append([(EMPTY, None, 1), (EMPTY, e0, 1), None]
+                                + [(k, None, 1) for k in ks])
+            self.include.append([((EMPTY, 1),)]
+                                + [((h0 + k, 1), (h0, -1)) for k in ks])
+            self.homotopy.append([None, (h0, 1)] + [None] * (len(table) - 2))
         self._parts = {}  # state part -> (states, h-sites, face deltas)
         self._occupancy = {}  # state part -> `occupancy`, for the cycles
         # one copy of every equal tuple in the tables: a face pair depends
@@ -156,6 +181,15 @@ class SwEncoding:
         got = self._parts[st] = (tuple(states), share(hsites, hsites),
                                  share(faces, faces))
         return got
+
+    def site_rule(self, i):
+        """Site i alone, per code: (the state part of that code alone, its
+        faces as ((face code, edge index or None, sign), ...)), read from
+        the face rule."""
+        place = self.splace[i]
+        return [(c * place, tuple((c + delta // place, edge, w)
+                                  for delta, edge, w in rule or ()))
+                for c, rule in enumerate(self.face_rule[i])]
 
     def occupancy(self, key):
         """(the vertices whose sites hold a state, the h-sites): the places
@@ -289,32 +323,33 @@ def _edge_parts(eplace, r):
     return [acc + left * eplace[-1] for acc, left in parts]
 
 
-def _state_combos(enc, n):
+def _state_combos(enc, n, faces):
     """Every state combination of the sites with at most n particles on
     them, the first site's code varying slowest, as (state pack, particles
-    on the sites, h-site count, faces): the order of the runs.  faces lists
-    (state delta, edge or None, sign), the face rule of each h-site with
-    the cell's sign there.  A recursive closure would refer to itself, and
-    that cycle would keep the combinations alive until the cyclic collector
-    ran, which the d^2 check and the reduction hold off."""
+    on the sites, h-site count, faces): the order of the runs.  With
+    `faces`, faces lists (state delta, edge or None, sign), the face rule
+    of each h-site with the cell's sign there; else it is empty, for the
+    listing, which reads no face.  A recursive closure would refer to
+    itself, and that cycle would keep the combinations alive until the
+    cyclic collector ran, which the d^2 check and the reduction hold off."""
     combos = [(0, 0, 0, ())]
     for table, place, rules in zip(enc.state_tables, enc.splace,
                                    enc.face_rule):
         grown = []
-        for pack, used, hcount, faces in combos:
+        for pack, used, hcount, fs in combos:
             sign = -1 if hcount % 2 else 1
-            for code, (w, _, _) in enumerate(table):
+            for code, (w, is_h, _) in enumerate(table):
                 if used + w > n:
                     continue
-                rule = rules[code]
+                rule = rules[code] if faces else None
                 if rule is None:
-                    grown.append((pack + code * place, used + w, hcount,
-                                  faces))
+                    grown.append((pack + code * place, used + w,
+                                  hcount + is_h, fs))
                     continue
                 (da, ea, sa), (db, eb, sb) = rule
                 grown.append((pack + code * place, used + w, hcount + 1,
-                              faces + ((da, ea, sa * sign),
-                                       (db, eb, sb * sign))))
+                              fs + ((da, ea, sa * sign),
+                                    (db, eb, sb * sign))))
         combos = grown
     return combos
 
@@ -347,7 +382,7 @@ def _list_cells(enc, n, dims):
     pack plus each edge part."""
     parts = [_edge_parts(enc.eplace, r) for r in range(n + 1)]
     cells = [[] for _ in dims]
-    for pack, used, hcount, _ in _state_combos(enc, n):
+    for pack, used, hcount, _ in _state_combos(enc, n, False):
         cells[hcount] += map(pack.__add__, parts[n - used])
     return cells
 
@@ -360,7 +395,7 @@ def _write_runs(enc, n, dims):
     runs = [[] for _ in dims]  # (pack, used, faces, start, stop)
     run_start = {}  # state pack -> first index of its run in its dimension
     filled = [0] * len(dims)
-    for pack, used, hcount, faces in _state_combos(enc, n):
+    for pack, used, hcount, faces in _state_combos(enc, n, True):
         size = len(edge_parts[n - used])
         if size:
             start = filled[hcount]
@@ -431,7 +466,11 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
     The build counts the cells in closed form, which gives the dims, the
     Euler characteristic and the `max_cells` refusal; the cell keys and
     the boundary runs are written when a consumer first reads `cells` and
-    `boundaries`, which the Morse path never does.
+    `boundaries`, which the Morse path never does.  Every basis gets the
+    Morse complex of the all-reduced basis, whose critical cells are
+    checked against this basis's Euler characteristic; homology and class
+    ranks read it, and generators and boundary solving reduce the complex
+    itself.
     """
     if n < 0:
         raise GraphError("n must be >= 0")
@@ -459,14 +498,14 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
     return ChainComplex(dims, lambda: _write_runs(enc, n, dims),
                         cells=lambda: _list_cells(enc, n, dims),
                         meta={"model": "swiatkowski"}, encoding=enc,
-                        morse_complex=(morse if reduced.issuperset(enc.sites)
-                                       else None))
+                        morse_complex=morse)
 
 
 def build_reduced_at(g: Graph, n: int, v) -> ChainComplex:
     """Complex with vertex v presented by half-edge differences against its
     first half-edge; all other vertices stay canonical.  Same homology as
-    the unreduced complex in every dimension."""
+    the unreduced complex in every dimension, read, as for every basis,
+    from the Morse complex of the all-reduced basis."""
     if g.degree(v) < 3:
         raise GraphError(f"vertex {v!r} is not essential")
     return build_swiatkowski(g, n, reduce_vertices=(v,))

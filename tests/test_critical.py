@@ -18,7 +18,8 @@ from confhom.critical import (MorseFlow, MorseMatching, choose_search,
                               critical_counts, half_edge_ends, search)
 from confhom.graph import Graph, build_family, order_vertices, subdivide_for
 from confhom.homology import EngineError, homology, morse_reduce
-from confhom.swiatkowski import SwEncoding, _edge_parts, build_swiatkowski
+from confhom.swiatkowski import (OCCUPIED, SwEncoding, _edge_parts,
+                                build_reduced_at, build_swiatkowski)
 from flipped import flip_y_table
 
 TWO_TRIANGLES = Graph(list("abcdef"), [
@@ -407,6 +408,10 @@ class TestRule:
             homology(build_swiatkowski(g, 3, reduce_vertices="all"), dims=1)
         with pytest.raises(EngineError, match="Euler characteristic"):
             span_rank(cx, gens, 1)
+        # the canonical basis reads the same critical cells, against the
+        # Euler characteristic of its own cell count
+        with pytest.raises(EngineError, match="Euler characteristic"):
+            homology(build_swiatkowski(g, 3), dims=1)
 
 
 # the core-table complexes above 260k cells (517k to 1.9M), which the
@@ -497,17 +502,26 @@ class TestTwoPaths:
                                     reduce_vertices=g.essential_vertices()),
         lambda g: build_swiatkowski(g, 3)],
         ids=["partly-reduced", "canonical"])
-    def test_other_complexes_take_the_generic_path(self, monkeypatch, build):
+    def test_other_bases_reduce_only_the_morse_complex(self, monkeypatch,
+                                                       build):
+        # the Morse complex of the all-reduced basis serves every basis:
+        # the full complex lists no cell and writes no run
         import importlib
+        from confhom import swiatkowski
         hom = importlib.import_module("confhom.homology")
         calls = []
         real = hom._reduce
         monkeypatch.setattr(hom, "_reduce",
                             lambda cx: calls.append(cx) or real(cx))
+
+        def refuse(*args):
+            raise AssertionError("the runs were written")
+
+        monkeypatch.setattr(swiatkowski, "_write_runs", refuse)
         cx = build(build_family("lasso"))
-        assert cx.morse_complex() is None
-        homology(cx)
-        assert calls == [cx]
+        assert homology(cx).betti_vector() == (1, 3, 0, 0)
+        assert calls == [cx.morse_complex()[0]] and cx._reduction is None
+        assert callable(cx._cells) and callable(cx._boundaries)
 
     def test_all_reduced_complexes_reduce_only_the_morse_complex(
             self, monkeypatch):
@@ -688,20 +702,22 @@ class TestTwoPaths:
         assert peak < 5_000_000
 
     def test_peak_memory_of_the_build_and_homology(self):
-        # k33 n=6 all-reduced, traced from before the build: 6.85 MB when
-        # the builder listed all 87,139 cells, 3.00 MB now that the Morse
-        # path lists none
-        tracemalloc.start()
-        try:
-            cx = build_swiatkowski(build_family("k33"), 6,
-                                   reduce_vertices="all")
-            h = homology(cx)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert cx.n_cells() == 87139
-        assert h.betti_vector() == (1, 4, 37, 39, 0, 0, 0)
-        assert peak < 4_500_000
+        # k33 n=6, traced from before the build: 6.85 MB when the builder
+        # listed all 87,139 all-reduced cells, 3.00 MB now that the Morse
+        # path lists none; the canonical basis, 596,083 cells, reads the
+        # same Morse complex at 2.34 MB
+        for basis, cells in (("all", 87139), (None, 596083)):
+            tracemalloc.start()
+            try:
+                cx = build_swiatkowski(build_family("k33"), 6,
+                                       reduce_vertices=basis)
+                h = homology(cx)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert cx.n_cells() == cells
+            assert h.betti_vector() == (1, 4, 37, 39, 0, 0, 0)
+            assert peak < 4_500_000
 
     def test_peak_memory_of_the_checked_homology(self):
         # the same with the runs written and checked: the slot proof
@@ -717,3 +733,151 @@ class TestTwoPaths:
             tracemalloc.stop()
         assert cx._checked and h.betti_vector() == (1, 4, 28, 10, 0, 0)
         assert peak < 5_000_000
+
+
+def _bases(g, n):
+    """The builds of the differential: the canonical basis, each essential
+    vertex reduced alone, and one seeded random subset of the sites."""
+    rng = random.Random(f"{g.name}/{n}")
+    subset = tuple(v for v in g.vertices if g.degree(v) >= 2
+                   and rng.random() < 0.5)
+    return ([lambda: build_swiatkowski(g, n)]
+            + [lambda v=v: build_reduced_at(g, n, v)
+               for v in g.essential_vertices()]
+            + [lambda: build_swiatkowski(g, n, reduce_vertices=subset)])
+
+
+def _agrees_with_the_generic_reduction(g, n):
+    for build in _bases(g, n):
+        cx = build()
+        h = homology(cx)
+        mcx = cx.morse_complex()[0]
+        generic = homology(_without_morse(build()))
+        assert _nonzero(h) == _nonzero(generic)
+        assert (h.euler == generic.euler == cx.euler_characteristic()
+                == mcx.euler_characteristic())
+        assert callable(cx._cells) and cx._reduction is None
+
+
+class TestEveryBasis:
+    """Canonical and partly reduced complexes read the Morse complex of the
+    all-reduced basis through the retraction pi: their homology and class
+    ranks against the generic reduction of the complex itself, and the
+    checks of pi."""
+
+    @pytest.mark.parametrize("fam,n", BRUTE + [
+        row for row in tables.CROSS_MODEL_SET if row not in BRUTE])
+    def test_homology_agrees_with_the_generic_reduction(self, fam, n):
+        _agrees_with_the_generic_reduction(_graph(fam), n)
+
+    @pytest.mark.extended
+    @pytest.mark.parametrize("fam", ["k4", "k33", "wheel:5"])
+    def test_homology_agrees_at_five_particles(self, fam):
+        _agrees_with_the_generic_reduction(build_family(fam), 5)
+
+    @pytest.mark.parametrize("fam,v,n", [("wheel:5", "h", 4),
+                                         ("net:4", "w", 3)])
+    def test_blowup_class_ranks_agree(self, fam, v, n):
+        # the connecting map's columns in the canonical n-particle complex
+        # of the blown-up graph, ranked through pi and the flow and by the
+        # generic reduction
+        from confhom.blowup import _delta_columns, blowup, sequence_complexes
+        from confhom.homology import class_span_rank, homology_generators
+        ctx = blowup(build_family(fam), v)
+        cx_low, cx_n, _ = sequence_complexes(ctx, n)
+        generic = _without_morse(sequence_complexes(ctx, n)[1])
+        ranks = []
+        for d in range(1, n):
+            gens = homology_generators(cx_low, d)
+            for cx in (cx_n, generic):
+                cols = _delta_columns(ctx, gens, cx, ctx.reference_edge)
+                flat = [z for e in ctx.half_edges[1:] for z in cols[e]]
+                ranks.append(class_span_rank(cx, flat, d) if flat else 0)
+        assert ranks[::2] == ranks[1::2] and any(ranks)
+        assert cx_n._reduction is None and generic._reduction is not None
+
+    def test_a_flipped_sign_in_the_triplets_is_read_off_the_morse_path(self):
+        # pi and the flow read no triplet of the canonical complex: its
+        # readers, the generic path's, meet the flipped sign
+        cx = build_swiatkowski(build_family("k33"), 3)
+        assert homology(cx).betti_vector() == (1, 4, 8, 0)
+        vals = cx.boundary_triplets(2)[2]
+        vals[len(vals) // 2] *= -1
+        with pytest.raises(BoundaryError, match="dimension 2"):
+            homology(cx, reduce=False)
+        assert cx._morse is None and cx._reduction is None
+        assert homology(cx).betti_vector() == (1, 4, 8, 0)
+
+    @pytest.mark.parametrize("table", ["retract", "include", "homotopy"])
+    def test_a_flipped_retraction_table_drops_both_caches(self, table):
+        # one sign flipped in one site's pi, iota or H: the check of the
+        # site's identities names the dimension and the one-site state
+        # part of the code whose identities fail
+        cx = build_swiatkowski(build_family("k33"), 3)
+        enc = cx.encoding
+        i = 1
+        h0 = OCCUPIED + 1
+        row = getattr(enc, table)[i]
+        if table == "retract":  # pi(h_1) = -x_1
+            k, edge, sign = row[h0 + 1]
+            row[h0 + 1] = (k, edge, -sign)
+            code = h0 + 1
+        elif table == "include":  # iota(x_1) = h_1 + h_0
+            (c1, w1), (c0, w0) = row[1]
+            row[1] = ((c1, w1), (c0, -w0))
+            code = h0 + 1
+        else:  # H(v) = -h_0
+            c, w = row[OCCUPIED]
+            row[OCCUPIED] = (c, -w)
+            code = OCCUPIED
+        st, faces = enc.site_rule(i)[code]
+        with pytest.raises(BoundaryError) as info:
+            homology(cx)
+        assert str(info.value) == (
+            "the retraction is not a homotopy equivalence at dimension "
+            f"{len(faces) // 2}, state part {st}")
+        assert cx._morse is None and cx._reduction is None
+
+    def test_a_flipped_canonical_table_breaks_the_chain_map(self):
+        # one sign flipped in the table of a face of a product's cells:
+        # the face's state part is converted, and so checked, first
+        from confhom.cycles import CycleSpec, product_cycle, span_rank
+        cx = build_swiatkowski(build_family("k33"), 4)
+        homology(cx)
+        z = product_cycle(cx, [
+            CycleSpec(kind="Y", hub="a0", branches=("e00", "e01", "e02")),
+            CycleSpec(kind="Y", hub="b0", branches=("e00", "e10", "e20"))])
+        enc = cx.encoding
+        face = next(f // enc.edge_span for key in z.data
+                    for f, _ in enc.cell_faces(key)
+                    if cx._morse[1].matching._convert(f // enc.edge_span))
+        states, hsites, ((delta, w), *rest) = enc.part(face)
+        enc._parts[face] = (states, hsites, ((delta, -w), *rest))
+        with pytest.raises(BoundaryError, match="not a chain map at dimension "
+                           f"1, state part {face}$"):
+            span_rank(cx, [z], 2)
+        assert cx._morse is None and cx._reduction is None
+
+    def test_a_face_that_pi_sends_to_zero_is_proved(self):
+        # pi sends h_0 to 0, so a sign flipped in a face that holds h_0
+        # leaves the chain map identity intact; d^2 = 0 on the state part
+        # citing it fails
+        g = build_family("theta:4")
+        cx = build_swiatkowski(g, 3)
+        enc = cx.encoding
+        u, v = (enc.site_of[w] for w in ("u", "v"))
+        h0 = OCCUPIED + 1
+        # h_0 at u and h_1 at v; its third face is h_0 at u, with the
+        # particle of v on v's edge 1
+        st = enc.encode_part({"u": ("h", enc.specs[u][h0][1]),
+                              "v": ("h", enc.specs[v][h0 + 1][1])})[0]
+        st //= enc.edge_span
+        states, hsites, faces = enc.part(st)
+        (delta, w) = faces[2]
+        assert not cx.morse_complex()[1].matching._convert(
+            st + delta // enc.edge_span)
+        enc._parts[st] = (states, hsites,
+                          faces[:2] + ((delta, -w),) + faces[3:])
+        with pytest.raises(BoundaryError, match=f"dd != 0 at dimension 2, "
+                           f"state part {st}$"):
+            cx.morse_complex()[1].matching.from_builder(st * enc.edge_span)

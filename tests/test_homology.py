@@ -542,23 +542,28 @@ class TestCheckOnce:
         real = ChainComplex.check_boundary_squared
         monkeypatch.setattr(ChainComplex, "check_boundary_squared",
                             lambda cx: calls.append(cx) or real(cx))
+        # a canonical complex is read through the Morse complex of the
+        # all-reduced basis, which is checked once; its runs are not read
         cx = build_swiatkowski(build_family("theta:4"), 2)
         homology(cx)
         homology(cx, dims=1)
-        assert calls == [cx] and cx._checked
+        mcx = cx.morse_complex()[0]
+        assert calls == [mcx] and mcx._checked and not cx._checked
         # a dimension below 0 has the zero group, as one above the top
         assert homology(cx, dims=-1).dims == {-1: (0, ())}
         assert homology(cx, dims=(-2, 0)).dims == {-2: (0, ()), -1: (0, ()),
                                                    0: (1, ())}
         homology(cx, check=False)
-        assert calls == [cx]
+        homology(cx, reduce=False)
+        homology(cx, reduce=False, dims=1)
+        assert calls == [mcx, cx] and cx._checked
         bad = toy_complex(2)
         bad.boundaries[1] = (array("l", [0]), array("l", [0]),
                              array("l", [1]))
         for _ in range(2):
             with pytest.raises(BoundaryError):
                 homology(bad)
-        assert calls == [cx, bad, bad] and not bad._checked
+        assert calls == [mcx, cx, bad, bad] and not bad._checked
 
     def test_failed_check_drops_the_cached_reduction(self):
         # the triplets are read, and so checked, off the Morse path
@@ -699,6 +704,44 @@ class TestCheckBeforeEveryResult:
         with pytest.raises(BoundaryError, match="dimension 2"):
             solve_boundary(cx, b)
         assert cx._reduction is None
+
+    # The twins of the two tests above: a canonical complex's homology and
+    # class ranks read pi, not the triplets, so a sign flipped in pi's
+    # tables fails there, and the generic trail of generators and solving
+    # does not read pi.
+
+    def test_generators_beside_a_flipped_homotopy(self):
+        from confhom.swiatkowski import OCCUPIED
+        cx = build_swiatkowski(build_family("theta:4"), 3)
+        enc = cx.encoding
+        c, w = enc.homotopy[0][OCCUPIED]
+        enc.homotopy[0][OCCUPIED] = (c, -w)
+        st = enc.site_rule(0)[OCCUPIED][0]
+        with pytest.raises(BoundaryError, match="homotopy equivalence at "
+                           f"dimension 0, state part {st}$"):
+            homology(cx)
+        assert cx._morse is None
+        assert len(homology_generators(cx, 1)) == 6
+
+    def test_solve_boundary_beside_a_flipped_canonical_part(self):
+        # one sign flipped in the table of a face of a product's cells:
+        # the face's state part is converted, and so checked, first
+        from confhom.cycles import CycleSpec, product_cycle, span_rank
+        cx = build_swiatkowski(build_family("theta:4"), 4)
+        z = product_cycle(cx, [
+            CycleSpec(kind="Y", hub="u", branches=("e1", "e2", "e3")),
+            CycleSpec(kind="Y", hub="v", branches=("e1", "e2", "e4"))])
+        enc = cx.encoding
+        face = next(iter(enc.cell_faces(next(iter(z.data)))))[0]
+        face //= enc.edge_span
+        states, hsites, ((delta, w), *rest) = enc.part(face)
+        enc._parts[face] = (states, hsites, ((delta, -w), *rest))
+        with pytest.raises(BoundaryError, match="not a chain map at dimension "
+                           f"1, state part {face}$"):
+            span_rank(cx, [z], 2)
+        assert cx._morse is None and cx._reduction is None
+        b = Chain(cx, 1, {cx.cells[1][0]: 1}).boundary()
+        assert solve_boundary(cx, b).boundary() == b
 
 
 class TestCheckWorker:
@@ -1215,10 +1258,12 @@ class TestSharedReduction:
         b = Chain(cx, 2, {cx.cells[2][0]: 1}).boundary()
         assert solve_boundary(cx, b).boundary() == b
         assert solve_boundary(cx, gens[0]) is None
-        assert calls == [cx]
+        # homology and class ranks reduce the Morse complex of the
+        # all-reduced basis; generators and solving reduce cx
+        assert calls == [cx.morse_complex()[0], cx]
         homology(cx, reduce=False)
         homology(cx, dims=1)
-        assert calls == [cx]
+        assert calls == [cx.morse_complex()[0], cx]
 
     def test_no_reduction_leaves_the_cache_empty(self):
         cx = build_swiatkowski(build_family("theta:3"), 2)
@@ -1255,9 +1300,9 @@ class TestSharedReduction:
         assert cx._index == {}
 
     def test_the_morse_path_lists_no_cell(self, monkeypatch):
-        # homology, product cycles and class ranks of an all-reduced
-        # complex read its dims, its encoding and its Morse complex: the
-        # cell list is never built, no key is indexed and no run is
+        # homology, product cycles and class ranks of a half-edge complex,
+        # in any basis, read its dims, its encoding and its Morse complex:
+        # the cell list is never built, no key is indexed and no run is
         # written
         from confhom import swiatkowski
         from confhom.cycles import CycleSpec, product_cycle, span_rank
@@ -1266,14 +1311,16 @@ class TestSharedReduction:
             raise AssertionError("the runs were written")
 
         monkeypatch.setattr(swiatkowski, "_write_runs", refuse)
-        cx = build_swiatkowski(build_family("k33"), 4, reduce_vertices="all")
-        assert homology(cx).betti_vector() == (1, 4, 19, 1, 0)
-        z = product_cycle(cx, [
-            CycleSpec(kind="Y", hub="a0", branches=("e00", "e01", "e02")),
-            CycleSpec(kind="Y", hub="b0", branches=("e00", "e10", "e20"))])
-        assert span_rank(cx, [z], 2) == 1
-        assert callable(cx._cells) and cx._index == {}
-        assert callable(cx._boundaries) and not cx._checked
+        for basis in ("all", None):
+            cx = build_swiatkowski(build_family("k33"), 4,
+                                   reduce_vertices=basis)
+            assert homology(cx).betti_vector() == (1, 4, 19, 1, 0)
+            z = product_cycle(cx, [
+                CycleSpec(kind="Y", hub="a0", branches=("e00", "e01", "e02")),
+                CycleSpec(kind="Y", hub="b0", branches=("e00", "e10", "e20"))])
+            assert span_rank(cx, [z], 2) == 1
+            assert callable(cx._cells) and cx._index == {}
+            assert callable(cx._boundaries) and not cx._checked
 
     @pytest.mark.parametrize("read", ["check", "json"])
     def test_the_generic_readers_write_and_prove_the_runs(self, monkeypatch,
