@@ -90,16 +90,20 @@ class ChainComplex:
     A builder may attach a `morse_complex` callback returning (Morse
     complex, flow): `build_swiatkowski` does so for every basis, each
     reading the Morse complex of the all-reduced basis of its graph and n
-    (see `confhom.critical`).  `morse_complex()` calls it once and
-    caches the pair in `_morse`; homology and class ranks then reduce the
-    small Morse complex instead, carrying cycles into it by the flow.
+    (see `confhom.critical`), and `build_abrams` for every cube complex,
+    reading its Farley-Sabalka Morse complex (see `confhom.abrams`); JSON,
+    Morse and reduced complexes have none.  `morse_complex()` calls it
+    once and caches the pair in `_morse`; homology and class ranks then
+    reduce the small Morse complex instead, carrying cycles into it by the
+    flow.
     `homology(cx, reduce=False)` bypasses both caches.  A failed d^2 check
     drops both.  `_checked` records that the d^2 check of the boundaries
     (triplets or runs) passed, so `homology` off the Morse path, class
     ranks without a Morse complex, generators, boundary solving and
     `to_json_dict` run it once per complex, in the calling process.  The
     Morse path neither writes nor checks them, and leaves `_checked`
-    unset: it proves the tables it reads instead (see `confhom.critical`).
+    unset: it proves the tables it reads instead (see `confhom.critical`
+    and `confhom.abrams`).
     """
 
     def __init__(self, dims, boundaries, cells=None, meta=None,

@@ -1,5 +1,13 @@
 """Algebraic Morse complex of the fully reduced half-edge complex, which
-every basis of the half-edge complex reads.
+every basis of the half-edge complex reads, and the flow and assembly
+that both models' matchings share.
+
+Shared.  `MorseFlow` and `assemble` read a matching only through
+`critical_cells`, `face_terms`, `followed_faces` and `from_builder`, with
+faces as integer deltas of the key; they serve the half-edge matching
+below (`MorseMatching`) and the Farley-Sabalka matching of the cube
+complex (`confhom.abrams.CubeMatching`), whose `from_builder` is the
+identity.
 
 When every site (vertex of degree >= 2) is reduced, the half-edge complex
 is a free module over the polynomial ring Z[E] of the edges, cut to
@@ -763,7 +771,8 @@ def _check_retraction(enc):
 
 
 class MorseFlow:
-    """The memoised gradient-path flow of a matching: y cells to chains of
+    """The memoised gradient-path flow of a matching (see Shared): its
+    cells, y cells of the half-edge matching or cube cells, to chains of
     critical cells, as {critical key: coeff}."""
 
     def __init__(self, matching, critical):
@@ -831,23 +840,34 @@ class MorseFlow:
 def morse_complex(enc, euler):
     """(Morse complex, flow) of the all-reduced half-edge complex of enc's
     graph and n, for the complex encoded by enc in any basis, whose Euler
-    characteristic is euler: one cell per critical cell of the chosen
-    search, in sorted key order per dimension; its meta records the search
-    and the critical cells per dimension.  The flow carries enc's cells in
-    through pi (see Bases), whose site tables are proved first.  Raises
-    BoundaryError when they fail, and EngineError when the listed critical
-    cells do not give that Euler characteristic or differ from their
-    count."""
+    characteristic is euler (see `assemble`); its meta records the search
+    too.  The flow carries enc's cells in through pi (see Bases), whose
+    site tables are proved first.  Raises BoundaryError when they fail, and
+    EngineError when the listed critical cells differ from their count."""
     order, refs, searches, counts = choose_search(enc)
-    matching = MorseMatching(enc, order, refs)
+    return assemble(MorseMatching(enc, order, refs), euler,
+                    {"model": "swiatkowski-morse", "search": searches}, counts)
+
+
+@pause_gc
+def assemble(matching, euler, meta, counts=None):
+    """(Morse complex, flow) of a matching on a complex whose Euler
+    characteristic is euler: one cell per critical cell the matching lists,
+    in sorted key order per dimension, with the differential of each read
+    from the flow.  Both models build theirs here: the half-edge matching
+    of this module and the cube matching of `confhom.abrams`.  The meta is
+    `meta` with the critical cells per dimension.  Raises EngineError when
+    the critical cells do not give that Euler characteristic or differ from
+    `counts`, the number per dimension a closed form gives."""
     cells = matching.critical_cells()
-    got = sum((-1) ** d * len(c) for d, c in enumerate(cells))
+    listed = list(map(len, cells))
+    got = sum((-1) ** d * size for d, size in enumerate(listed))
     if got != euler:
         raise EngineError(f"the critical cells give Euler characteristic "
                           f"{got}, the complex {euler}")
-    if list(map(len, cells)) != counts:
-        raise EngineError(f"{list(map(len, cells))} critical cells listed "
-                          f"per dimension, {counts} counted")
+    if counts is not None and listed != counts:
+        raise EngineError(f"{listed} critical cells listed per dimension, "
+                          f"{counts} counted")
     flow = MorseFlow(matching, cells)
     boundaries = {}
     for d in range(1, len(cells)):
@@ -859,8 +879,6 @@ def morse_complex(enc, euler):
                 cols.append(c)
                 vals.append(x)
         boundaries[d] = (rows, cols, vals)
-    meta = {"model": "swiatkowski-morse", "search": searches,
-            "critical_cells": counts}
-    mcx = ChainComplex([len(c) for c in cells], boundaries, cells=cells,
-                       meta=meta)
+    mcx = ChainComplex(listed, boundaries, cells=cells,
+                       meta=dict(meta, critical_cells=listed))
     return mcx, flow

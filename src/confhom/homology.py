@@ -688,14 +688,15 @@ def _checked_morse(cx: ChainComplex, reduce, check=True):
     `reduce` (`cx.morse_complex()`, None when the builder attached none),
     else None; with `check`, after the d^2 checks that result needs.
 
-    A half-edge complex, in any basis, is read through a Morse complex
-    and needs no proof of its runs: the tables the Morse complex is built
-    from, and the site tables of the retraction pi from the complex's
-    basis onto the all-reduced one, are proved as they are first read (see
-    `confhom.critical`), and the Morse complex's differential, which comes
-    from the flow, is checked once, when it is first used.  Any other
-    complex (cube, JSON, reduced) has its runs or triplets checked, once
-    per complex (a complex whose check passed is not checked again).  A
+    A half-edge complex, in any basis, and a cube complex are read through
+    a Morse complex and need no proof of their runs or triplets: the tables
+    the Morse complex is built from, and the site tables of the retraction
+    pi from a half-edge basis onto the all-reduced one, are proved as they
+    are first read (see `confhom.critical` and `confhom.abrams`), and the
+    Morse complex's differential, which comes from the flow, is checked
+    once, when it is first used.  Any other complex (JSON, reduced) and any
+    complex with `reduce` off has its runs or triplets checked, once per
+    complex (a complex whose check passed is not checked again).  A
     failed check or table proof raises BoundaryError and drops the cached
     reduction and Morse complex of cx."""
     try:
@@ -720,10 +721,11 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
     reduce: take Smith normal forms of a reduced complex, by one of two
     paths.  A complex with a Morse complex (`cx.morse_complex()`: every
     half-edge complex, in the canonical, a partly reduced or the
-    all-reduced basis) is not loaded cell by cell: the Morse complex of
-    the all-reduced basis of its graph and n is built from the critical
-    cells, cached in `cx._morse`, and `morse_reduce` finishes it.  Any
-    other complex (cube and JSON complexes) goes through
+    all-reduced basis, and every cube complex) is not loaded cell by cell:
+    its Morse complex (of the all-reduced basis of the half-edge complex's
+    graph and n, or the Farley-Sabalka one of the cube complex) is built
+    from the critical cells, cached in `cx._morse`, and `morse_reduce`
+    finishes it.  Any other complex (JSON complexes) goes through
     `morse_reduce(cx)`, cached in `cx._reduction`.  `reduced_cells` counts
     the reduced complex of the path taken; the Euler identity ties the
     full complex's cell counts to the Betti numbers either way.
@@ -732,8 +734,8 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
     process (see `_checked_morse`).  On the Morse path the tables the Morse
     complex is built from, and the retraction's site tables, are proved as
     they are first read, whatever `check` says, and `check` adds the check
-    of the Morse complex itself; cx's cells are not listed and its runs
-    are neither written nor proved.  On any other path
+    of the Morse complex itself; cx's cells are not listed and its runs or
+    triplets are neither written nor proved.  On any other path
     `cx.check_boundary_squared` runs, once per complex.  If a check fails,
     BoundaryError is raised and the complex's cached reduction and Morse
     complex are dropped.
@@ -850,10 +852,11 @@ def solve_boundary(cx: ChainComplex, b: Chain):
 def class_span_rank(cx: ChainComplex, cycles, d):
     """Rank of the span of the cycles' classes in d-dimensional homology.
 
-    The cycles are carried to a reduced complex: by pi onto the
-    all-reduced basis, the basis change and the flow into the Morse
-    complex, and then along its trail, when cx has a Morse complex (every
-    half-edge complex), else along the trail of cx.  The complexes the
+    The cycles are carried to a reduced complex: into the Morse complex
+    (for a half-edge complex by pi onto the all-reduced basis, the basis
+    change and the flow; for a cube complex by the flow alone), and then
+    along its trail, when cx has a Morse complex (every half-edge and cube
+    complex), else along the trail of cx.  The complexes the
     rank is read from are d^2-checked first, as by `homology`, and the
     basis change into the Morse complex is checked on each state part it
     converts; a failure drops the caches of cx."""

@@ -42,8 +42,12 @@ class TestCompute:
     def test_critical_cells_of_the_morse_path(self, capsys):
         _, out = run(capsys, "compute", "--graph", "wheel:5", "-n", "5")
         assert json.loads(out)["critical_cells"] == [1, 38, 111, 48]
-        for argv in (["--no-reduce"], ["--model", "abrams"]):
-            _, out = run(capsys, "compute", "--graph", "k4", "-n", "3", *argv)
+        _, out = run(capsys, "compute", "--graph", "k4", "-n", "3",
+                     "--model", "abrams")
+        assert json.loads(out)["critical_cells"] == [1, 9, 9, 1]
+        for model in ("swiatkowski", "abrams"):
+            _, out = run(capsys, "compute", "--graph", "k4", "-n", "3",
+                         "--no-reduce", "--model", model)
             assert "critical_cells" not in json.loads(out)
 
     def test_deterministic_modulo_timing(self, capsys):

@@ -672,7 +672,9 @@ class TestTwoPaths:
         # the Morse path's listing of the critical cells as well
         lambda: _with_homology(build_swiatkowski(build_family("k33"), 4,
                                                  reduce_vertices="all")),
-    ], ids=["None", "all", "cube", "all-homology"])
+        lambda: _with_homology(build_abrams(order_vertices(subdivide_for(
+            build_family("k33"), 4)), 4)),
+    ], ids=["None", "all", "cube", "all-homology", "cube-homology"])
     def test_the_build_leaves_no_garbage_cycle(self, build):
         # nothing the build makes refers to itself, so its temporaries go
         # when it returns, not when the collector next runs, which the d^2
