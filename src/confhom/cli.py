@@ -111,7 +111,12 @@ def cmd_compute(args):
     })
     morse = cx.morse_complex() if args.reduce else None
     if morse is not None:
+        # read off the flow that homology() built: its memo holds the
+        # critical cells and the lower cells it expanded
+        memo = morse[1].memo
         out["critical_cells"] = morse[0].meta["critical_cells"]
+        out["flow_memo"] = len(memo)
+        out["flow_empty"] = sum(not flow for flow in memo.values())
     _emit(out, args.format)
     return 0
 

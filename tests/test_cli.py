@@ -41,7 +41,16 @@ class TestCompute:
 
     def test_critical_cells_of_the_morse_path(self, capsys):
         _, out = run(capsys, "compute", "--graph", "wheel:5", "-n", "5")
-        assert json.loads(out)["critical_cells"] == [1, 38, 111, 48]
+        data = json.loads(out)
+        assert data["critical_cells"] == [1, 38, 111, 48]
+        # the flow's memo: the critical cells and the lower cells it
+        # expanded, of which flow_empty have an empty flow
+        assert (data["flow_memo"], data["flow_empty"]) == (1268, 107)
+        _, out = run(capsys, "compute", "--graph", "k33", "-n", "5")
+        data = json.loads(out)
+        assert (data["flow_memo"], data["flow_empty"]) == (2050, 227)
+        # 3,005 before the flow dropped faces it proves dead
+        assert data["flow_memo"] <= 0.7 * 3005
         _, out = run(capsys, "compute", "--graph", "k4", "-n", "3",
                      "--model", "abrams")
         assert json.loads(out)["critical_cells"] == [1, 9, 9, 1]

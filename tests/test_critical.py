@@ -1,6 +1,7 @@
 """The algebraic Morse complex of all-reduced half-edge complexes: the
 matching rule against brute force, the basis change, the flow's cycle
-check, and homology and class ranks against the generic reduction."""
+check, the flow against the unpruned flow on named and randomly drawn
+multigraphs, and homology and class ranks against the generic reduction."""
 
 import gc
 import hashlib
@@ -10,6 +11,8 @@ import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confhom import tables
 from confhom.abrams import build_abrams
@@ -119,6 +122,26 @@ def _cyclic_triangle():
     return g, MorseMatching(_encoding(g, 1), order=list("abc"), refs=refs)
 
 
+def _by_degree_dfs():
+    """wheel:5 and the (order, refs) of a depth-first search from r0 that
+    takes each vertex's neighbours by decreasing degree."""
+    g = build_family("wheel:5")
+    refs = {"r0": 0}
+    order = ["r0"]
+
+    def visit(v):
+        by_degree = sorted(g.half_edges(v),
+                           key=lambda h: -g.degree(g.other_end(h[0], v)))
+        for eidx, end in by_degree:
+            w = g.other_end(eidx, v)
+            if w not in refs:
+                refs[w] = g.half_edges(w).index((eidx, 1 - end))
+                order.append(w)
+                visit(w)
+    visit("r0")
+    return g, order, refs
+
+
 def _unpruned_flow(m):
     """The flow of m read off the definition: every face of a lower
     cell's partner, no tables of followed faces, no cycle check."""
@@ -137,6 +160,46 @@ def _unpruned_flow(m):
             memo[key] = {g: x for g, x in acc.items() if x}
         return memo[key]
     return flow
+
+
+@st.composite
+def _multigraphs(draw):
+    """A connected multigraph without self-loops on up to 5 vertices and 7
+    edges: a random spanning tree and extra edges, multi-edges allowed,
+    vertices and edges listed in a drawn order."""
+    size = draw(st.integers(2, 5))
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, size)]
+    ends += draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                    st.integers(0, size - 1))
+                          .filter(lambda e: e[0] != e[1]),
+                          max_size=8 - size))
+    names = draw(st.permutations([f"v{i}" for i in range(size)]))
+    ends = draw(st.permutations(ends))
+    return Graph(names, [(f"e{j}", f"v{a}", f"v{b}")
+                         for j, (a, b) in enumerate(ends)])
+
+
+def _check_drawn_flow(data):
+    # the chosen search and one other candidate: the flow equals the
+    # unpruned flow on every y cell, and every face the flow skips is
+    # upper or has an empty flow
+    g = data.draw(_multigraphs())
+    enc = _encoding(g, data.draw(st.sampled_from((3, 2, 1))))
+    chosen = choose_search(enc)[:2]
+    other = data.draw(st.sampled_from(_searches(g)))[2:]
+    every = _every_y_cell(MorseMatching(enc, *chosen))
+    for order, refs in (chosen, other):
+        m = MorseMatching(enc, order, refs)
+        flow = MorseFlow(m, m.critical_cells())
+        unpruned = _unpruned_flow(m)
+        for key in every:
+            assert flow.cell(key) == unpruned(key)
+            got = m.classify(key)
+            if got is not None and got[2]:
+                for d, _ in m._split(m._move(key)[2])[1]:
+                    upper = m.classify(key + d)
+                    assert upper is not None and not upper[2] or \
+                        not unpruned(key + d)
 
 
 class TestRule:
@@ -275,20 +338,7 @@ class TestRule:
         # scanned after r0, and the gradient paths go round.  With r0's
         # reference on the edge the search left it by, the same order
         # meets the condition and every cell flows.
-        g = build_family("wheel:5")
-        refs = {"r0": 0}
-        order = ["r0"]
-
-        def visit(v):
-            by_degree = sorted(g.half_edges(v),
-                               key=lambda h: -g.degree(g.other_end(h[0], v)))
-            for eidx, end in by_degree:
-                w = g.other_end(eidx, v)
-                if w not in refs:
-                    refs[w] = g.half_edges(w).index((eidx, 1 - end))
-                    order.append(w)
-                    visit(w)
-        visit("r0")
+        g, order, refs = _by_degree_dfs()
         assert order == ["r0", "h", "r1", "r2", "r3"]
         assert not _meets_the_condition(g, order, refs)
         enc = _encoding(g, 4)
@@ -324,15 +374,23 @@ class TestRule:
         assert list(map(len, MorseMatching(enc, order, refs)
                         .critical_cells())) == counts
 
-    @pytest.mark.parametrize("fam,n", BRUTE + [("cyclic", 1)])
+    @pytest.mark.parametrize("fam,n", BRUTE + [("cyclic", 1),
+                                               ("by-degree", 4)])
     def test_pruned_faces_are_upper(self, fam, n):
         # per lower cell, the followed faces and the skipped ones are the
-        # partner's faces other than the cell, with the flow's weights
+        # partner's faces other than the cell, with the flow's weights;
+        # a skipped face is upper or has an empty flow, and on the cyclic
+        # triangle and the by-degree search of wheel:5, which break (C),
+        # only upper faces are skipped
         if fam == "cyclic":
             _, m = _cyclic_triangle()
+        elif fam == "by-degree":
+            g, order, refs = _by_degree_dfs()
+            m = MorseMatching(_encoding(g, n), order, refs)
         else:
             enc = _encoding(_graph(fam), n)
             m = MorseMatching(enc, *choose_search(enc)[:2])
+        unpruned = _unpruned_flow(m)
         for key in _every_y_cell(m):
             got = m.classify(key)
             if got is None or not got[2]:
@@ -344,7 +402,20 @@ class TestRule:
                 sorted((f, -eps * w) for f, w in m.faces(partner) if f != key)
             for d, _ in skipped:
                 upper = m.classify(key + d)
-                assert upper is not None and not upper[2]
+                assert upper is not None and not upper[2] or \
+                    fam not in ("cyclic", "by-degree") and \
+                    not unpruned(key + d)
+
+    @given(st.data())
+    @settings.get_profile("draws")
+    def test_random_multigraphs_flow_as_unpruned(self, data):
+        _check_drawn_flow(data)
+
+    @pytest.mark.extended
+    @given(st.data())
+    @settings.get_profile("draws-extended")
+    def test_random_multigraphs_flow_as_unpruned_at_length(self, data):
+        _check_drawn_flow(data)
 
     @pytest.mark.parametrize("fam,n", BRUTE)
     def test_flow_equals_the_unpruned_flow(self, fam, n):
