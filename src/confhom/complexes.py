@@ -5,8 +5,7 @@ listed on first read; a complex without keys lists range(dims[d]).  A
 builder's complex holds its encoding, the one owner of the model's cell
 format: it packs and decodes the keys, describes a cell and gives its
 faces.  Boundary matrices are triplet arrays mapping d-cells to
-(d-1)-chains, or runs of columns (`SlotRuns`) that expand into such
-arrays; a builder may leave them to be written on first read too.
+(d-1)-chains, which a builder may leave to be written on first read too.
 """
 
 from __future__ import annotations
@@ -14,15 +13,13 @@ from __future__ import annotations
 import functools
 import gc
 from array import array
-from dataclasses import dataclass
-from itertools import repeat
-from operator import add, itemgetter, lt, mul, sub
+from operator import itemgetter
 
 # Entries of the (d-2)-targets the slot proof of `check_boundary_squared`
 # gathers at once: the columns it takes per step shrink as the number of
 # (upper slot, lower slot) pairs grows, so that the gathered targets take
 # about 1 MB whatever the dimension.  Slots are recognised and converted
-# to shared ints in runs of this many entries too.
+# to shared ints in chunks of this many entries too.
 SLOT_CHUNK_ENTRIES = 1 << 15
 
 
@@ -60,15 +57,11 @@ class ChainComplex:
     boundaries[d] is (rows, cols, vals) with rows indexing (d-1)-cells,
     cols indexing d-cells.  The triplets may come in any order; entries
     repeated at one (row, col) are summed and zero entries are ignored.
-    A builder may instead give boundaries[d] as runs of columns
-    (`SlotRuns`): `boundary_triplets(d)` expands them on first use and
-    puts the triplets in their place, so every reader, the d^2 check
-    included, sees one form of each dimension at a time.  It may also
-    pass a function in place of the dict: `boundaries` calls it on first
-    read (by `boundary_triplets`, `check_boundary_squared`, `to_json_dict`
-    or a reader of the dict) and keeps what it returns, so the Morse path
-    of `homology`, which reads no boundary of the full complex, never has
-    them written.
+    A builder may pass a function in place of the dict: `boundaries`
+    calls it on first read (by `boundary_triplets`,
+    `check_boundary_squared`, `to_json_dict` or a reader of the dict) and
+    keeps what it returns, so the Morse path of `homology`, which reads no
+    boundary of the full complex, never has them written.
     `cells[d]` lists the cell keys in canonical order, and is never None:
     a complex given no keys (JSON and explicit complexes) lists
     range(dims[d]), so a cell's key is its index.  A builder may pass a
@@ -98,9 +91,9 @@ class ChainComplex:
     flow.
     `homology(cx, reduce=False)` bypasses both caches.  A failed d^2 check
     drops both.  `_checked` records that the d^2 check of the boundaries
-    (triplets or runs) passed, so `homology` off the Morse path, class
-    ranks without a Morse complex, generators, boundary solving and
-    `to_json_dict` run it once per complex, in the calling process.  The
+    passed, so `homology` off the Morse path, class ranks without a Morse
+    complex, generators, boundary solving and `to_json_dict` run it once
+    per complex, in the calling process.  The
     Morse path neither writes nor checks them, and leaves `_checked`
     unset: it proves the tables it reads instead (see `confhom.critical`
     and `confhom.abrams`).
@@ -131,8 +124,8 @@ class ChainComplex:
 
     @property
     def boundaries(self):
-        """{d: triplets or runs}, written on first read when the builder
-        passed a function."""
+        """{d: triplets}, written on first read when the builder passed a
+        function."""
         if callable(self._boundaries):
             self._boundaries = self._boundaries()
         return self._boundaries
@@ -183,13 +176,10 @@ class ChainComplex:
         self._morse = None
 
     def boundary_triplets(self, d):
-        """(rows, cols, vals) of dimension d, empty outside 1..top; runs
-        are expanded here, once, and replaced by their triplets."""
+        """(rows, cols, vals) of dimension d, empty outside 1..top."""
         b = self.boundaries.get(d) if 0 < d <= self.top_dim else None
         if b is None:
             return array("l"), array("l"), array("l")
-        if isinstance(b, SlotRuns):
-            b = self.boundaries[d] = b.expand()
         return b
 
     @pause_gc
@@ -201,30 +191,9 @@ class ChainComplex:
         Each dimension is validated first, once.  Triplets must have one
         row, column and value per entry, rows in range(dims[d-1]) and
         columns in range(dims[d]); else the error names the dimension and
-        the entry.  Runs (`SlotRuns`) are kept as they are only if they
-        pass `_runs_valid`: both lists of starts rise strictly from 0 to
-        the number of cells, every offset is the start of a run below,
-        every map has its run's length and its values lie in range of that
-        run below.  Any other runs are expanded and validated as triplets.
+        the entry.
 
-        The run proof (`_runs_cancel`) takes a pair of run-described
-        dimensions, with slot values v_k in dimension d and w_l in d-1.
-        Slot k of dimension d sends column s_j + i of run j to row
-        o_kj + f_kj(i) of dimension d-1, where o_kj is the start of run
-        q = q(k, j) below and f_kj an index map, and slot l of dimension d-1
-        sends that row on to o'_lq + f'_lq(f_kj(i)).  So over the whole run
-        the target of the slot pair (k, l) is the offset o'_lq plus the
-        composite map f'_lq . f_kj, and pairs with equal offsets and equal
-        composites (compared by content) hit the same cell in every column
-        of the run.  When the pairs fall into such classes whose
-        coefficients v_k * w_l sum to 0, d^2 is 0 on the whole run.  As in
-        the slot proof below, the classes are formed over a chunk of runs at
-        once, so equal only over those runs is enough.  The validation is
-        what makes this exact: the offsets o_kj are the runs that dimension
-        d-1 describes, and no map value leaves its run or wraps around.
-
-        Any pair of dimensions the run proof does not prove is expanded
-        (the triplets replace the runs) and given to the slot proof
+        Each pair of dimensions is given first to the slot proof
         (`_slots_cancel`), which both builders' layout admits.  The
         triplets of dimension d are written slot-major: every column has F
         entries, and the entries of slot k for columns 0..n-1 form one
@@ -267,32 +236,10 @@ class ChainComplex:
 
     def _check_boundary_squared(self):
         dims = self.dims
-        runs = {}  # d -> validated runs, while boundaries[d] holds them
-        stats = {}
-        for d in range(1, self.top_dim + 1):
-            b = self.boundaries.get(d)
-            if isinstance(b, SlotRuns):
-                if id(b.table) not in stats:
-                    stats[id(b.table)] = _map_stats(b.table)
-                if _runs_valid(b, dims[d], dims[d - 1], stats[id(b.table)]):
-                    runs[d] = b
-                    continue
-            _check_entries(self.boundary_triplets(d), d, dims)
-        widths = {}
-        composites = None
+        widths = [None] + [_check_entries(self.boundary_triplets(d), d, dims)
+                           for d in range(1, self.top_dim + 1)]
         lower = None
         for d in range(2, self.top_dim + 1):
-            if d in runs and d - 1 in runs:
-                if composites is None or composites.table is not runs[d].table:
-                    composites = _Composites(runs[d].table)
-                if _runs_cancel(runs[d], runs[d - 1], composites):
-                    lower = None
-                    continue
-            for e in (d - 1, d):
-                if e not in widths:
-                    runs.pop(e, None)
-                    widths[e] = _slot_width(self.boundary_triplets(e),
-                                            dims[e])
             if widths[d] and widths[d - 1] and _slots_cancel(
                     self.boundary_triplets(d), widths[d],
                     self.boundary_triplets(d - 1), widths[d - 1],
@@ -366,160 +313,24 @@ class ChainComplex:
 def _check_entries(trips, d, dims):
     """Raise BoundaryError unless the triplets of dimension d have as many
     rows as columns and values, rows in range(dims[d-1]) and columns in
-    range(dims[d]); the error names the first entry out of range."""
+    range(dims[d]); the error names the first entry out of range.  Returns
+    the slot width (`_slot_width`): a slot-major layout has its columns
+    proved equal to range(dims[d]) * F already, so they are not scanned
+    again."""
     rows, cols, vals = trips
     if not len(rows) == len(cols) == len(vals):
         raise BoundaryError(
             f"boundary of dimension {d} has {len(rows)} rows, {len(cols)} "
             f"columns and {len(vals)} values")
+    width = _slot_width(trips, dims[d])
     for what, xs, size in (("row", rows, dims[d - 1]),
-                           ("column", cols, dims[d])):
+                           ("column", cols if width is None else (), dims[d])):
         if xs and not (min(xs) >= 0 and max(xs) < size):
             i = next(i for i, x in enumerate(xs) if not 0 <= x < size)
             raise BoundaryError(
                 f"boundary entry {[rows[i], cols[i], vals[i]]} of dimension "
                 f"{d}: {what} {xs[i]} is outside range({size})")
-
-
-@dataclass(slots=True)
-class SlotRuns:
-    """The boundary of one dimension as runs of columns, the form in which
-    `build_swiatkowski` writes it: the half-edge complex is a free module
-    over the edge monomials, and one run holds the cells of one state of
-    the vertices, one cell per monomial.
-
-    The columns 0..n-1 fall into runs [starts[j], starts[j+1]), and the
-    rows into the runs of the dimension below, which start at
-    `face_starts`; the last entry of either list is its number of cells.
-    Every column has F = len(signs) faces in one slot order, and slot k has
-    the value signs[k] in every column.  Slot k sends column starts[j] + i
-    to row
-
-        offsets[k][j] + table[maps[k][j]][i],
-
-    where offsets[k][j] is the start of a run below and the index map
-    table[maps[k][j]] gives, for each column of run j, a position in that
-    run.  The table of maps is shared by every dimension of a complex.
-    """
-
-    starts: list
-    face_starts: list
-    signs: list
-    offsets: list
-    maps: list
-    table: list
-
-    def expand(self):
-        """The slot-major triplets (see `check_boundary_squared`): slot k's
-        rows for every column, in column order, then slot k+1's; `cols` is
-        `array("l", range(n)) * F` and `vals` an array("b")."""
-        n = self.starts[-1]
-        table = self.table
-        rows = array("l")
-        vals = array("b")
-        for sign, offsets, maps in zip(self.signs, self.offsets, self.maps):
-            slot = []
-            for o, m in zip(offsets, maps):
-                f = table[m]
-                slot += (range(o + f.start, o + f.stop, f.step)
-                         if type(f) is range else map(add, f, repeat(o)))
-            # fromlist copies a list 1.5-2 times faster than extend takes
-            # an iterator's items
-            rows.fromlist(slot)
-            vals.extend(array("b", [sign]) * n)
-        return rows, array("l", range(n)) * len(self.signs), vals
-
-
-def _rising(starts, n):
-    """True when starts rise strictly from 0 to n."""
-    return (len(starts) > 0 and starts[0] == 0 and starts[-1] == n
-            and all(map(lt, starts, starts[1:])))
-
-
-def _map_stats(table):
-    """Length, least and largest value of every map of a table."""
-    return (list(map(len, table)), [min(f, default=0) for f in table],
-            [max(f, default=0) for f in table])
-
-
-def _runs_valid(runs, n, m, stats):
-    """True when `runs` describes a boundary of n columns with rows among m
-    cells: both lists of starts rise strictly from 0 to n and to m, every
-    slot has one offset and one map id per run, every offset is the start
-    of a run below, and every map has its run's length and its values in
-    range(length of that run below).  `stats` is `_map_stats(runs.table)`.
-    Then every row is in range(m), and no map index wraps around."""
-    starts, face_starts = runs.starts, runs.face_starts
-    if not (_rising(starts, n) and _rising(face_starts, m)
-            and len(runs.offsets) == len(runs.maps) == len(runs.signs)):
-        return False
-    lengths = list(map(sub, starts[1:], starts))
-    room = dict(zip(face_starts, map(sub, face_starts[1:], face_starts)))
-    lens, lows, highs = stats
-    for offsets, maps in zip(runs.offsets, runs.maps):
-        if len(offsets) != len(lengths) or len(maps) != len(lengths):
-            return False
-        if not lengths:
-            continue
-        if min(maps) < 0 or max(maps) >= len(lens):
-            return False
-        below = list(map(room.get, offsets))
-        if (None in below or list(map(lens.__getitem__, maps)) != lengths
-                or min(map(lows.__getitem__, maps)) < 0
-                or not all(map(lt, map(highs.__getitem__, maps), below))):
-            return False
-    return True
-
-
-class _Composites(dict):
-    """Key ml * len(table) + mk -> a small int naming the content of the
-    composite map table[ml] . table[mk]; composites with equal contents
-    get the same int.  Each content is computed and hashed once."""
-
-    def __init__(self, table):
-        super().__init__()
-        self.table = table
-        self.ids = {}
-
-    def __missing__(self, key):
-        ml, mk = divmod(key, len(self.table))
-        content = tuple(map(self.table[ml].__getitem__, self.table[mk]))
-        self[key] = cid = self.ids.setdefault(content, len(self.ids))
-        return cid
-
-
-def _runs_cancel(upper, lower, composites):
-    """True when the run proof of `ChainComplex.check_boundary_squared`
-    shows that the runs `upper` composed with the runs `lower` give 0;
-    False when it cannot, which says nothing about d^2 itself.  Both must
-    have passed `_runs_valid`; `composites` is a `_Composites` of their
-    shared table.
-
-    The runs are taken a chunk at a time, and each slot's lower runs are
-    gathered once per chunk; a key of each slot pair per run is then the
-    lower offset and the id of the composite map."""
-    if upper.face_starts != lower.starts or upper.table is not lower.table:
-        return False
-    run_of = {s: q for q, s in enumerate(lower.starts)}
-    t = len(upper.table)
-    # lower map ids times t, to which an upper map id adds a composite key
-    scaled = [list(map(mul, maps, repeat(t))) for maps in lower.maps]
-    nruns = len(upper.starts) - 1
-    step = max(1, SLOT_CHUNK_ENTRIES // (len(upper.signs) * len(lower.signs)))
-    for a in range(0, nruns, step):
-        b = min(nruns, a + step)
-        sums = {}
-        for v, offsets, maps in zip(upper.signs, upper.offsets, upper.maps):
-            gather = _getter(_getter(offsets[a:b])(run_of))
-            maps = maps[a:b]
-            for w, low, low_scaled in zip(lower.signs, lower.offsets, scaled):
-                key = (gather(low), tuple(map(
-                    composites.__getitem__,
-                    map(add, gather(low_scaled), maps))))
-                sums[key] = sums.get(key, 0) + v * w
-        if any(sums.values()):
-            return False
-    return True
+    return width
 
 
 def _slot_width(trips, n):

@@ -137,7 +137,7 @@ before it in builder order), and the key deltas and coefficients of the
 faces.  Classifying a cell is then one table lookup and a few mask tests.
 
 Proof.  The Morse path proves d^2 = 0 on the tables it reads, not on the
-builder's runs, which it never writes.  d is Z[E]-linear and a face's key
+builder's triplets, which it never writes.  d is Z[E]-linear and a face's key
 delta does not depend on m, so d^2(m * y_S) is m times the sum of the
 terms (delta_1 + delta_2, w_1 * w_2) over the faces of S's table and the
 faces of each face's table (S - v); d^2 = 0 on every cell of S exactly

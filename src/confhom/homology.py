@@ -689,16 +689,16 @@ def _checked_morse(cx: ChainComplex, reduce, check=True):
     else None; with `check`, after the d^2 checks that result needs.
 
     A half-edge complex, in any basis, and a cube complex are read through
-    a Morse complex and need no proof of their runs or triplets: the tables
-    the Morse complex is built from, and the site tables of the retraction
+    a Morse complex and need no proof of their triplets: the tables the
+    Morse complex is built from, and the site tables of the retraction
     pi from a half-edge basis onto the all-reduced one, are proved as they
     are first read (see `confhom.critical` and `confhom.abrams`), and the
     Morse complex's differential, which comes from the flow, is checked
     once, when it is first used.  Any other complex (JSON, reduced) and any
-    complex with `reduce` off has its runs or triplets checked, once per
-    complex (a complex whose check passed is not checked again).  A
-    failed check or table proof raises BoundaryError and drops the cached
-    reduction and Morse complex of cx."""
+    complex with `reduce` off has its triplets checked, once per complex
+    (a complex whose check passed is not checked again).  A failed check
+    or table proof raises BoundaryError and drops the cached reduction and
+    Morse complex of cx."""
     try:
         morse = cx.morse_complex() if reduce else None
         if morse is None:
@@ -734,7 +734,7 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
     process (see `_checked_morse`).  On the Morse path the tables the Morse
     complex is built from, and the retraction's site tables, are proved as
     they are first read, whatever `check` says, and `check` adds the check
-    of the Morse complex itself; cx's cells are not listed and its runs or
+    of the Morse complex itself; cx's cells are not listed and its
     triplets are neither written nor proved.  On any other path
     `cx.check_boundary_squared` runs, once per complex.  If a check fails,
     BoundaryError is raised and the complex's cached reduction and Morse
@@ -901,8 +901,8 @@ def class_span_rank(cx: ChainComplex, cycles, d):
 
 def homology_generators(cx: ChainComplex, d):
     """Explicit cycles generating the free part of d-dimensional homology,
-    read from the generic reduction of cx after the d^2 check of its runs
-    or triplets, on half-edge complexes too: lifting through the Morse
+    read from the generic reduction of cx after the d^2 check of its
+    triplets, on half-edge complexes too: lifting through the Morse
     complex needs the map back from it, which does not exist yet."""
     _checked_morse(cx, False)
     rcx, _, trail_info = morse_reduce(cx)

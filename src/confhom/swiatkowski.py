@@ -20,24 +20,27 @@ The encoding (`SwEncoding`) is the one owner of this cell format, and the
 complex holds it (`ChainComplex.encoding`).  It packs cells (`encode`),
 unpacks them into vertex states and edge multiplicities (`decode`), and
 gives each site's two faces per state once (`face_rule`), which both the
-builder's runs and the per-state-part tables read.  Other modules build,
+builder's triplets and the per-state-part tables read.  Other modules build,
 describe and carry cells through these, never through the key's digits.
 
 The cells sharing one state of the sites form a run, one cell per edge
 part.  The builder counts the cells in closed form, per number of
 particles and h-sites on the sites, which gives the dims, the Euler
 characteristic and the `max_cells` refusal.  It lists the cell keys when
-a consumer first reads `cells`, and writes the boundaries as runs
-(`SlotRuns`) when one first reads `boundaries`; their readers prove the
-runs (`ChainComplex.check_boundary_squared`).  The Morse path does
+a consumer first reads `cells`, and writes the boundaries as slot-major
+triplets, run by run, when one first reads `boundaries`; their readers
+prove them (`ChainComplex.check_boundary_squared`).  The Morse path does
 neither: it proves d^2 = 0 on the tables it reads (`confhom.critical`).
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import repeat
 from math import comb
+from operator import add
 
-from .complexes import Chain, ChainComplex, ResourceLimitExceeded, SlotRuns
+from .complexes import Chain, ChainComplex, ResourceLimitExceeded
 from .graph import Graph, GraphError
 
 EMPTY = 0
@@ -387,71 +390,53 @@ def _list_cells(enc, n, dims):
     return cells
 
 
-def _write_runs(enc, n, dims):
-    """The boundaries as runs of columns (`SlotRuns`), one run per state
-    combination with a cell."""
-    top = len(dims) - 1
+def _write_boundaries(enc, n, dims):
+    """The boundaries as slot-major triplets (see
+    `ChainComplex.check_boundary_squared`): slot k's rows for every column,
+    in column order, then slot k+1's; `cols` is `array("l", range(n)) * F`
+    and `vals` an array("b").
+
+    The cells sharing one state pack form a run, one cell per edge part,
+    and every d-cell has its 2d faces in one slot order, with one sign per
+    slot.  The i-th cell's face in a slot sits in the run of the face's
+    state pack: at position i, or, when a particle moves onto edge j, at
+    the position of the i-th edge part with one more particle on j."""
     edge_parts = [_edge_parts(enc.eplace, r) for r in range(n + 1)]
-    runs = [[] for _ in dims]  # (pack, used, faces, start, stop)
+    runs = [[] for _ in dims]  # (pack, used, faces, run length)
     run_start = {}  # state pack -> first index of its run in its dimension
     filled = [0] * len(dims)
     for pack, used, hcount, faces in _state_combos(enc, n, True):
         size = len(edge_parts[n - used])
         if size:
-            start = filled[hcount]
-            filled[hcount] = start + size
-            run_start[pack] = start
-            runs[hcount].append((pack, used, faces, start, start + size))
+            run_start[pack] = filled[hcount]
+            filled[hcount] += size
+            runs[hcount].append((pack, used, faces, size))
+    shifted = {}  # (r, j) -> positions of the edge parts of r, moved on j
 
-    # Index maps within a run, in one table shared by every dimension: the
-    # identity of each run length, and one more particle on edge j.
-    table = []
-    map_id = {}  # ("id", length) or (r, j) -> position in table
-    positions = {}  # r -> {distribution: index in compositions(r)}
-
-    def identity(length):
-        if ("id", length) not in map_id:
-            map_id["id", length] = len(table)
-            table.append(range(length))
-        return map_id["id", length]
-
-    def shifted(r, j):
-        """Id of the map sending each edge part of r particles to its
-        position among the edge parts of r + 1 with one more particle on
-        edge j."""
-        if (r, j) not in map_id:
-            if r + 1 not in positions:
-                positions[r + 1] = {
-                    ep: i for i, ep in enumerate(edge_parts[r + 1])}
-            pos = positions[r + 1]
+    def positions(r, j):
+        if (r, j) not in shifted:
+            pos = {ep: i for i, ep in enumerate(edge_parts[r + 1])}
             step = enc.eplace[j]
-            map_id[r, j] = len(table)
-            table.append([pos[ep + step] for ep in edge_parts[r]])
-        return map_id[r, j]
+            shifted[r, j] = [pos[ep + step] for ep in edge_parts[r]]
+        return shifted[r, j]
 
-    # All cells of a run share one state pack, and the i-th cell's face
-    # sits in the run of the face's state pack: at position i, or at the
-    # shifted position when a particle moves onto an edge.  Every d-cell
-    # has its 2d faces in one slot order, with one sign per slot, so each
-    # dimension's boundary is written as runs (`SlotRuns`): per slot, the
-    # face run's start and the id of the index map, for every run.  No
-    # per-entry row is written; `ChainComplex.boundary_triplets` expands
-    # the runs into slot-major triplets when a consumer reads them.
-    starts = [[start for _, _, _, start, _ in rs] + [size]
-              for rs, size in zip(runs, dims)]
     boundaries = {}
-    for d in range(1, top + 1):
+    for d in range(1, len(dims)):
         first_faces = runs[d][0][2] if runs[d] else ()
-        offsets, maps = [], []
-        for slot in range(len(first_faces)):
-            offsets.append([run_start[pack + faces[slot][0]]
-                            for pack, _, faces, _, _ in runs[d]])
-            maps.append([identity(stop - start) if faces[slot][1] is None
-                         else shifted(n - used, faces[slot][1])
-                         for _, used, faces, start, stop in runs[d]])
-        boundaries[d] = SlotRuns(starts[d], starts[d - 1],
-                                 [sign for _, _, sign in first_faces],
-                                 offsets, maps, table)
+        rows, vals = array("l"), array("b")
+        for slot, (_, _, sign) in enumerate(first_faces):
+            col = []
+            for pack, used, faces, size in runs[d]:
+                delta, edge, _ = faces[slot]
+                o = run_start[pack + delta]
+                col += (range(o, o + size) if edge is None
+                        else map(add, positions(n - used, edge), repeat(o)))
+            # fromlist copies a list 1.5-2 times faster than extend takes
+            # an iterator's items
+            rows.fromlist(col)
+            vals.extend(array("b", [sign]) * dims[d])
+        boundaries[d] = (rows, array("l", range(dims[d])) * len(first_faces),
+                         vals)
     return boundaries
 
 
@@ -465,8 +450,8 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
 
     The build counts the cells in closed form, which gives the dims, the
     Euler characteristic and the `max_cells` refusal; the cell keys and
-    the boundary runs are written when a consumer first reads `cells` and
-    `boundaries`, which the Morse path never does.  Every basis gets the
+    the boundary triplets are written when a consumer first reads `cells`
+    and `boundaries`, which the Morse path never does.  Every basis gets the
     Morse complex of the all-reduced basis, whose critical cells are
     checked against this basis's Euler characteristic; homology and class
     ranks read it, and generators and boundary solving reduce the complex
@@ -495,7 +480,7 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
         from .critical import morse_complex
         return morse_complex(enc, euler)
 
-    return ChainComplex(dims, lambda: _write_runs(enc, n, dims),
+    return ChainComplex(dims, lambda: _write_boundaries(enc, n, dims),
                         cells=lambda: _list_cells(enc, n, dims),
                         meta={"model": "swiatkowski"}, encoding=enc,
                         morse_complex=morse)

@@ -576,7 +576,7 @@ class TestTwoPaths:
     def test_other_bases_reduce_only_the_morse_complex(self, monkeypatch,
                                                        build):
         # the Morse complex of the all-reduced basis serves every basis:
-        # the full complex lists no cell and writes no run
+        # the full complex lists no cell and writes no boundary
         import importlib
         from confhom import swiatkowski
         hom = importlib.import_module("confhom.homology")
@@ -586,9 +586,9 @@ class TestTwoPaths:
                             lambda cx: calls.append(cx) or real(cx))
 
         def refuse(*args):
-            raise AssertionError("the runs were written")
+            raise AssertionError("the boundaries were written")
 
-        monkeypatch.setattr(swiatkowski, "_write_runs", refuse)
+        monkeypatch.setattr(swiatkowski, "_write_boundaries", refuse)
         cx = build(build_family("lasso"))
         assert homology(cx).betti_vector() == (1, 3, 0, 0)
         assert calls == [cx.morse_complex()[0]] and cx._reduction is None
@@ -630,7 +630,7 @@ class TestTwoPaths:
         assert cx._morse is None and cx._reduction is None
 
     def test_the_morse_complex_is_checked_once(self, monkeypatch):
-        # the runs are checked by their readers, once; the Morse path
+        # the triplets are checked by their readers, once; the Morse path
         # checks its Morse complex, once
         calls = []
         real = ChainComplex.check_boundary_squared
@@ -793,7 +793,7 @@ class TestTwoPaths:
             assert peak < 4_500_000
 
     def test_peak_memory_of_the_checked_homology(self):
-        # the same with the runs written and checked: the slot proof
+        # the same with the triplets written and checked: the slot proof
         # gathers about 32k targets at a time, where the column check held
         # every column's entries as tuples, at about 9 MB
         cx = build_swiatkowski(build_family("k33"), 5, reduce_vertices="all")

@@ -210,6 +210,35 @@ class TestProducts:
         cx = build_swiatkowski(build_family("theta:3"), 2)
         assert span_rank(cx, [], 1) == 0
 
+    def test_a_product_with_a_boundary_is_refused(self, monkeypatch):
+        # the product is verified: a factor builder that gives a half-edge
+        # with a particle beside it, which has a boundary, is caught
+        from confhom import cycles
+
+        def half_edge(enc, spec):
+            key, k = enc.encode_part({"u": ("h", "e1")}, {"e2": 1})
+            return cycles._Part(enc, {key: 1}, k)
+
+        monkeypatch.setattr(cycles, "_half_edge_part", half_edge)
+        cx = build_swiatkowski(build_family("theta:3"), 2)
+        with pytest.raises(CycleError,
+                           match="product chain has nonzero boundary"):
+            product_cycle(cx, [CycleSpec(kind="Y", hub="u",
+                                         branches=("e1", "e2", "e3"))])
+
+    def test_span_rank_refuses_a_non_cycle_and_a_wrong_dimension(self):
+        # both are refused before any reduction or Morse complex is built
+        cx = build_swiatkowski(build_family("theta:3"), 2)
+        edge = scell(cx, {"u": ("h", "e1")}, {"e2": 1})
+        with pytest.raises(ValueError, match="input chain is not a cycle"):
+            span_rank(cx, [edge], 1)
+        y = make_cycle(cx, CycleSpec(kind="Y", hub="u",
+                                     branches=("e1", "e2", "e3")))
+        with pytest.raises(ValueError, match="cycle of wrong dimension"):
+            span_rank(cx, [y], 2)
+        assert cx._morse is None and cx._reduction is None
+        assert span_rank(cx, [y], 1) == 1
+
 
 class TestRelations:
     def test_y_ab_exact(self):

@@ -1,11 +1,11 @@
 """Every import in src/confhom, in the tests and in the benchmark scripts
 is used: a name bound by a module-level import must be read somewhere in
 its module, or re-exported via __all__, and one bound inside a function
-must be read in that function.  Every module-level private
-function of src/confhom is named outside its own body, by its module or by
-another of these files.  No module but swiatkowski.py reads the digit
-layout of a half-edge key, and none but abrams.py the item layout of a
-cube key.  The files are only parsed."""
+must be read in that function.  Every module-level private function,
+class and assigned name of src/confhom is named outside its own
+definition, by its module or by another of these files.  No module but
+swiatkowski.py reads the digit layout of a half-edge key, and none but
+abrams.py the item layout of a cube key.  The files are only parsed."""
 
 import ast
 import functools
@@ -100,17 +100,29 @@ def names(node):
     return out
 
 
-def unnamed_private_functions(tree, elsewhere):
-    """Module-level private functions of `tree` named neither in
-    `elsewhere` nor in their module outside their own definition."""
+def _defined(node):
+    """Names a module-level statement defines: a function's or a class's,
+    or the plain names an assignment binds."""
+    if isinstance(node, SCOPES + (ast.ClassDef,)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)]
+
+
+def unnamed_private_names(tree, elsewhere):
+    """Module-level private functions, classes and assigned names of `tree`
+    named neither in `elsewhere` nor in their module outside the statement
+    that defines them."""
     tops = [(node, names(node)) for node in tree.body]
     out = []
-    for f, _ in tops:
-        if (isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and f.name.startswith("_") and not f.name.startswith("__")
-                and f.name not in set(elsewhere).union(
-                    *(ns for node, ns in tops if node is not f))):
-            out.append(f.name)
+    for top, _ in tops:
+        for name in _defined(top):
+            if (name.startswith("_") and not name.startswith("__")
+                    and name not in set(elsewhere).union(
+                        *(ns for node, ns in tops if node is not top))):
+                out.append(name)
     return out
 
 
@@ -123,15 +135,23 @@ def _names_in(path):
                          ids=lambda p: p.name)
 def test_every_private_function_is_named(path):
     elsewhere = set().union(*(_names_in(p) for p in FILES if p != path))
-    assert unnamed_private_functions(ast.parse(path.read_text()),
-                                     elsewhere) == []
+    assert unnamed_private_names(ast.parse(path.read_text()),
+                                 elsewhere) == []
 
 
 def test_the_scan_finds_an_unnamed_private_function():
     tree = ast.parse("def _a():\n    return _a()\n"
                      "def _b(): pass\ndef _c(): pass\ndef __d__(): pass\n"
                      "x = _b\n")
-    assert unnamed_private_functions(tree, {"_c"}) == ["_a"]
+    assert unnamed_private_names(tree, {"_c"}) == ["_a"]
+
+
+def test_the_scan_finds_an_unnamed_private_class_and_assignment():
+    tree = ast.parse("class _A(dict):\n    def f(self):\n        return _A\n"
+                     "class _B: pass\nclass _C: pass\n"
+                     "_X = _Y = 1\n_Z: int = 2\n_P, (_Q, r) = 1, (2, 3)\n"
+                     "__all__ = ['_Y']\n_X += 1\ny = _B\n")
+    assert unnamed_private_names(tree, {"_C", "_P"}) == ["_A", "_Z", "_Q"]
 
 
 # the digit layout of a half-edge key, which only `SwEncoding` reads:

@@ -3,10 +3,11 @@ canonical basis, boundary squares to zero, reduced variants, and support."""
 
 import hashlib
 import itertools
+from array import array
 
 import pytest
 
-from confhom.complexes import Chain, ResourceLimitExceeded, SlotRuns
+from confhom.complexes import Chain, ResourceLimitExceeded
 from confhom.graph import Graph, GraphError, build_family
 from confhom.homology import homology
 from confhom.swiatkowski import (EMPTY, OCCUPIED, build_reduced_at,
@@ -90,15 +91,16 @@ class TestCellCounts:
         (lambda: build_reduced_at(build_family("k4"), 3, "v0"),
          "85e31f9a22208825"),
     ], ids=["k33-n4-all", "k4-n3-canonical", "k4-n3-reduced-at-v0"])
-    def test_runs_are_written_on_first_read(self, build, digest):
-        # every basis writes its runs once, on first read; the digests,
-        # taken when the builder wrote them, pin their triplets
+    def test_triplets_are_written_on_first_read(self, build, digest):
+        # every basis writes its triplets once, on first read; the digests,
+        # taken when the builder wrote them as runs of columns, pin them
         cx = build()
         assert callable(cx._boundaries)
-        runs = cx.boundaries
-        assert cx.boundaries is runs and sorted(runs) == list(
+        written = cx.boundaries
+        assert cx.boundaries is written and sorted(written) == list(
             range(1, cx.top_dim + 1))
-        assert all(isinstance(b, SlotRuns) for b in runs.values())
+        assert all(len(b) == 3 and all(isinstance(a, array) for a in b)
+                   for b in written.values())
         trips = [[list(a) for a in cx.boundary_triplets(d)]
                  for d in range(1, cx.top_dim + 1)]
         assert hashlib.sha256(repr(trips).encode()).hexdigest()[:16] == digest
