@@ -400,11 +400,12 @@ class CubeMatching:
         """Boundary of one cell as ((key delta, coeff), ...)."""
         return self._table(key >> self.nv)
 
-    def followed_faces(self, key):
+    def step(self, key):
         """The flow's step from one cell: None for a critical cell, False
         for an upper one, and for a lower cell a the (key delta, coeff)
         terms of flow(a) = sum of coeff * flow(a + delta): every face of
-        a's partner b but a, with coefficient -[db : f]/[db : a]."""
+        a's partner b but a, with coefficient -[db : f]/[db : a]; a unit
+        step, one face with coefficient 1, as its delta alone."""
         got = self.classify(key)
         if got is None:
             return None
@@ -414,9 +415,12 @@ class CubeMatching:
         es, lift = partner >> self.nv, partner - key
         followed = self._followed.get((es, lift))
         if followed is None:
-            followed = self._followed[es, lift] = tuple(
-                (lift + delta, -sign * w) for delta, w in self._table(es)
-                if delta != -lift)
+            followed = tuple((lift + delta, -sign * w)
+                             for delta, w in self._table(es)
+                             if delta != -lift)
+            if len(followed) == 1 and followed[0][1] == 1:
+                followed = followed[0][0]
+            self._followed[es, lift] = followed
         return followed
 
     def from_builder(self, key):

@@ -3,11 +3,15 @@ every basis of the half-edge complex reads, and the flow and assembly
 that both models' matchings share.
 
 Shared.  `MorseFlow` and `assemble` read a matching only through
-`critical_cells`, `face_terms`, `followed_faces` and `from_builder`, with
-faces as integer deltas of the key; they serve the half-edge matching
-below (`MorseMatching`) and the Farley-Sabalka matching of the cube
-complex (`confhom.abrams.CubeMatching`), whose `from_builder` is the
-identity.
+`critical_cells`, `face_terms`, `step` and `from_builder`, with faces as
+integer deltas of the key; they serve the half-edge matching below
+(`MorseMatching`) and the Farley-Sabalka matching of the cube complex
+(`confhom.abrams.CubeMatching`), whose `from_builder` is the identity.
+`step` classifies a cell in one call and gives a lower cell's terms, a
+unit step (one term, coefficient 1) as its delta alone; the flow walks a
+chain of unit steps in a loop, and gives every cell on it the flow of its
+end (see Flow).  Memo values may be shared between cells and are never
+mutated.
 
 When every site (vertex of degree >= 2) is reduced, the half-edge complex
 is a free module over the polynomial ring Z[E] of the edges, cut to
@@ -124,8 +128,12 @@ Flow.  The Morse differential of a critical cell c is flow(d c), where the
 flow fixes critical cells, sends upper cells of pairs to 0, and sends a
 lower cell a paired with b to -(1/[db : a]) times the flow of b's other
 faces.  It is an iterative depth-first search with a memo, so no recursion
-limit applies; reaching a cell that is still being expanded is a back edge,
-a cycle of gradient paths, and raises EngineError.
+limit applies.  A chain of unit steps is walked in a loop, not expanded
+cell by cell: in the half-edge model 61-73 % of the lower cells follow
+only b's face at v by r(v), within their state part.  A cell in progress
+holds a marker in the memo; reaching one is a back edge, a cycle of
+gradient paths, and raises EngineError, and an error takes every marker
+out.
 
 Tables.  A cell's move, its sign and its faces depend on the monomial m
 only through mask tests, so each state set S (the key's part above the
@@ -166,9 +174,9 @@ which only its owner w reads.  An added edge never creates a down move;
 it creates an up move only at an owner w not in S, case (ii) when w is
 scanned before v; and it breaks v's down move (m / e_{v,k} has no edge of
 E_v below k) only in case (i).  So the flow of a reads a compiled list,
-per (S, v, k) and built the first time such a move fires, of b's other
-faces at v and at sites scanned before v and of the faces in cases (i)
-and (ii); the faces it skips have flow 0.
+per (S, v, k) and built the first time such a move fires from a record
+of S made once, of b's other faces at v and at sites scanned before v and
+of the faces in cases (i) and (ii); the faces it skips have flow 0.
 
 Dead faces.  When the search meets (C), the list also drops faces whose
 flow is empty.  A cell is ready at a site t when t is in S with a
@@ -226,17 +234,16 @@ The tests read the move, the face's site and its edge's owner, so each
 verdict is made once, when the move's list is compiled.
 
 Memo.  The memo holds the critical cells and the lower cells the flow has
-expanded; an upper cell costs one table lookup to recognise again, so it
-gets no entry.  With the dead faces out of the lists the flow expands
-36-49 % fewer lower cells (k44e n=6: 173,707 to 111,790; wheel:7 n=7:
-100,524 to 51,383), and a lower cell it does expand may still have an
-empty flow.  The memo stays with the Morse complex, so that carrying
-cycles into it (`MorseFlow.chain`) reuses it.
+expanded or walked, each with its flow, which may be empty; an upper cell
+costs one table lookup to recognise again, so it gets no entry.  The memo
+stays with the Morse complex, so that carrying cycles into it
+(`MorseFlow.chain`) reuses it.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect
 from math import comb
 
 from .complexes import BoundaryError, Chain, ChainComplex, pause_gc
@@ -244,6 +251,7 @@ from .homology import EngineError
 from .swiatkowski import SwEncoding, _edge_parts
 
 _EMPTY = {}  # the flow of an upper cell; shared, never mutated
+_ACTIVE = object()  # the memo entry of a cell the flow is expanding
 
 
 def half_edge_ends(g):
@@ -259,31 +267,39 @@ def half_edge_ends(g):
 
 
 def search(ends, root, kind):
-    """(order, refs) of the breadth-first ("bfs") or depth-first ("dfs")
-    search of root's component, taking each vertex's half-edges (`ends`,
-    from `half_edge_ends`) in position order: the vertices as the search
-    reaches them, and refs[v] the position of the edge v was reached by, or
-    0 at the root."""
-    refs = {root: 0}
+    """(order, refs, sizes) of the breadth-first ("bfs") or depth-first
+    ("dfs") search of root's component, taking each vertex's half-edges
+    (`ends`, from `half_edge_ends`) in position order: the vertices as
+    reached, refs[v] the position of the edge v was reached by (0 at the
+    root), and sizes[v] = |E_v|.  Both searches meet (C), so E_v is v's
+    half-edges to later vertices but the root's first, a free edge: the
+    search counts them as it goes."""
+    refs, rank, sizes = {root: 0}, {root: 0}, {root: -1}
     order = [root]
     if kind == "bfs":
         for v in order:
+            rv, size = rank[v], sizes[v]
             for _, w, q in ends[v]:
-                if w not in refs:
-                    refs[w] = q
+                if w not in rank:
+                    refs[w], rank[w], sizes[w] = q, len(order), 0
                     order.append(w)
-        return order, refs
-    stack = [iter(ends[root])]
+                size += rank[w] > rv
+            sizes[v] = size
+        return order, refs, sizes
+    stack = [(root, iter(ends[root]))]
     while stack:
-        for _, w, q in stack[-1]:
-            if w not in refs:
-                refs[w] = q
+        v, todo = stack[-1]
+        for _, w, q in todo:
+            if w not in rank:
+                refs[w], rank[w], sizes[w] = q, len(order), 0
                 order.append(w)
-                stack.append(iter(ends[w]))
+                stack.append((w, iter(ends[w])))
+                sizes[v] += 1
                 break
+            sizes[v] += rank[w] > rank[v]
         else:
             stack.pop()
-    return order, refs
+    return order, refs, sizes
 
 
 def _eligible(ends, v, rank, refs):
@@ -328,12 +344,11 @@ def _count_series(sites, free, n):
     return table
 
 
-def _search_key(ends, sites, edges, order, refs):
+def _search_key(ends, sites, edges, sizes):
     """(sites, free) of _count_series for one search: the sorted (degree,
-    |E_v|) of these sites, and how many of these edges are in no E_v."""
-    rank = {v: i for i, v in enumerate(order)}
-    key = sorted((len(ends[v]), len(_eligible(ends, v, rank, refs)))
-                 for v in sites)
+    |E_v|) of these sites, |E_v| from sizes, and how many of these edges
+    are in no E_v."""
+    key = sorted((len(ends[v]), sizes[v]) for v in sites)
     return tuple(key), edges - sum(e for _, e in key)
 
 
@@ -350,8 +365,10 @@ def critical_counts(enc, order, refs):
     """The critical cells per dimension of MorseMatching(enc, order, refs),
     counted without listing them."""
     g = enc.graph
-    key = _search_key(half_edge_ends(g), enc.sites, len(g.edges), order,
-                      refs)
+    ends = half_edge_ends(g)
+    rank = {v: i for i, v in enumerate(order)}
+    sizes = {v: len(_eligible(ends, v, rank, refs)) for v in enc.sites}
+    key = _search_key(ends, enc.sites, len(g.edges), sizes)
     return _dims(_count_series(*key, enc.n), enc.n)
 
 
@@ -374,11 +391,11 @@ def choose_search(enc):
         candidates = []
         for root in sorted(component, key=g.degree, reverse=True):
             for kind in ("bfs", "dfs"):
-                order, refs = search(ends, root, kind)
-                key = _search_key(ends, sites, edges, order, refs)
+                order, refs, sizes = search(ends, root, kind)
+                key = _search_key(ends, sites, edges, sizes)
                 if key not in tables:
                     tables[key] = _count_series(*key, n)
-                candidates.append((tables[key], kind, root, order, refs))
+                candidates.append((key, kind, root, order, refs))
         components.append(candidates)
     chosen = [0] * len(components)
 
@@ -386,15 +403,17 @@ def choose_search(enc):
         table = [[1] + [0] * n]
         for k, candidates in enumerate(components):
             if k != skip:
-                table = _mul(table, candidates[chosen[k]][0], n)
+                table = _mul(table, tables[candidates[chosen[k]][0]], n)
         return table
 
     for c, candidates in enumerate(components):
         # the other components' cells by particle number, in all dimensions
         rest = [sum(col) for col in zip(*product(skip=c))]
-        chosen[c] = min(range(len(candidates)), key=lambda i: sum(
-            r * row[n - j] for row in candidates[i][0]
-            for j, r in enumerate(rest) if r))
+        cells = {key: sum(r * row[n - j] for row in tables[key]
+                          for j, r in enumerate(rest) if r)
+                 for key, *_ in candidates}
+        chosen[c] = min(range(len(candidates)),
+                        key=lambda i: cells[candidates[i][0]])
     order, refs, searches = [], {}, []
     for i, candidates in zip(chosen, components):
         _, kind, root, o, r = candidates[i]
@@ -455,8 +474,10 @@ class MorseMatching:
         self.scan = sorted(range(len(enc.sites)),
                            key=lambda i: rank[enc.sites[i]])
         self.scan_pos = [0] * len(self.scan)
+        self.before = []  # per scan position: the E_w of the sites before it
         for pos, i in enumerate(self.scan):
             self.scan_pos[i] = pos
+            self.before.append(sum(self.rule[w][2] for w in self.scan[:pos]))
         self.state_shift = bits * len(g.edges)
         # per site: its up moves as (field mask, partner's key delta,
         # option), in position order; option j is the move (site, code)
@@ -489,9 +510,10 @@ class MorseMatching:
                             (base + (r << shift), -sign))
                 row.append(opts)
             self.to_y.append(row)
-        self._tables = {}  # state part -> (tests, faces)
-        self._followed = {}  # option ident -> faces the flow follows
+        self._tables = {}  # state part -> (tests, faces, {option: step})
+        self._records = {}  # state part -> what its up moves read (`_record`)
         self._reach = None  # the dead-face rule's tables, on first use
+        self._rows = None  # per site and code, its entry in a record
         self._shared = {}  # one copy of every equal tuple in the tables
         self._y_terms = {}  # builder state part -> its y terms
         self._y_base = {}  # builder edge part -> its y key
@@ -518,15 +540,16 @@ class MorseMatching:
 
     def _table(self, st):
         """The compiled table of state part st, built and proved on first
-        use: (tests, faces).  tests are the scan's (mask, up moves, partner
-        delta, sign) in order: a down test (up moves None) fires when the
-        key has no bit of mask, an up test when it has one.  faces are the
-        (key delta, coeff) of the boundary terms."""
+        use: (tests, faces, the steps of its up moves).  tests are the
+        scan's (mask, up moves, partner delta, sign) in order: a down test
+        (up moves None) fires when the key has no bit of mask, an up test
+        when it has one.  faces are the (key delta, coeff) of the boundary
+        terms."""
         got = self._tables.get(st)
         if got is None:
             got = self._compile(st)
             self._prove(st, got[1])
-            self._tables[st] = got
+            got = self._tables[st] = got + ({},)
         return got
 
     def _prove(self, st, faces):
@@ -566,122 +589,117 @@ class MorseMatching:
                 faces.append(share((ref_unit - (c << shift), -sign)))
         return share(tuple(tests)), share(tuple(faces))
 
-    def _move(self, key):
-        """The first move of the scan on key as (partner delta, sign,
-        option ident, None for a down move); None for a critical cell."""
-        st = key >> self.state_shift
-        table = self._tables.get(st) or self._table(st)
-        for mask, moves, delta, sign in table[0]:
-            if key & mask:
-                if moves:
-                    for fmask, partner, j in moves:
-                        if key & fmask:
-                            return partner, sign, st * len(self.options) + j
-            elif moves is None:
-                return delta, sign, None
-        return None
-
     # -- one cell -----------------------------------------------------------
 
     def face_terms(self, key):
         """Boundary of one y cell as its table's ((key delta, coeff), ...)."""
         return self._table(key >> self.state_shift)[1]
 
-    def faces(self, key):
-        """Boundary of one y cell as [(face key, coeff), ...]."""
-        return [(key + d, w) for d, w in self.face_terms(key)]
+    def step(self, key, classify=False):
+        """The flow's step from one cell (see Flow): None for a critical
+        cell, False for an upper one, and for a lower cell a the terms of
+        flow(a) = sum of coeff * flow(a + delta) over the faces of a's
+        partner that Pruning and Dead faces keep, as ((delta, coeff), ...),
+        or as the delta alone for a unit step.  With classify, `classify`'s
+        answer in place of the step: the scan is this one."""
+        st = key >> self.state_shift
+        tests, _, steps = self._tables.get(st) or self._table(st)
+        for mask, moves, delta, sign in tests:
+            if key & mask:
+                if moves:
+                    for fmask, partner, j in moves:
+                        if key & fmask:
+                            if classify:
+                                return key + partner, sign, True
+                            got = steps.get(j)
+                            return self._follow(st, j) if got is None else got
+            elif moves is None:
+                return (key + delta, sign, False) if classify else False
+        return None
 
     def classify(self, key):
         """None for a critical cell, else (partner, [d upper : lower], is
         the cell the lower one)."""
-        got = self._move(key)
-        if got is None:
-            return None
-        delta, sign, ident = got
-        return key + delta, sign, ident is not None
+        return self.step(key, True)
 
-    def followed_faces(self, key):
-        """The flow's step from one cell: None for a critical cell, False
-        for an upper one, and for a lower cell a the (key delta, coeff)
-        terms of flow(a) = sum of coeff * flow(a + delta), from the faces
-        of a's partner that Pruning and Dead faces keep."""
-        got = self._move(key)
-        if got is None:
-            return None
-        ident = got[2]
-        if ident is None:
-            return False
-        followed = self._followed.get(ident)
-        if followed is None:
-            followed = self._followed[ident] = self._split(ident)[0]
-        return followed
-
-    def _split(self, ident):
-        """(followed, skipped) for the up move `ident` (state part times
-        the number of options, plus the option) of a lower cell a: the
-        faces of a's partner b other than a, as (key delta from a, flow
-        coefficient -[db : f]/[db : a]) pairs, split by the pruning rule
-        and the dead-face rule; every skipped face is upper or has an
-        empty flow."""
-        st, j = divmod(ident, len(self.options))
+    def _follow(self, st, j):
+        """The step of the up move j (an option: site i, code k) on the
+        lower cells a of state part st, compiled on first use and kept: the
+        faces of a's partner b but a that Pruning and Dead faces keep, as
+        (key delta from a, coefficient -[db : f]/[db : a]) in b's face
+        order.  It reads st's record (`_record`)."""
+        if self._rows is None:
+            self._reach, self._rows = self._reach_tables()
+        reach = self._reach
+        rec = self._records.get(st)
+        if rec is None:
+            rec = self._records[st] = self._record(st)
+        sites, held = rec
         i, k = self.options[j]
         shift, _, units, _ = self.faces_data[i]
-        codes, signs = self._codes_and_signs(st)
-        scale = -signs[i]
+        v = self.scan_pos[i]
         partner = (k << shift) - units[k]
         below = self.rule[i][4][k]  # (i) the E_v edges below k
-        keep = below
-        v = self.scan_pos[i]
-        for w in self.scan[:v]:
-            if not codes[w]:
-                keep |= self.rule[w][2]  # (ii) E_w, w before v, not in S
-        codes[i] = k  # b's codes; its signs flip after site i
-        if self._reach is None:
-            self._reach = self._reach_tables()
+        keep = below | self.before[v] & ~held  # (ii) E_w, w before v not in S
+        at = bisect(sites, (i,))  # b's sites: st's with i after `at` of them
+        sites = sites[:at] + (self._rows[i][k],) + sites[at:]
+        q = 1 if at & 1 else -1  # the coefficient of b's first code face
         dead = {}  # (site, owner of the edge it adds) -> v stays stuck
-        followed, skipped = [], []
-        for u, ((shift, _, units, ref_unit), c, sign) in enumerate(
-                zip(self.faces_data, codes, signs)):
-            if not c:
-                continue
-            if u > i:
-                sign = -sign
-            late = self.scan_pos[u] > v
-            for x, w in ((units[c], sign), (ref_unit, -sign)):
-                delta = partner - (c << shift) + x
-                if not delta:  # a itself
-                    continue
-                if late and not x & keep:
-                    out = skipped  # upper
-                elif u == i or x & below or not self._reach:
-                    out = followed  # b's v-ref face, case (i), or no (C)
-                else:  # ready at v
-                    o = self._reach[0].get(x)
-                    got = dead.get((u, o))
-                    if got is None:
-                        got = dead[u, o] = self._stuck(codes, i, u, o)
-                    out = skipped if got else followed
-                out.append(self._share((delta, scale * w)))
-        return tuple(followed), tuple(skipped)
+        got = []
+        for u, s, code_x, ref_x, c, _, _ in sites:
+            for x, w in ((code_x, q), (ref_x, -q)):
+                if s > v and not x & keep:
+                    continue  # upper
+                if u != i and not x & below and reach:  # ready at v
+                    o = reach[0].get(x)
+                    stuck = dead.get((u, o))
+                    if stuck is None:
+                        stuck = dead[u, o] = self._stuck(sites, v, u, o)
+                    if stuck:
+                        continue
+                delta = partner - c + x
+                if delta:  # not a itself
+                    got.append(self._share((delta, w)))
+            q = -q
+        # a unit step, b's face at v by r(v) alone, as its delta
+        got = got[0][0] if len(got) == 1 else tuple(got)
+        self._tables[st][2][j] = got
+        return got
+
+    def _record(self, st):
+        """What every up move on state part st reads: its occupied sites in
+        builder order as (site, scan position, unit of the code edge, unit
+        of the reference edge, code << shift, (owner, position) of the code
+        edge if outside the site's E, whether the code is eligible), and the
+        OR of their E_w.  The E_w are disjoint, so the E_w of the empty
+        sites before v are `before[v]` less that OR."""
+        codes = self._codes_and_signs(st)[0]
+        sites = tuple([row[c] for row, c in zip(self._rows, codes) if c])
+        return sites, sum(self.rule[u][2] for u, *_ in sites)
 
     def _reach_tables(self):
-        """The dead-face rule's tables (see Dead faces), sites by scan
-        position: {edge unit of an E: (owner, position in it)}, p and rho
-        per site, |E| per site, p-ancestry masks (the site and each p above
-        it), masks of the sites with the same p and a higher rho and of
-        the sites whose p is the site, the mask of the sites with no p,
-        and per builder site and code the (owner, position) of its code
-        edge when that is outside its own E.  False when the search breaks
-        (C), on which the rule's proof rests."""
+        """(reach, rows): the dead-face rule's tables (see Dead faces),
+        sites by scan position: {edge unit of an E: (owner, position in
+        it)}, p and rho per site, |E| per site, p-ancestry masks (the site
+        and each p above it), masks of the sites with the same p and a
+        higher rho and of the sites whose p is the site, and the mask of the
+        sites with no p; False when the search breaks (C), on which the
+        rule's proof rests.  rows holds per builder site and code the
+        site's entry in a record (see `_record`)."""
         pos, scan = self.scan_pos, self.scan
         own = {unit: (pos[i], r) for i, (_, _, _, up, _) in
                enumerate(self.rule) for r, (_, unit, _) in enumerate(up)}
+        rows = [[None] + [(u, pos[u], x, ref_unit, c << shift, None if
+                           own[x][0] == pos[u] else own[x], c in rule[4])
+                          for c, x in enumerate(units[1:], 1)]
+                for u, ((shift, _, units, ref_unit), rule) in
+                enumerate(zip(self.faces_data, self.rule))]
         par, rho = [None] * len(scan), [0] * len(scan)
         for i, (_, _, _, ref_unit) in enumerate(self.faces_data):
             if ref_unit in own:
                 par[pos[i]], rho[pos[i]] = own[ref_unit]
                 if par[pos[i]] > pos[i]:
-                    return False
+                    return False, rows
         anc, lone = [], 0
         higher, kids = [0] * len(scan), [0] * len(scan)
         for s, p in enumerate(par):
@@ -695,44 +713,37 @@ class MorseMatching:
                     lo, hi = (t, s) if rho[t] < rho[s] else (s, t)
                     higher[lo] |= 1 << hi
         sizes = [len(self.rule[i][3]) for i in scan]
-        code_out = [[None] + [None if own[x][0] == pos[i] else own[x]
-                              for x in units[1:]]
-                    for i, (_, _, units, _) in enumerate(self.faces_data)]
-        return own, par, rho, sizes, anc, higher, kids, lone, code_out
+        return (own, par, rho, sizes, anc, higher, kids, lone), rows
 
-    def _stuck(self, codes, i, u, o):
-        """Whether the face of b (codes `codes`) at site u, adding an edge
-        of E_o (o = (owner, position) by scan position, None for a free
-        edge), leaves v = site i ready for good, by the Z test or the root
-        test of Dead faces."""
-        _, par, rho, sizes, anc, higher, kids, lone, code_out = self._reach
-        pos = self.scan_pos
-        v = pos[i]
-        if par[v] is None:
+    def _stuck(self, sites, v, u, o):
+        """Whether the face of b (its occupied sites `sites`, as `_record`
+        gives them) at site u, adding an edge of E_o (o = (owner, position)
+        by scan position, None for a free edge), leaves the site at scan
+        position v ready for good, by the Z test or the root test of Dead
+        faces."""
+        _, par, rho, sizes, anc, higher, kids, lone = self._reach
+        p = par[v]
+        if p is None:
             return True
         state = fell = 0  # U, and the sites of b's S but u
         moved = 0 if o is None else anc[o[0]]  # M, all before v
         drops = {}  # site -> highest position a code edge of S drops on
-        for w, c in enumerate(codes):
-            if not c:
-                continue
-            s = pos[w]
+        root = False  # p in b's S with a code of E_p, the face not at p
+        for w, s, _, _, _, out, eligible in sites:
             if s < v:
                 state |= 1 << s
                 moved |= anc[s]
+                if s == p:
+                    root = eligible and w != u
             if w == u:
                 continue
             fell |= 1 << s
-            out = code_out[w][c]
             for z in (par[s], out and out[0]):
                 if z is not None and z < v:
                     moved |= anc[z]
             if out and out[1] > drops.get(out[0], -1):
                 drops[out[0]] = out[1]
-        p = par[v]
-        w = self.scan[p]
-        if state >> p & 1 and pos[u] != p and par[p] is None and \
-                codes[w] in self.rule[w][4] and \
+        if root and par[p] is None and \
                 not moved & -(2 << p) & ~lone & ~kids[p]:
             return True  # the root test
         z = 0  # Z
@@ -933,9 +944,11 @@ def _check_retraction(enc):
 
 
 class MorseFlow:
-    """The memoised gradient-path flow of a matching (see Shared): its
-    cells, y cells of the half-edge matching or cube cells, to chains of
-    critical cells, as {critical key: coeff}."""
+    """The memoised gradient-path flow of a matching (see Shared, Flow and
+    Memo): its cells, y cells of the half-edge matching or cube cells, to
+    chains of critical cells, as {critical key: coeff}.  A chain of unit
+    steps is walked in a loop, and every cell on it gets the flow of its
+    end, so memo values may be shared between cells; none is mutated."""
 
     def __init__(self, matching, critical):
         self.matching = matching
@@ -943,42 +956,64 @@ class MorseFlow:
 
     def _flow(self, base, terms):
         """The sum of q * flow(base + delta) over terms (delta, q), as
-        {critical key: coeff}, expanding lower cells depth first."""
+        {critical key: coeff}: a depth-first search over the lower cells
+        that walks each chain of unit steps in a loop (see Flow).  A frame
+        holds its cell, its terms, their sum so far and the cells that get
+        its flow: the walk that led to it and its own cell, last.  A cell
+        in progress holds _ACTIVE in the memo; an error takes every such
+        entry out again."""
         memo = self.memo
-        followed_faces = self.matching.followed_faces
-        stack = [[base, terms, 0, {}]]
-        active = set()
-        while True:
-            frame = stack[-1]
-            cell, fs, i, acc = frame
-            while i < len(fs):
-                delta, q = fs[i]
-                f = cell + delta
-                val = memo.get(f)
-                if val is None:
-                    step = followed_faces(f)
-                    if step is None:
-                        raise EngineError(f"cell {f} is critical but not "
-                                          f"listed")
-                    if step is not False:  # a lower cell: expand it first
-                        if f in active:
-                            raise EngineError("the gradient paths form a "
-                                              "cycle")
-                        active.add(f)
-                        frame[2] = i
-                        stack.append([f, step, 0, {}])
-                        break
-                    val = _EMPTY  # an upper cell
-                for g, x in val.items():
-                    acc[g] = acc.get(g, 0) + q * x
-                i += 1
-            else:
-                stack.pop()
-                val = {g: x for g, x in acc.items() if x}
-                if not stack:
-                    return val
-                active.discard(cell)
-                memo[cell] = val or _EMPTY
+        step = self.matching.step
+        stack = []
+        cell, todo, acc, walk = base, iter(terms), {}, ()
+        try:
+            while True:
+                for delta, q in todo:
+                    f = cell + delta
+                    val = memo.get(f)
+                    if val is None:
+                        s = step(f)
+                        walked = []
+                        while type(s) is int:  # flow(f) = flow(f + s)
+                            memo[f] = _ACTIVE
+                            walked.append(f)
+                            f += s
+                            val = memo.get(f)
+                            if val is not None:
+                                break
+                            s = step(f)
+                        if val is None:
+                            if s is None:
+                                raise EngineError(f"cell {f} is critical but "
+                                                  f"not listed")
+                            if s is not False:  # expand f first
+                                memo[f] = _ACTIVE
+                                walked.append(f)
+                                stack.append((cell, todo, acc, walk, q))
+                                cell, todo, acc, walk = f, iter(s), {}, walked
+                                break
+                            val = _EMPTY  # an upper cell
+                        for g in walked:
+                            memo[g] = val
+                    if val is _ACTIVE:
+                        raise EngineError("the gradient paths form a cycle")
+                    for g, x in val.items():
+                        acc[g] = acc.get(g, 0) + q * x
+                else:
+                    val = {g: x for g, x in acc.items() if x} \
+                        if 0 in acc.values() else acc
+                    if not stack:
+                        return val
+                    val = val or _EMPTY
+                    for g in walk:
+                        memo[g] = val
+                    cell, todo, acc, walk, q = stack.pop()
+                    for g, x in val.items():
+                        acc[g] = acc.get(g, 0) + q * x
+        except BaseException:
+            for g in [g for g, val in memo.items() if val is _ACTIVE]:
+                del memo[g]
+            raise
 
     def cell(self, key):
         """flow(key)."""
@@ -1036,10 +1071,10 @@ def assemble(matching, euler, meta, counts=None):
         index = {key: i for i, key in enumerate(cells[d - 1])}
         rows, cols, vals = array("l"), array("l"), array("l")
         for c, key in enumerate(cells[d]):
-            for g, x in flow.boundary(key).items():
-                rows.append(index[g])
-                cols.append(c)
-                vals.append(x)
+            got = flow.boundary(key)
+            rows.extend(map(index.__getitem__, got))
+            cols.extend([c] * len(got))
+            vals.extend(got.values())
         boundaries[d] = (rows, cols, vals)
     mcx = ChainComplex(listed, boundaries, cells=cells,
                        meta=dict(meta, critical_cells=listed))

@@ -14,6 +14,7 @@ from confhom import abrams, tables
 from confhom.abrams import (AbramsEncoding, CubeMatching, abrams_boundary,
                             build_abrams, cell)
 from confhom.complexes import BoundaryError, ResourceLimitExceeded
+from confhom.critical import MorseFlow
 from confhom.formulas import betti_K4
 from confhom.graph import (Graph, GraphError, InsufficientSubdivision,
                            build_family, order_vertices, subdivide_for)
@@ -269,6 +270,26 @@ def _nonzero(h):
     return {d: (b, t) for d, (b, t) in h.dims.items() if b or t}
 
 
+def _reference_flow(m):
+    """The flow of m read off the definition, recursively: every face of a
+    lower cell's partner, no compiled step and no walk."""
+    memo = {}
+
+    def flow(key):
+        if key not in memo:
+            got = m.classify(key)
+            acc = {key: 1} if got is None else {}
+            if got is not None and got[2]:
+                partner, eps, _ = got
+                for f, w in m.enc.cell_faces(partner):
+                    if f != key:
+                        for g, x in flow(f).items():
+                            acc[g] = acc.get(g, 0) - eps * w * x
+            memo[key] = {g: x for g, x in acc.items() if x}
+        return memo[key]
+    return flow
+
+
 class TestMatching:
     @pytest.mark.parametrize("fam,n", MATCHING_ROWS)
     def test_matching_against_brute_force(self, fam, n):
@@ -291,6 +312,17 @@ class TestMatching:
             assert sorted(critical) == sorted(itertools.chain(*listed)), root
             assert all(dim == sorted(dim) for dim in listed)
             assert _acyclic(m, every), root
+
+    @pytest.mark.parametrize("fam,n", MATCHING_ROWS)
+    def test_flow_equals_the_reference_flow(self, fam, n):
+        # the flow both models share, on every cell of the cube complex
+        for root, cx in _matchings(fam, n):
+            m = CubeMatching(cx.encoding)
+            flow = MorseFlow(m, m.critical_cells())
+            reference = _reference_flow(m)
+            for dim in cx.cells:
+                for key in dim:
+                    assert flow.cell(key) == reference(key), root
 
     @pytest.mark.parametrize("fam,n", MATCHING_ROWS)
     def test_homology_agrees_with_the_generic_reduction(self, fam, n):

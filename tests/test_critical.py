@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confhom import tables
-from confhom.abrams import build_abrams
+from confhom.abrams import CubeMatching, build_abrams
 from confhom.complexes import BoundaryError, Chain, ChainComplex
-from confhom.critical import (MorseFlow, MorseMatching, choose_search,
-                              critical_counts, half_edge_ends, search)
+from confhom.critical import (MorseFlow, MorseMatching, _eligible,
+                              choose_search, critical_counts, half_edge_ends,
+                              search)
 from confhom.graph import Graph, build_family, order_vertices, subdivide_for
 from confhom.homology import EngineError, homology, morse_reduce
 from confhom.swiatkowski import (OCCUPIED, SwEncoding, _edge_parts,
@@ -57,10 +58,10 @@ def _searches(g):
     out = []
     for root in g.vertices:
         for kind in ("bfs", "dfs") if g.degree(root) else ():
-            order, refs = search(ends, root, kind)
+            order, refs = search(ends, root, kind)[:2]
             for v in g.vertices:
                 if v not in refs and g.degree(v):
-                    o, r = search(ends, v, "bfs")
+                    o, r = search(ends, v, "bfs")[:2]
                     order, refs = order + o, {**refs, **r}
             out.append((kind, root, order, refs))
     return out
@@ -69,7 +70,8 @@ def _searches(g):
 def _hub_bfs(g):
     """Breadth first from the first vertex of maximum degree, the search
     the pinned counts and digests below were taken with (g connected)."""
-    return search(half_edge_ends(g), max(g.vertices, key=g.degree), "bfs")
+    return search(half_edge_ends(g), max(g.vertices, key=g.degree),
+                  "bfs")[:2]
 
 
 def _meets_the_condition(g, order, refs):
@@ -96,6 +98,11 @@ def _every_y_cell(m):
                    in zip(states, m.faces_data))
         out += [pack + p for p in _edge_parts(m.unit, m.n - k)]
     return out
+
+
+def _faces(m, key):
+    """The boundary of one y cell as [(face key, coeff), ...]."""
+    return [(key + d, w) for d, w in m.face_terms(key)]
 
 
 def _with_homology(cx):
@@ -153,13 +160,24 @@ def _unpruned_flow(m):
             acc = {key: 1} if got is None else {}
             if got is not None and got[2]:
                 partner, eps, _ = got
-                for f, w in m.faces(partner):
+                for f, w in _faces(m, partner):
                     if f != key:
                         for g, x in flow(f).items():
                             acc[g] = acc.get(g, 0) - eps * w * x
             memo[key] = {g: x for g, x in acc.items() if x}
         return memo[key]
     return flow
+
+
+def _only_finished(m, flow, full=None):
+    """The memo holds listed critical cells and lower cells the flow
+    finished, with the flow of `full`, which lists every critical cell,
+    when given: no cell the flow was still expanding."""
+    for key, val in flow.memo.items():
+        assert type(val) is dict
+        got = m.classify(key)
+        assert val == {key: 1} if got is None else got[2]
+        assert full is None or val == full.cell(key)
 
 
 @st.composite
@@ -179,6 +197,20 @@ def _multigraphs(draw):
                          for j, (a, b) in enumerate(ends)])
 
 
+def _split(m, key):
+    """(followed, skipped) for the lower cell key: the faces of its partner
+    other than key, as (key delta, flow coefficient) pairs, that its step
+    follows (a unit step as the one face (delta, 1)) and the others."""
+    partner, eps, _ = m.classify(key)
+    step = m.step(key)
+    followed = ((step, 1),) if type(step) is int else step
+    skipped = [(f - key, -eps * w) for f, w in _faces(m, partner)
+               if f != key]
+    for face in followed:
+        skipped.remove(face)  # every followed face is one of them
+    return followed, skipped
+
+
 def _check_drawn_flow(data):
     # the chosen search and one other candidate: the flow equals the
     # unpruned flow on every y cell, and every face the flow skips is
@@ -196,7 +228,7 @@ def _check_drawn_flow(data):
             assert flow.cell(key) == unpruned(key)
             got = m.classify(key)
             if got is not None and got[2]:
-                for d, _ in m._split(m._move(key)[2])[1]:
+                for d, _ in _split(m, key)[1]:
                     upper = m.classify(key + d)
                     assert upper is not None and not upper[2] or \
                         not unpruned(key + d)
@@ -220,7 +252,7 @@ class TestRule:
                 # an involution with a unit coefficient, upper above lower
                 assert m.classify(partner) == (key, coeff, not lower)
                 upper, low = (partner, key) if lower else (key, partner)
-                assert dict(m.faces(upper))[low] == coeff in (1, -1)
+                assert dict(_faces(m, upper))[low] == coeff in (1, -1)
             listed = m.critical_cells()
             assert sorted(critical) == sorted(itertools.chain(*listed))
             assert all(dim == sorted(dim) for dim in listed)
@@ -256,7 +288,7 @@ class TestRule:
         def d(chain):
             acc = {}
             for y, x in chain.items():
-                for f, w in m.faces(y):
+                for f, w in _faces(m, y):
                     acc[f] = acc.get(f, 0) + x * w
             return {f: x for f, x in acc.items() if x}
 
@@ -302,10 +334,16 @@ class TestRule:
             # edge leads to the parent, and a root's to the first vertex
             # reached
             g = _graph(fam)
+            ends = half_edge_ends(g)
             for kind, root, order, refs in _searches(g):
                 assert _meets_the_condition(g, order, refs)
                 assert order[0] == root and refs[root] == 0
                 assert order[1] == g.other_end(g.half_edges(root)[0][0], root)
+                # the search's own count of each |E_v|
+                o, r, sizes = search(ends, root, kind)
+                rank = {v: i for i, v in enumerate(o)}
+                assert sizes == {v: len(_eligible(ends, v, rank, r))
+                                 for v in o}
             # the choice is the first candidate with the fewest critical
             # cells, roots by decreasing degree, BFS before DFS
             enc = _encoding(g, 3)
@@ -314,8 +352,7 @@ class TestRule:
             assert len(searches) == (2 if fam == "2tri" else 1)
             if len(searches) == 1:
                 (kind, root), = searches
-                ends = half_edge_ends(g)
-                assert (order, refs) == search(ends, root, kind)
+                assert (order, refs) == search(ends, root, kind)[:2]
                 reached = search(ends, g.vertices[0], "bfs")[0]
                 assert min((sum(critical_counts(enc, o, r)), -g.degree(v),
                             reached.index(v), k)
@@ -330,6 +367,52 @@ class TestRule:
         flow = MorseFlow(m, m.critical_cells())
         with pytest.raises(EngineError, match="cycle"):
             flow.cell(m.unit[g.edge_index("ab")])
+        _only_finished(m, flow)
+
+    @pytest.mark.parametrize("model", ["half-edge", "cube"])
+    def test_an_unlisted_critical_cell_raises(self, model):
+        # a critical cell in the flow of a lower cell is left out of the
+        # list: the flow meets it there, and keeps only what it finished
+        if model == "half-edge":
+            enc = _encoding(build_family("k33"), 3)
+            m = MorseMatching(enc, *choose_search(enc)[:2])
+        else:
+            m = CubeMatching(build_abrams(order_vertices(subdivide_for(
+                build_family("k4"), 3)), 3).encoding)
+        cells = m.critical_cells()
+        full = MorseFlow(m, cells)
+        for key in cells[2]:
+            full.boundary(key)
+        lower, val = next((key, val) for key, val in full.memo.items()
+                          if m.classify(key) is not None and val)
+        dropped = next(iter(val))
+        flow = MorseFlow(m, [[key for key in dim if key != dropped]
+                             for dim in cells])
+        with pytest.raises(EngineError, match=f"^cell {dropped} is critical "
+                           "but not listed$"):
+            flow.cell(lower)
+        _only_finished(m, flow, full)
+
+    @pytest.mark.parametrize("fam,n,memo,empty", [
+        ("wheel:5", 5, 1268, 107), ("k33", 5, 2050, 227)])
+    def test_each_lower_cell_is_classified_once(self, monkeypatch, fam, n,
+                                                memo, empty):
+        # the flow classifies a lower cell once, walked or expanded, and
+        # keeps it; the memo is the one `confhom compute` reports on
+        lower = []
+        real = MorseMatching.step
+
+        def step(m, key, classify=False):
+            got = real(m, key, classify)
+            if got is not None and got is not False and not classify:
+                lower.append(key)
+            return got
+        monkeypatch.setattr(MorseMatching, "step", step)
+        cx = build_swiatkowski(build_family(fam), n, reduce_vertices="all")
+        mcx, flow = cx.morse_complex()
+        assert len(lower) == len(flow.memo) - sum(mcx.dims)
+        assert (len(flow.memo), sum(not f for f in flow.memo.values())) == \
+            (memo, empty)
 
     def test_a_search_out_of_position_order_forms_a_cycle(self):
         # a depth-first search that takes each vertex's neighbours by
@@ -347,6 +430,7 @@ class TestRule:
         with pytest.raises(EngineError, match="cycle"):
             for key in _every_y_cell(m):
                 flow.cell(key)
+        _only_finished(m, flow)
         hub_edge, end = g.half_edges("h")[refs["h"]]
         refs["r0"] = g.half_edges("r0").index((hub_edge, 1 - end))
         assert _meets_the_condition(g, order, refs)
@@ -377,9 +461,9 @@ class TestRule:
     @pytest.mark.parametrize("fam,n", BRUTE + [("cyclic", 1),
                                                ("by-degree", 4)])
     def test_pruned_faces_are_upper(self, fam, n):
-        # per lower cell, the followed faces and the skipped ones are the
-        # partner's faces other than the cell, with the flow's weights;
-        # a skipped face is upper or has an empty flow, and on the cyclic
+        # per lower cell, the followed faces are partner's faces other than
+        # the cell, with the flow's weights; a skipped face, one of the
+        # others, is upper or has an empty flow, and on the cyclic
         # triangle and the by-degree search of wheel:5, which break (C),
         # only upper faces are skipped
         if fam == "cyclic":
@@ -395,12 +479,7 @@ class TestRule:
             got = m.classify(key)
             if got is None or not got[2]:
                 continue
-            partner, eps, _ = got
-            followed, skipped = m._split(m._move(key)[2])
-            assert m.followed_faces(key) == followed
-            assert sorted((key + d, q) for d, q in followed + skipped) == \
-                sorted((f, -eps * w) for f, w in m.faces(partner) if f != key)
-            for d, _ in skipped:
+            for d, _ in _split(m, key)[1]:
                 upper = m.classify(key + d)
                 assert upper is not None and not upper[2] or \
                     fam not in ("cyclic", "by-degree") and \
@@ -544,7 +623,8 @@ class TestTwoPaths:
         assert mcx.meta["search"] == [("dfs", "a.r0"), ("bfs", "b.r0")]
         assert mcx.meta["critical_cells"] == mcx.dims == [4, 47, 81, 17]
         ends = half_edge_ends(TWO_WHEELS)
-        (o1, r1), (o2, r2) = [search(ends, f"{p}.h", "bfs") for p in "ab"]
+        (o1, r1), (o2, r2) = [search(ends, f"{p}.h", "bfs")[:2]
+                              for p in "ab"]
         from_hubs = critical_counts(cx.encoding, o1 + o2, {**r1, **r2})
         assert sum(from_hubs) > sum(mcx.dims)
         generic = homology(_without_morse(cx), check=False)
