@@ -21,7 +21,7 @@ from .graph import (FamilySpec, Graph, GraphError, InsufficientSubdivision,
 from .homology import (HomologyResult, SnfResult, homology,
                        homology_generators, lift_cycle, morse_reduce,
                        smith_normal_form, solve_boundary)
-from .swiatkowski import build_reduced_at, build_swiatkowski, support
+from .swiatkowski import build_swiatkowski, support
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "ResourceLimitExceeded",
     "abrams_boundary", "betti_K33", "betti_K4", "betti_net",
     "betti_tree_linear", "betti_wheel", "blowup", "build_abrams",
-    "build_family", "build_reduced_at", "build_swiatkowski",
+    "build_family", "build_swiatkowski",
     "check_subdivided", "delta_rank_check", "enumerate_groupings",
     "homology", "homology_generators", "k2p_values", "lift_cycle",
     "make_cycle", "morse_reduce", "order_vertices", "parse_family", "phi",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -32,12 +33,15 @@ def _load_graph(source: str) -> Graph:
 
 
 def _parse_dims(text):
+    """None, a dimension or an inclusive (lo, hi) range from "d" or "lo-hi"
+    with 0 <= lo <= hi; anything else raises ValueError."""
     if text is None:
         return None
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return (int(lo), int(hi))
-    return int(text)
+    m = re.fullmatch(r"([0-9]+)(?:-([0-9]+))?", text)
+    if m is None or (m[2] is not None and int(m[1]) > int(m[2])):
+        raise ValueError(f"--dims {text!r}: expected d or lo-hi "
+                         "with 0 <= lo <= hi")
+    return int(m[1]) if m[2] is None else (int(m[1]), int(m[2]))
 
 
 def _emit(data, fmt, stream=None):

@@ -1,6 +1,8 @@
 """Exact integral homology: unit-pivot complex reduction (an acyclic
-matching realized as a sequence of elementary reductions), sparse/dense
-Smith normal form, boundary-equation solving, and homology-class ranks.
+matching realized as a sequence of elementary reductions), Smith normal
+form (the same reduction of a one-map complex, then a dense Smith normal
+form of the block it leaves), boundary-equation solving, and
+homology-class ranks.
 
 All arithmetic is exact; Python integers are arbitrary precision, so no
 overflow handling is needed anywhere.
@@ -144,96 +146,6 @@ def snf_dense(mat, transforms=False):
     return divisors, U, Uinv, V
 
 
-# ---------------------------------------------------------------------------
-# sparse elimination for a single matrix
-# ---------------------------------------------------------------------------
-
-def _sparse_from_triplets(rows, cols, vals):
-    colmap = {}
-    rowmap = {}
-    for r, c, v in zip(rows, cols, vals):
-        if not v:
-            continue
-        col = colmap.setdefault(c, {})
-        col[r] = col.get(r, 0) + v
-        if col[r] == 0:
-            del col[r]
-    for c in list(colmap):
-        if not colmap[c]:
-            del colmap[c]
-            continue
-        for r in colmap[c]:
-            rowmap.setdefault(r, set()).add(c)
-    return colmap, rowmap
-
-
-def _sparse_unit_eliminate(colmap, rowmap):
-    """Eliminate unit pivots by column operations; returns the unit rank."""
-    rank = 0
-    heap = [(len(col), c) for c, col in colmap.items()]
-    heapify(heap)
-    while heap:
-        size, c = heappop(heap)
-        col = colmap.get(c)
-        if col is None or len(col) != size:
-            continue
-        pivot_row = None
-        best = None
-        for r, v in col.items():
-            if v in (1, -1):
-                k = (len(rowmap.get(r, ())), r)
-                if best is None or k < best:
-                    best = k
-                    pivot_row = r
-        if pivot_row is None:
-            continue  # no unit entry; leave for the dense stage
-        rank += 1
-        eps = col[pivot_row]
-        targets = [c2 for c2 in rowmap.get(pivot_row, ()) if c2 != c]
-        for c2 in targets:
-            col2 = colmap[c2]
-            lam = col2.get(pivot_row)
-            if not lam:
-                continue
-            q = -lam * eps  # eps in {1,-1}
-            for r, v in col.items():
-                nv = col2.get(r, 0) + q * v
-                if nv:
-                    if r not in col2:
-                        rowmap.setdefault(r, set()).add(c2)
-                    col2[r] = nv
-                else:
-                    if r in col2:
-                        del col2[r]
-                        rowmap[r].discard(c2)
-            if col2:
-                heappush(heap, (len(col2), c2))
-            else:
-                del colmap[c2]
-        # retire the pivot column and row
-        for r in col:
-            s = rowmap.get(r)
-            if s is not None:
-                s.discard(c)
-                if not s:
-                    del rowmap[r]
-        del colmap[c]
-    return rank
-
-
-def _leftover_dense(colmap):
-    """Collect the non-eliminated block as a dense matrix."""
-    if not colmap:
-        return []
-    rows = sorted({r for col in colmap.values() for r in col})
-    rpos = {r: i for i, r in enumerate(rows)}
-    out = [[0] * len(colmap) for _ in rows]
-    for j, c in enumerate(sorted(colmap)):
-        for r, v in colmap[c].items():
-            out[rpos[r]][j] = v
-    return out
-
-
 @dataclass
 class SnfResult:
     """Rank and elementary divisors d_1 | d_2 | ... of an integer matrix."""
@@ -247,18 +159,31 @@ class SnfResult:
 
 def smith_normal_form(matrix, shape=None) -> SnfResult:
     """Smith normal form data of a dense (list of rows) or sparse
-    ((rows, cols, vals) with shape=(m, n)) integer matrix."""
+    ((rows, cols, vals) with shape=(m, n), repeated entries summed) integer
+    matrix.
+
+    The matrix is the one map of a complex with m 1-cells, n 2-cells and
+    no 0-cells, so that no row is protected; `_reduce` eliminates its unit
+    pivots, one divisor 1 each, and `snf_dense` takes the nonzero block
+    left over."""
     if shape is None:
+        shape = (len(matrix), max(map(len, matrix), default=0))
         matrix = ([i for i, row in enumerate(matrix) for _ in row],
                   [j for row in matrix for j in range(len(row))],
                   [v for row in matrix for v in row])
-    colmap, rowmap = _sparse_from_triplets(*matrix)
-    unit_rank = _sparse_unit_eliminate(colmap, rowmap)
-    divisors, _, _, _ = snf_dense(_leftover_dense(colmap))
+    rcx, (trail, *_) = _reduce(ChainComplex([0, *shape], {2: matrix},
+                                            meta={"model": "snf"}))
+    rows, cols, vals = rcx.boundary_triplets(2)
+    rpos = {r: i for i, r in enumerate(sorted(set(rows)))}
+    cpos = {c: j for j, c in enumerate(sorted(set(cols)))}
+    block = [[0] * len(cpos) for _ in rpos]
+    for r, c, v in zip(rows, cols, vals):
+        block[rpos[r]][cpos[c]] = v
+    divisors = snf_dense(block)[0]
     if any(d == 0 for d in divisors):
         raise EngineError("zero divisor in SNF chain")
-    return SnfResult(rank=unit_rank + len(divisors),
-                     divisors=tuple([1] * unit_rank + divisors))
+    return SnfResult(rank=len(trail) + len(divisors),
+                     divisors=tuple([1] * len(trail) + divisors))
 
 
 # ---------------------------------------------------------------------------
@@ -304,14 +229,14 @@ def morse_reduce(cx: ChainComplex, track=()):
 
 
 def _reduce(cx: ChainComplex):
-    """The one elimination behind `morse_reduce`: returns the reduced
-    complex and (trail, offsets, dim_of, quotient).  Cells carry global
-    ids, offset by dimension.  Trail entry (a, b, bd_b, cofaces_a) records
-    the pair with b's boundary at elimination time (so the pivot is
-    bd_b[a]) and the coefficients (c_1, lam_1, c_2, lam_2, ...) of a in its
-    other cofaces c_i at that time.  `quotient` holds the protected
-    vertices the elimination quotiented out (one per component, on an
-    augmented complex), else it is empty."""
+    """The one elimination behind `morse_reduce` and `smith_normal_form`:
+    returns the reduced complex and (trail, offsets, dim_of, quotient).
+    Cells carry global ids, offset by dimension.  Trail entry (a, b, bd_b,
+    cofaces_a) records the pair with b's boundary at elimination time (so
+    the pivot is bd_b[a]) and the coefficients (c_1, lam_1, c_2, lam_2,
+    ...) of a in its other cofaces c_i at that time.  `quotient` holds the
+    protected vertices the elimination quotiented out (one per component,
+    on an augmented complex), else it is empty."""
     dims = cx.dims
     top = cx.top_dim
     offsets = [0]
@@ -728,7 +653,9 @@ def homology(cx: ChainComplex, dims=None, reduce=True, check=True) -> HomologyRe
     finishes it.  Any other complex (JSON complexes) goes through
     `morse_reduce(cx)`, cached in `cx._reduction`.  `reduced_cells` counts
     the reduced complex of the path taken; the Euler identity ties the
-    full complex's cell counts to the Betti numbers either way.
+    full complex's cell counts to the Betti numbers either way.  With
+    reduce off, each map of cx goes to `smith_normal_form`, which reduces
+    it alone, as a one-map complex, and caches nothing on cx.
 
     check: run the exact d^2 = 0 check before any result is read, in this
     process (see `_checked_morse`).  On the Morse path the tables the Morse
@@ -903,37 +830,26 @@ def homology_generators(cx: ChainComplex, d):
     """Explicit cycles generating the free part of d-dimensional homology,
     read from the generic reduction of cx after the d^2 check of its
     triplets, on half-edge complexes too: lifting through the Morse
-    complex needs the map back from it, which does not exist yet."""
+    complex needs the map back from it, which does not exist yet.
+
+    With U d_{d+1} V diagonal of rank r, the first r columns of U^-1 span
+    the saturated image of d_{d+1} and are cycles; the cycles in the span
+    of the other columns, the kernel of d_d on them, give the free part."""
     _checked_morse(cx, False)
     rcx, _, trail_info = morse_reduce(cx)
-    if d > rcx.top_dim:
+    if not 0 <= d <= rcx.top_dim:
         return []
-    nd = rcx.dims[d]
-    m1, m2 = _dense(rcx, d), _dense(rcx, d + 1)
-    n_hi = len(m2[0]) if m2 else 0
-    # kernel of m1
-    if not m1:
-        kernel = [[int(i == j) for j in range(nd)] for i in range(nd)]
-    else:
-        divisors, _, _, V = snf_dense(m1, transforms=True)
-        r1 = len(divisors)
-        kernel = [[V[i][j] for j in range(r1, nd)] for i in range(nd)]
-    k = len(kernel[0]) if kernel else 0
-    if k == 0:
+    divisors, _, Uinv, _ = snf_dense(_dense(rcx, d + 1), transforms=True)
+    rest = [row[len(divisors):] for row in Uinv]
+    k = len(Uinv) - len(divisors)
+    if not k:
         return []
-    # express the image of m2 in the kernel basis: solve kernel * X = m2
-    divisors, U, _, V = snf_dense(kernel, transforms=True)
-    if len(divisors) != k or any(dv != 1 for dv in divisors):
-        raise EngineError("kernel basis is not primitive")
-    um2 = [[sum(U[i][t] * m2[t][j] for t in range(nd)) for j in range(n_hi)]
-           for i in range(k)]
-    X = [[sum(V[i][t] * um2[t][j] for t in range(k)) for j in range(n_hi)]
-         for i in range(k)]
-    divisors2, _, Uinv2, _ = snf_dense(X, transforms=True)
-    r2 = len(divisors2)
-    gens = []
-    for j in range(r2, k):
-        vec = [sum(kernel[i][t] * Uinv2[t][j] for t in range(k))
-               for i in range(nd)]
-        gens.append(Chain(rcx, d, dict(zip(rcx.cells[d], vec))))
+    # d_d on the other columns; a zero row stands in for d_0
+    m1 = [[sum(map(mul, row, col)) for col in zip(*rest)]
+          for row in _dense(rcx, d)] or [[0] * k]
+    r1, _, _, V = snf_dense(m1, transforms=True)
+    kernel = list(zip(*V))[len(r1):]
+    gens = [Chain(rcx, d, {key: sum(map(mul, row, vec))
+                           for key, row in zip(rcx.cells[d], rest)})
+            for vec in kernel]
     return [lift_cycle(cx, z, trail_info) for z in gens]

@@ -486,16 +486,6 @@ def build_swiatkowski(g: Graph, n: int, reduce_vertices=None,
                         morse_complex=morse)
 
 
-def build_reduced_at(g: Graph, n: int, v) -> ChainComplex:
-    """Complex with vertex v presented by half-edge differences against its
-    first half-edge; all other vertices stay canonical.  Same homology as
-    the unreduced complex in every dimension, read, as for every basis,
-    from the Morse complex of the all-reduced basis."""
-    if g.degree(v) < 3:
-        raise GraphError(f"vertex {v!r} is not essential")
-    return build_swiatkowski(g, n, reduce_vertices=(v,))
-
-
 def support(chain: Chain):
     """Union of member-cell supports: a set of edge ids and vertex ids."""
     enc = chain.complex.encoding

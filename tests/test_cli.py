@@ -91,6 +91,20 @@ class TestCompute:
         assert set(data["dims"]) == {"2", "3"}
         assert data["dims"]["2"]["betti"] == 9
 
+    def test_dims_single_and_degenerate_range(self, capsys):
+        for dims, keys in (("2", {"2"}), ("1-1", {"1"})):
+            code, out = run(capsys, "compute", "--graph", "k4", "-n", "3",
+                            "--dims", dims)
+            assert code == 0 and set(json.loads(out)["dims"]) == keys
+
+    @pytest.mark.parametrize("dims", ["-1", "3-1", "", "1-", "-", "a",
+                                      "1-2-3", " 2", "1.5"])
+    def test_bad_dims_exit_64_naming_the_value(self, capsys, dims):
+        code = main(["compute", "--graph", "k4", "-n", "3", "--dims", dims])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert f"--dims {dims!r}" in captured.err
+
     def test_csv_format(self, capsys):
         code, out = run(capsys, "compute", "--graph", "k4", "-n", "3",
                         "--format", "csv")

@@ -10,8 +10,8 @@ import pytest
 from confhom.complexes import Chain, ResourceLimitExceeded
 from confhom.graph import Graph, GraphError, build_family
 from confhom.homology import homology
-from confhom.swiatkowski import (EMPTY, OCCUPIED, build_reduced_at,
-                                 build_swiatkowski, cell, support)
+from confhom.swiatkowski import (EMPTY, OCCUPIED, build_swiatkowski, cell,
+                                 support)
 
 
 def brute_counts(g, n):
@@ -72,7 +72,8 @@ class TestCellCounts:
         (lambda: build_swiatkowski(build_family("k33"), 4,
                                    reduce_vertices="all"), "55949a0e49db169b"),
         (lambda: build_swiatkowski(build_family("k4"), 3), "e6423f171cbd5e66"),
-        (lambda: build_reduced_at(build_family("k4"), 3, "v0"),
+        (lambda: build_swiatkowski(build_family("k4"), 3,
+                                   reduce_vertices=("v0",)),
          "1b019fe314f9d8ad"),
     ], ids=["k33-n4-all", "k4-n3-canonical", "k4-n3-reduced-at-v0"])
     def test_cells_are_listed_on_first_read(self, build, digest):
@@ -88,7 +89,8 @@ class TestCellCounts:
         (lambda: build_swiatkowski(build_family("k33"), 4,
                                    reduce_vertices="all"), "12e63569b1e8ce80"),
         (lambda: build_swiatkowski(build_family("k4"), 3), "8eee2cab6049a300"),
-        (lambda: build_reduced_at(build_family("k4"), 3, "v0"),
+        (lambda: build_swiatkowski(build_family("k4"), 3,
+                                   reduce_vertices=("v0",)),
          "85e31f9a22208825"),
     ], ids=["k33-n4-all", "k4-n3-canonical", "k4-n3-reduced-at-v0"])
     def test_triplets_are_written_on_first_read(self, build, digest):
@@ -194,25 +196,28 @@ class TestHomology:
 
 class TestReducedAt:
     def test_y_single_particle_ranks(self):
-        cx = build_reduced_at(build_family("star:3"), 1, "c")
+        cx = build_swiatkowski(build_family("star:3"), 1,
+                               reduce_vertices=("c",))
         assert cx.dims == [3, 2]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_homology_matches_unreduced(self, n):
         g = build_family("theta:3")
         h1 = homology(build_swiatkowski(g, n))
-        h2 = homology(build_reduced_at(g, n, "u"))
+        h2 = homology(build_swiatkowski(g, n, reduce_vertices=("u",)))
         for d in set(h1.dims) | set(h2.dims):
             assert h1.betti(d) == h2.betti(d)
             assert h1.torsion(d) == h2.torsion(d)
 
     def test_lasso_first_homology(self):
-        h = homology(build_reduced_at(build_family("lasso"), 2, "v2"))
+        h = homology(build_swiatkowski(build_family("lasso"), 2,
+                                       reduce_vertices=("v2",)))
         assert h.betti(1) == 2
 
-    def test_rejects_non_essential(self):
-        with pytest.raises(GraphError):
-            build_reduced_at(build_family("star:3"), 2, "l0")
+    def test_rejects_a_leaf(self):
+        with pytest.raises(GraphError, match="cannot reduce degree-1"):
+            build_swiatkowski(build_family("star:3"), 2,
+                              reduce_vertices=("l0",))
 
 
 class TestSupportAndCells:
