@@ -119,6 +119,8 @@ def cmd_compute(args):
         # critical cells and the lower cells it expanded
         memo = morse[1].memo
         out["critical_cells"] = morse[0].meta["critical_cells"]
+        if "search" in morse[0].meta:  # (kind, root) per component
+            out["search"] = morse[0].meta["search"]
         out["flow_memo"] = len(memo)
         out["flow_empty"] = sum(not flow for flow in memo.values())
     _emit(out, args.format)

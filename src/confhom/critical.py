@@ -50,8 +50,8 @@ Morse complex only.
 
 Basis.  Each vertex v of nonzero degree gets a reference half-edge r(v)
 from a search of its component (see Order and Choice): the edge the search
-reached v by, and at the search's root its first half-edge.  The Morse
-layer works in the basis y_{v,j} = h_j - h_{r(v)}, j != r(v), so that
+reached v by, and at its root the edge the first vertex was reached by.
+The Morse layer works in the basis y_{v,j} = h_j - h_{r(v)}, j != r(v), so
 d(m * y_S) follows the builder's sign rule with e_{r(v)} in place of e_0.
 A builder cell, in x_{v,c} = h_c - h_0, maps over by x_c = y_c - y_0 for
 c != r and x_r = -y_0, and by the identity where r = 0: a unimodular chain
@@ -95,14 +95,12 @@ larger word than a:
     a position j < k, and phi_v keeps its count while its position sum
     falls by k - j.
 The words are finitely many, so no gradient path comes back to a cell.
-A BFS or DFS that takes each vertex's half-edges in position order meets
-(C): a vertex's reference edge leads to the vertex the search reached it
-from, and the root's first half-edge to the first vertex reached, by that
-edge, which is then that vertex's reference too.  A search that takes the
-root's half-edges in another order may reach that vertex by another edge;
-the root's reference edge is then in E_w of a later site w, and a
-depth-first search of wheel:5 by decreasing degree gives a cycle at n=4.
-So only these searches are candidates; the flow's back-edge check stays.
+A BFS or DFS meets (C) in any order of the half-edges, as a vertex's
+reference edge leads to the vertex the search reached it from and the
+root's is the edge the first vertex was reached by, that vertex's too.
+The searches take half-edges by ascending degree of the other end, then
+position, but ends of degree 1 last: a leaf reached first from the root
+would hold the one free edge, and the memo grows on trees and nets.
 
 Listing.  Critical cells are listed per state set S: the edges of E_v are
 forbidden for v not in S; for v in S whose generator k is eligible, m needs
@@ -116,13 +114,14 @@ and S_v sums (1-x)^-|E_v| over v's codes outside E_v, and
 (1-x)^-|E_v| - (1-x)^-(|E_v|-at) over the codes of E_v with at > 0 edges
 of E_v below them.  It depends only on F and each site's degree and |E_v|.
 
-Choice.  Per component, the candidates are the BFS and the DFS from each
-vertex, roots by decreasing degree and then in the order a BFS from the
-component's first vertex reaches them, BFS first; the one with the fewest
-critical cells is kept, the earlier one on a tie.  The count of a complex
-is the product of its components' series, so the components are chosen
-one after another, each for the fewest cells of the whole complex with the
-others at their current choice (their first candidates to begin with).
+Choice.  Per component, the candidates are the DFS and the BFS from each
+vertex, roots by decreasing degree, then as a BFS from the component's
+first vertex reaches them; the one with the fewest critical cells is kept,
+the earlier on a tie, so the count follows the graph, not its listing,
+but for ties of equal-degree neighbours.  The complex's count is the
+product of its components' series, so the components are chosen in turn,
+each for the fewest cells of the whole with the others at their current
+choice (their first candidates to begin with).
 
 Flow.  The Morse differential of a critical cell c is flow(d c), where the
 flow fixes critical cells, sends upper cells of pairs to 0, and sends a
@@ -255,31 +254,32 @@ _ACTIVE = object()  # the memo entry of a cell the flow is expanding
 
 
 def half_edge_ends(g):
-    """Per vertex, its half-edges in position order as (edge index, other
-    end, the edge's position at the other end)."""
+    """Per vertex, its half-edges as (edge index, other end, its position
+    there, its position here), in search order (see Order)."""
     out = {}
+    rank = {v: (g.degree(v) == 1, g.degree(v)) for v in g.vertices}
     for v in g.vertices:
         out[v] = row = []
-        for eidx, end in g.half_edges(v):
+        for p, (eidx, end) in enumerate(g.half_edges(v)):
             w = g.other_end(eidx, v)
-            row.append((eidx, w, g.half_edges(w).index((eidx, 1 - end))))
+            row.append((eidx, w, g.half_edges(w).index((eidx, 1 - end)), p))
+        row.sort(key=lambda h: rank[h[1]])
     return out
 
 
 def search(ends, root, kind):
     """(order, refs, sizes) of the breadth-first ("bfs") or depth-first
-    ("dfs") search of root's component, taking each vertex's half-edges
-    (`ends`, from `half_edge_ends`) in position order: the vertices as
-    reached, refs[v] the position of the edge v was reached by (0 at the
-    root), and sizes[v] = |E_v|.  Both searches meet (C), so E_v is v's
-    half-edges to later vertices but the root's first, a free edge: the
-    search counts them as it goes."""
-    refs, rank, sizes = {root: 0}, {root: 0}, {root: -1}
-    order = [root]
+    ("dfs") search of root's component, taking half-edges in the order of
+    `ends` (see Order): the vertices as reached, refs[v] the position of
+    the edge v was reached by (at the root, the edge the first vertex was
+    reached by), and sizes[v] = |E_v|, which by (C) is v's half-edges to
+    later vertices but the root's reference, counted as the search goes."""
+    refs = {root: ends[root][0][3]}  # the edge to the first vertex reached
+    rank, sizes, order = {root: 0}, {root: -1}, [root]
     if kind == "bfs":
         for v in order:
             rv, size = rank[v], sizes[v]
-            for _, w, q in ends[v]:
+            for _, w, q, _ in ends[v]:
                 if w not in rank:
                     refs[w], rank[w], sizes[w] = q, len(order), 0
                     order.append(w)
@@ -289,7 +289,7 @@ def search(ends, root, kind):
     stack = [(root, iter(ends[root]))]
     while stack:
         v, todo = stack[-1]
-        for _, w, q in todo:
+        for _, w, q, _ in todo:
             if w not in rank:
                 refs[w], rank[w], sizes[w] = q, len(order), 0
                 order.append(w)
@@ -305,8 +305,8 @@ def search(ends, root, kind):
 def _eligible(ends, v, rank, refs):
     """E_v as (position, edge index) pairs, in position order."""
     r, rv = refs[v], rank[v]
-    return [(p, eidx) for p, (eidx, w, q) in enumerate(ends[v])
-            if p != r and (rank[w] > rv or refs[w] == q)]
+    return sorted((p, eidx) for eidx, w, q, p in ends[v]
+                  if p != r and (rank[w] > rv or refs[w] == q))
 
 
 def _mul(a, b, n):
@@ -390,7 +390,7 @@ def choose_search(enc):
         edges = sum(map(g.degree, component)) // 2
         candidates = []
         for root in sorted(component, key=g.degree, reverse=True):
-            for kind in ("bfs", "dfs"):
+            for kind in ("dfs", "bfs"):
                 order, refs, sizes = search(ends, root, kind)
                 key = _search_key(ends, sites, edges, sizes)
                 if key not in tables:

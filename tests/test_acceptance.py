@@ -14,11 +14,13 @@ from confhom import (betti_K4, betti_K33, betti_wheel, build_family,
                      build_swiatkowski, enumerate_groupings, homology,
                      smith_normal_form)
 from confhom import tables
+from confhom.abrams import build_abrams
+from confhom.graph import order_vertices, subdivide_for
 from confhom.verify import (_engine, _table_row, suite_cross_model,
                             suite_generation, suite_paper_tables_core,
                             suite_paper_tables_extended, suite_relations)
 
-from test_critical import _without_morse
+from test_critical import _nonzero, _shuffled, _without_morse
 from test_homology import snf_oracle
 
 
@@ -120,19 +122,27 @@ def test_criterion_06_petersen_torsion(core_rows):
            "cohomology cross-check", ok, detail)
 
 
-@pytest.mark.parametrize("basis, generic", [("all", False), (None, True),
-                                            (None, False)],
-                         ids=["all-reduced", "canonical", "canonical-morse"])
-def test_criterion_06_k44e_n4_engine(basis, generic):
-    # the evidence behind the k44e xfail below: two bases of the half-edge
-    # complex give the same groups.  The canonical row reduces the
+@pytest.mark.parametrize("basis, generic, seeds", [
+    ("all", False, [None]), (None, True, [None]), (None, False, [None]),
+    ("essential", False, [None]), ("all", False, [0, 1, 2])],
+    ids=["all-reduced", "canonical", "canonical-morse", "essential-reduced",
+         "shuffled"])
+def test_criterion_06_k44e_n4_engine(basis, generic, seeds):
+    # the evidence behind the k44e xfail below: three bases of the
+    # half-edge complex, and the all-reduced one on seeded vertex and edge
+    # orders, give the same groups.  The canonical row reduces the
     # canonical complex itself, a route independent of the Morse complex
-    # that every basis reads otherwise, which the last row reads.
-    cx = build_swiatkowski(build_family("k44e"), 4, reduce_vertices=basis)
-    h = homology(_without_morse(cx) if generic else cx)
-    assert h.betti_vector() == (1, 8, 108, 46, 0)
-    assert {d: h.torsion(d) for d in h.dims if h.torsion(d)} == {
-        1: (2,), 2: (2,)}
+    # that every basis reads otherwise, which the other rows read.
+    for seed in seeds:
+        g = build_family("k44e")
+        if seed is not None:
+            g = _shuffled(g, seed)
+        cx = build_swiatkowski(g, 4, reduce_vertices=g.essential_vertices()
+                               if basis == "essential" else basis)
+        h = homology(_without_morse(cx) if generic else cx)
+        assert h.betti_vector() == (1, 8, 108, 46, 0)
+        assert {d: h.torsion(d) for d in h.dims if h.torsion(d)} == {
+            1: (2,), 2: (2,)}
 
 
 @pytest.mark.xfail(strict=True, reason="the table's K_{4,4}-e row at n=4 "
@@ -205,6 +215,30 @@ def test_criterion_07_k2p(core_rows):
     report("criterion 7: two-junction families: Euler characteristic, "
            "second Betti, genus-3 surface at (4,3); first Betti resolved "
            "to p(p-1)/2", ok, detail)
+
+
+@pytest.mark.parametrize("fam, n, beta1", [
+    ("net:4", 3, 9), ("net:4", 4, 13), ("net:3", 5, 13), ("theta:3", 4, 3),
+    ("theta:4", 4, 6), ("theta:5", 4, 10)])
+def test_recorded_first_betti_numbers_on_the_cube_model(fam, n, beta1):
+    # the readings behind the sun-graph xfail and the K_{2,p} resolution,
+    # on the cube complex of the subdivided graph, a route independent of
+    # the half-edge complex: the sun graph's stated count + 1, and
+    # p(p-1)/2 for K_{2,p}, not the lemma's p(p-1); the half-edge complex
+    # gives the same groups
+    from confhom import betti_net, k2p_values
+    m = int(fam.split(":")[1])
+    if fam.startswith("net:"):
+        assert beta1 == betti_net(m, n, 1) + 1
+    else:
+        vals = k2p_values(m, n)
+        assert beta1 == vals["beta1_chi_consistent"] != vals["beta1_lemma"]
+    g = build_family(fam)
+    cube = homology(build_abrams(order_vertices(subdivide_for(g, n)), n))
+    assert cube.betti(1) == beta1
+    half_edge, _ = _engine(fam, n)
+    assert _nonzero(cube) == _nonzero(half_edge)
+    assert not any(torsion for _, torsion in _nonzero(cube).values())
 
 
 def test_criterion_08_tree_and_net_lemmas():

@@ -6,6 +6,9 @@ import json
 import pytest
 
 from confhom.cli import main
+from confhom.graph import build_family
+
+from test_critical import _shuffled
 
 
 def run(capsys, *argv):
@@ -58,6 +61,23 @@ class TestCompute:
             _, out = run(capsys, "compute", "--graph", "k4", "-n", "3",
                          "--no-reduce", "--model", model)
             assert "critical_cells" not in json.loads(out)
+
+    def test_search_of_the_morse_path(self, capsys, tmp_path):
+        # the chosen search per component, (kind, root): the root is a
+        # vertex of the listing, and a seeded listing of the same graph
+        # keeps the critical cells
+        _, out = run(capsys, "compute", "--graph", "wheel:5", "-n", "5")
+        data = json.loads(out)
+        assert data["search"] == [["dfs", "r0"]]
+        path = tmp_path / "wheel5.json"
+        path.write_text(_shuffled(build_family("wheel:5"), 2).to_json())
+        _, out = run(capsys, "compute", "--graph", str(path), "-n", "5")
+        listed = json.loads(out)
+        assert listed["search"] == [["dfs", "r2"]]
+        assert listed["critical_cells"] == data["critical_cells"]
+        _, out = run(capsys, "compute", "--graph", "k4", "-n", "3",
+                     "--model", "abrams")
+        assert "search" not in json.loads(out)  # the cube matching has none
 
     def test_deterministic_modulo_timing(self, capsys):
         _, a = run(capsys, "compute", "--graph", "k4", "-n", "3")
